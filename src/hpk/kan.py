@@ -5,11 +5,18 @@ sits at the basepoint) and divides by homotopies found one level up; the
 group law comes from horn fillers.  The multiplication table is checked for
 single-valuedness and group laws, so a wrong operator convention upstream
 fails loudly here instead of producing a wrong group.
+
+Horn enumeration charges its budget one work unit per consistent partial
+horn: the empty horn, every partial assignment of faces that satisfies the
+simplicial identities among the faces chosen so far, and every complete
+horn.  Candidates are drawn from a face index, so faces that cannot match
+are never visited, but the units charged are exactly those of a scan over
+the whole level.
 """
 
 from .budgets import DEFAULT_FILLER_BUDGET, Meter, env_budget
 from .groups import GroupTable
-from .sset import InsufficientDepth, _UnionFind
+from .sset import InsufficientDepth, _UnionFind, compatible_tuples
 
 
 class KanConditionFailed(Exception):
@@ -22,41 +29,18 @@ class KanConditionFailed(Exception):
         self.horn = horn
 
 
-def _horn_compat(sset, m, i, x, j, y):
-    """Compatibility of candidate faces x = d_i z, y = d_j z (i < j)."""
-    return sset.face(m - 1, i, y) == sset.face(m - 1, j - 1, x)
-
-
 def enumerate_horns(sset, m, k, meter):
+    """Every horn Lambda^m_k in ``sset``, as {face index: (m-1)-simplex}.
+
+    Horns come from the shared matching-tuple search, which charges
+    ``meter`` one work unit per consistent partial horn.
+    """
     positions = [i for i in range(m + 1) if i != k]
-    lower = sset.levels[m - 1]
-    horns = []
-
-    def extend(chosen):
-        meter.tick()
-        if len(chosen) == len(positions):
-            horns.append({positions[t]: chosen[t] for t in range(len(chosen))})
-            return
-        i = positions[len(chosen)]
-        for x in lower:
-            ok = True
-            if m >= 2:
-                for t in range(len(chosen)):
-                    j = positions[t]
-                    y = chosen[t]
-                    if j < i:
-                        if not _horn_compat(sset, m, j, y, i, x):
-                            ok = False
-                            break
-                    else:
-                        if not _horn_compat(sset, m, i, x, j, y):
-                            ok = False
-                            break
-            if ok:
-                extend(chosen + [x])
-
-    extend([])
-    return horns
+    faces = [sset.faces[(m - 1, i)] for i in range(m)] if m > 1 else ()
+    return [
+        dict(zip(positions, tup))
+        for tup in compatible_tuples(sset.levels[m - 1], faces, positions, meter)
+    ]
 
 
 def kan_report(sset, max_level, budget=None):

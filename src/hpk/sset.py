@@ -17,6 +17,8 @@ class InsufficientDepth(ValueError):
 
 class TruncatedSimplicialSet:
     def __init__(self, depth, levels, faces, degeneracies, check=True):
+        if not isinstance(depth, int) or isinstance(depth, bool) or depth < 0:
+            raise ValueError(f"depth must be a non-negative integer, got {depth!r}")
         self.depth = depth
         self.levels = tuple(tuple(sorted(level)) for level in levels)
         self.faces = {key: dict(table) for key, table in faces.items()}
@@ -303,6 +305,55 @@ class SimplicialMap:
 def validate_sset(sset):
     """Report of simplicial identity violations (empty iff valid)."""
     return sset.validate()
+
+
+def compatible_tuples(simplices, face_tables, positions, meter=None):
+    """Every tuple (x_p for p in positions) with d_i x_j = d_(j-1) x_i for i < j.
+
+    This is the matching-tuple search shared by the nerve's higher levels
+    and by horn enumeration.  ``face_tables[i]`` maps each simplex to its
+    i-th face and ``positions`` is increasing.  The first position ranges
+    over ``simplices``; each later position p takes its candidates from one
+    bucket index {d_(p0) x: [x, ...]}, looked up at d_(p-1) x_(p0), and the
+    relations with the other chosen positions are checked against the face
+    tables.  Buckets keep the order of ``simplices``, so the tuples come out
+    in the lexicographic order of a plain nested scan.  ``meter.tick()`` is
+    charged once per consistent partial tuple, the empty one and the
+    complete ones included.
+    """
+    positions = tuple(positions)
+    width = len(positions)
+    out = []
+    buckets = {}
+    if width > 1:
+        first = face_tables[positions[0]]
+        for x in simplices:
+            buckets.setdefault(first[x], []).append(x)
+
+    def extend(chosen):
+        if meter is not None:
+            meter.tick()
+        t = len(chosen)
+        if t == width:
+            out.append(tuple(chosen))
+            return
+        if t == 0:
+            candidates, checks = simplices, ()
+        else:
+            below = face_tables[positions[t] - 1]
+            candidates = buckets.get(below[chosen[0]], ())
+            checks = [(face_tables[positions[s]], below[chosen[s]]) for s in range(1, t)]
+        for x in candidates:
+            for face, want in checks:
+                if face[x] != want:
+                    break
+            else:
+                chosen.append(x)
+                extend(chosen)
+                chosen.pop()
+
+    extend([])
+    return out
 
 
 def _tuple_id(t):

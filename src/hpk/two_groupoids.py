@@ -7,7 +7,7 @@ and b framed over y -> z, giving a 2-cell over x -> z.
 """
 
 from .groups import GroupTable
-from .sset import TruncatedSimplicialSet, _UnionFind
+from .sset import TruncatedSimplicialSet, _UnionFind, compatible_tuples
 
 
 class TwoGroupoid:
@@ -190,12 +190,6 @@ class TwoGroupoid:
             if self.cells2[c] != want:
                 problems.append(f"horizontal composite {b}*{a} has wrong frame")
                 return problems
-        for f, (x, y) in self.cells1.items():
-            for a in self.cells2:
-                if self.frame(a)[1] == x and self.hcomp[(self.id2[f], a)] != self.whisker_left(
-                    f, a
-                ):
-                    problems.append("left whisker mismatch")
         # identity 2-cells are multiplicative for horizontal composition
         for (f, g), h in self.comp1.items():
             if self.hcomp[(self.id2[f], self.id2[g])] != self.id2[h]:
@@ -451,6 +445,8 @@ def nerve(k, depth):
     Level 2 simplices are quadruples (f, g, h, alpha: g o f => h); level 3
     simplices are boundary-compatible quadruples of 2-simplices satisfying
     the tetrahedron cocycle; higher levels are compatible face tuples.
+    Levels 3 and up take their face-compatible tuples from the matching-tuple
+    search shared with horn enumeration (``hpk.sset.compatible_tuples``).
     """
     levels = []
     faces = {}
@@ -499,8 +495,9 @@ def nerve(k, depth):
         return left == right
 
     if depth >= 3:
-        prev_levels = {2: levels[2]}
-        compatible = _compatible_tuples(levels[2], lambda n, i, x: faces[(2, i)][x], 3)
+        compatible = compatible_tuples(
+            levels[2], [faces[(2, i)] for i in range(3)], range(4)
+        )
         level3 = []
         tets = {}
         for tup in compatible:
@@ -528,8 +525,8 @@ def nerve(k, depth):
 
     for n in range(4, depth + 1):
         prev = levels[n - 1]
-        compatible = _compatible_tuples(
-            prev, lambda m, i, x, n=n: faces[(n - 1, i)][x], n
+        compatible = compatible_tuples(
+            prev, [faces[(n - 1, i)] for i in range(n)], range(n + 1)
         )
         names = {}
         level_n = []
@@ -556,30 +553,6 @@ def nerve(k, depth):
             degeneracies[(n - 1, i)] = table
 
     return TruncatedSimplicialSet(depth, levels, faces, degeneracies)
-
-
-def _compatible_tuples(simplices, face, count_plus_one):
-    """Tuples (x_0 .. x_n) with d_i x_j = d_(j-1) x_i for i < j."""
-    n = count_plus_one
-
-    out = []
-
-    def extend(chosen):
-        if len(chosen) == n + 1:
-            out.append(tuple(chosen))
-            return
-        j = len(chosen)
-        for x in simplices:
-            ok = True
-            for i in range(j):
-                if face(None, i, x) != face(None, j - 1, chosen[i]):
-                    ok = False
-                    break
-            if ok:
-                extend(chosen + [x])
-
-    extend([])
-    return out
 
 
 def nerve_of_functor(func, source_nerve, target_nerve):

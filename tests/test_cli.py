@@ -290,6 +290,14 @@ def test_input_error_exit_code(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("depth", [-1, True, 1.5, "0"])
+def test_validate_rejects_bad_depth(tmp_path, capsys, depth):
+    payload = {"depth": depth, "levels": [], "faces": {}, "degeneracies": {}}
+    path = write(tmp_path, "bad_depth.json", payload)
+    assert main(["validate", path]) == 2
+    assert "depth must be a non-negative integer" in capsys.readouterr().err
+
+
 def test_output_file_option(tmp_path, capsys):
     path = write(tmp_path, "d2.json", standard_complex("Delta", 2).to_json())
     out_path = tmp_path / "report.json"

@@ -17,6 +17,8 @@ from hpk.whitehead import (
     whitehead_2gpd,
 )
 
+from test_compatible_tuples import brute_force_tuples, chaotic_2gpd
+
 
 def trivial_2gpd():
     return TwoGroupoid.from_groupoid(FiniteGroupoid.trivial())
@@ -86,13 +88,16 @@ def test_nerve_is_three_coskeletal():
     k = z3_pi2_fixture()
     n = nerve(k, 4)
     assert validate_sset(n) == []
-    # level 4 must match the matching-tuple coskeleton over level 3
-    from hpk.two_groupoids import _compatible_tuples
-
-    tuples = _compatible_tuples(
-        n.levels[3], lambda m, i, x: n.faces[(3, i)][x], 4
+    # level 4 must match the matching-tuple coskeleton over level 3, counted
+    # by the brute-force reference rather than by the search nerve uses
+    tuples, _ = brute_force_tuples(
+        n.levels[3], [n.faces[(3, i)] for i in range(4)], range(5)
     )
     assert len(tuples) == len(n.levels[4])
+    # chaotic V4 on three objects: level sizes sum k (k |G|)^n with k = 3
+    n = nerve(chaotic_2gpd("V4", 3), 3)
+    assert validate_sset(n) == []
+    assert n.level_sizes() == [3 * 12**m for m in range(4)] == [3, 36, 432, 5184]
 
 
 def test_nerve_is_kan():
