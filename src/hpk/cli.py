@@ -10,7 +10,6 @@ default search budget.
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import jsonio
 from .budgets import (
@@ -87,16 +86,9 @@ def cmd_validate(args):
             return {"file": path, "kind": kind, "violations": obj.validate()}
         raise ValueError(f"validate does not handle kind {kind!r}")
 
-    reports = _run_jobs(one, args.files, args.jobs)
+    reports = [one(path) for path in args.files]
     _emit({"reports": reports}, args)
     return 1 if any(r["violations"] for r in reports) else 0
-
-
-def _run_jobs(func, files, jobs):
-    if jobs and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(func, files))
-    return [func(path) for path in files]
 
 
 def cmd_complex(args):
@@ -436,7 +428,7 @@ def cmd_site_validate(args):
         )
         return {"file": path, "violations": site.validate()}
 
-    reports = _run_jobs(one, args.files, args.jobs)
+    reports = [one(path) for path in args.files]
     _emit({"reports": reports}, args)
     return 1 if any(r["violations"] for r in reports) else 0
 
@@ -605,7 +597,7 @@ def cmd_bounds(args):
             raise ValueError(f"bounds does not handle kind {kind!r}")
         return {"file": path, "bounds": sizes}
 
-    reports = _run_jobs(one, args.files, args.jobs)
+    reports = [one(path) for path in args.files]
     _emit({"reports": reports}, args)
     return 0
 
@@ -632,7 +624,6 @@ def build_parser():
 
     p = add("validate", cmd_validate, "check simplicial/groupoid/2-groupoid invariants")
     p.add_argument("files", nargs="+")
-    p.add_argument("--jobs", type=int, default=1, help="run files concurrently")
 
     p = add("complex", cmd_complex, "build a standard complex")
     p.add_argument("--kind", required=True,
@@ -720,7 +711,6 @@ def build_parser():
 
     p = add("site-validate", cmd_site_validate, "check the Grothendieck topology axioms")
     p.add_argument("files", nargs="+")
-    p.add_argument("--jobs", type=int, default=1)
 
     p = add("comma", cmd_comma, "slice site over an object")
     p.add_argument("file")
@@ -760,7 +750,6 @@ def build_parser():
 
     p = add("bounds", cmd_bounds, "per-level cardinality report")
     p.add_argument("files", nargs="+")
-    p.add_argument("--jobs", type=int, default=1)
 
     return parser
 

@@ -166,22 +166,20 @@ class FiniteGroupoid:
         def name(i, j, h):
             return f"{i}>{j}:{h}"
 
-        arrows = {}
-        for i in objects:
-            for j in objects:
-                for h in group.elements:
-                    arrows[name(i, j, h)] = (i, j)
+        parts = {
+            name(i, j, h): (i, j, h)
+            for i in objects
+            for j in objects
+            for h in group.elements
+        }
+        arrows = {f: (i, j) for f, (i, j, _) in parts.items()}
         comp = {}
-        for (f, (sf, tf)) in arrows.items():
-            for (g, (sg, tg)) in arrows.items():
+        for f, (sf, tf, hf) in parts.items():
+            for g, (sg, tg, hg) in parts.items():
                 if sf == tg:
-                    hf = f.split(":", 1)[1]
-                    hg = g.split(":", 1)[1]
                     comp[(f, g)] = name(sg, tf, group.mult[(hf, hg)])
         identities = {i: name(i, i, group.identity) for i in objects}
-        inverses = {
-            f: name(t, s, group.inverse[f.split(":", 1)[1]]) for f, (s, t) in arrows.items()
-        }
+        inverses = {f: name(t, s, group.inverse[h]) for f, (s, t, h) in parts.items()}
         return cls(objects, arrows, comp, identities, inverses)
 
     @classmethod

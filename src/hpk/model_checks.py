@@ -22,7 +22,7 @@ from .groupoids import (
 from .homsearch import enumerate_simplicial_maps
 from .lifting import LiftingProblem, as_point_map, solve_lifting
 from .loop import wbar, wbar_of_map
-from .sset import SimplicialMap, _UnionFind, standard_complex
+from .sset import SimplicialMap, _UnionFind, pair_id, standard_complex
 
 
 # -- pullbacks of simplicial groupoids -----------------------------------------
@@ -31,8 +31,8 @@ from .sset import SimplicialMap, _UnionFind, standard_complex
 def pullback_groupoid(p_hom, g_hom):
     """Pullback of Y -p-> W <-g- Z for finite groupoids; returns (P, to_y, to_z)."""
     y, z = p_hom.source, g_hom.source
-    objects = [
-        f"({oy}&{oz})"
+    object_pairs = [
+        (oy, oz)
         for oy in y.objects
         for oz in z.objects
         if p_hom.obj_map[oy] == g_hom.obj_map[oz]
@@ -43,14 +43,10 @@ def pullback_groupoid(p_hom, g_hom):
         for az in sorted(z.arrows)
         if p_hom(ay) == g_hom(az)
     ]
-
-    def name(pair):
-        return f"({pair[0]}&{pair[1]})"
-
     arrows = {
-        name((ay, az)): (
-            f"({y.arrows[ay][0]}&{z.arrows[az][0]})",
-            f"({y.arrows[ay][1]}&{z.arrows[az][1]})",
+        pair_id((ay, az)): (
+            pair_id((y.src(ay), z.src(az))),
+            pair_id((y.tgt(ay), z.tgt(az))),
         )
         for ay, az in pairs
     }
@@ -58,24 +54,26 @@ def pullback_groupoid(p_hom, g_hom):
     for (fy, fz) in pairs:
         for (gy, gz) in pairs:
             if y.src(fy) == y.tgt(gy) and z.src(fz) == z.tgt(gz):
-                comp[(name((fy, fz)), name((gy, gz)))] = name(
+                comp[(pair_id((fy, fz)), pair_id((gy, gz)))] = pair_id(
                     (y.comp[(fy, gy)], z.comp[(fz, gz)])
                 )
-    identities = {}
-    for obj in objects:
-        oy, oz = obj[1:-1].split("&")
-        identities[obj] = name((y.identities[oy], z.identities[oz]))
-    inverses = {
-        name((ay, az)): name((y.inverses[ay], z.inverses[az])) for ay, az in pairs
+    identities = {
+        pair_id((oy, oz)): pair_id((y.identities[oy], z.identities[oz]))
+        for oy, oz in object_pairs
     }
-    p = FiniteGroupoid(objects, arrows, comp, identities, inverses)
+    inverses = {
+        pair_id((ay, az)): pair_id((y.inverses[ay], z.inverses[az])) for ay, az in pairs
+    }
+    p = FiniteGroupoid(
+        [pair_id(pr) for pr in object_pairs], arrows, comp, identities, inverses
+    )
     to_y = GroupoidHom(
-        p, y, {o: o[1:-1].split("&")[0] for o in objects},
-        {name(pr): pr[0] for pr in pairs},
+        p, y, {pair_id(pr): pr[0] for pr in object_pairs},
+        {pair_id(pr): pr[0] for pr in pairs},
     )
     to_z = GroupoidHom(
-        p, z, {o: o[1:-1].split("&")[1] for o in objects},
-        {name(pr): pr[1] for pr in pairs},
+        p, z, {pair_id(pr): pr[1] for pr in object_pairs},
+        {pair_id(pr): pr[1] for pr in pairs},
     )
     return p, to_y, to_z
 
@@ -94,10 +92,10 @@ def pullback_sgpd(p_map, g_map):
 
     def induced(op_y, op_z, n, offset):
         src, tgt = levels[n], levels[n + offset]
-        arrow_map = {}
-        for a in src.arrows:
-            ay, az = _split_pair(a)
-            arrow_map[a] = f"({op_y(ay)}&{op_z(az)})"
+        arrow_map = {
+            a: pair_id((op_y(homs_y[n].arrow_map[a]), op_z(homs_z[n].arrow_map[a])))
+            for a in src.arrows
+        }
         return GroupoidHom(src, tgt, {o: o for o in src.objects}, arrow_map, check=False)
 
     faces = {
@@ -111,19 +109,6 @@ def pullback_sgpd(p_map, g_map):
     to_y = SimplicialGroupoidMap(total, y, homs_y[0].obj_map, homs_y)
     to_z = SimplicialGroupoidMap(total, z, homs_z[0].obj_map, homs_z)
     return total, to_y, to_z
-
-
-def _split_pair(name):
-    inner = name[1:-1]
-    depth = 0
-    for idx, ch in enumerate(inner):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "&" and depth == 0:
-            return inner[:idx], inner[idx + 1 :]
-    raise ValueError(f"not a pair id: {name}")
 
 
 # -- fibration instance check ----------------------------------------------------
@@ -214,6 +199,8 @@ def pushout_free_sgpd(f_map, g_map):
 
     levels = []
     gen_names = []
+    # generator name -> the (tag, generator) it was named after
+    first_member = {}
     for n in range(depth + 1):
         uf = _UnionFind()
         killed = set()
@@ -245,6 +232,7 @@ def pushout_free_sgpd(f_map, g_map):
             name = "+".join(f"{t}:{g}" for t, g in members)
             for member in members:
                 name_of[member] = name
+            first_member[name] = members[0]
             tag, g = members[0]
             home = b if tag == "b" else c
             s, t = home.levels[n].generators[g]
@@ -269,7 +257,7 @@ def pushout_free_sgpd(f_map, g_map):
         src, tgt = levels[n], levels[n - 1]
         arrow_map = {}
         for name in src.generators:
-            tag, g = name.split("+", 1)[0].split(":", 1)
+            tag, g = first_member[name]
             home = b if tag == "b" else c
             image = home.faces[(n, i)](home.levels[n].gen(g))
             arrow_map[name] = transport_word(n - 1, tag, image)
@@ -280,7 +268,7 @@ def pushout_free_sgpd(f_map, g_map):
         src, tgt = levels[n], levels[n + 1]
         arrow_map = {}
         for name in src.generators:
-            tag, g = name.split("+", 1)[0].split(":", 1)
+            tag, g = first_member[name]
             home = b if tag == "b" else c
             image = home.degeneracies[(n, i)](home.levels[n].gen(g))
             arrow_map[name] = transport_word(n + 1, tag, image)

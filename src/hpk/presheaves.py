@@ -19,7 +19,7 @@ from .groupoids import (
     moore_pi_n_with_classes,
     pi0_sgpd,
 )
-from .sites import comma_site, comma_underlying
+from .sites import comma_arrows, comma_site
 from .sset import SimplicialMap, TruncatedSimplicialSet, pi0_sset
 from .two_groupoids import TwoFunctor, pi1_with_classes, pi_2gpd
 
@@ -415,6 +415,12 @@ def plus(presheaf):
 
     Returns (presheaf, unit natural transformation).
     """
+    result, unit, _ = _plus(presheaf)
+    return result, unit
+
+
+def _plus(presheaf):
+    """plus(presheaf) and, for each object u, {section id: matching family}."""
     if presheaf.domain not in ("set", "group"):
         raise ValueError("plus construction supports set and group values")
     site = presheaf.site
@@ -465,39 +471,22 @@ def plus(presheaf):
             comp[x] = family_name(fam)
         unit_components[u] = comp
     unit = NaturalTransformation(presheaf, result, unit_components)
-    return result, unit
+    return result, unit, names
 
 
-def plus_of_map(nat, source_plus, target_plus):
-    """The map induced on plus constructions by a natural transformation."""
+def plus_map(nat):
+    """The map induced on plus constructions; returns (map, source+, target+)."""
     site = nat.source.site
-    minimal = {u: site.minimal_cover(u) for u in site.objects}
+    source_plus, _, families = _plus(nat.source)
+    target_plus, _ = plus(nat.target)
     components = {}
     for u in site.objects:
-        table = {}
-        for name in _domain_elements(source_plus, u):
-            fam = _parse_family(name)
-            image_fam = {
-                f: nat.components[site.src(f)][fam[f]] for f in minimal[u]
-            }
-            table[name] = family_name(image_fam)
-        components[u] = table
-    return NaturalTransformation(source_plus, target_plus, components)
-
-
-def _domain_elements(presheaf, u):
-    return presheaf.ops.elements(presheaf.values[u])
-
-
-def _parse_family(name):
-    inner = name[1:-1]
-    fam = {}
-    if not inner:
-        return fam
-    for part in inner.split(","):
-        f, x = part.split(":", 1)
-        fam[f] = x
-    return fam
+        components[u] = {
+            name: family_name({f: nat.components[site.src(f)][x] for f, x in fam.items()})
+            for name, fam in sorted(families[u].items())
+        }
+    nat_plus = NaturalTransformation(source_plus, target_plus, components)
+    return nat_plus, source_plus, target_plus
 
 
 def sheafify(presheaf):
@@ -516,12 +505,8 @@ def sheafify(presheaf):
 
 def sheafify_map(nat):
     """The induced map of sheafifications; returns (map, source L2, target L2)."""
-    src_once, _ = plus(nat.source)
-    tgt_once, _ = plus(nat.target)
-    once = plus_of_map(nat, src_once, tgt_once)
-    src_twice, _ = plus(src_once)
-    tgt_twice, _ = plus(tgt_once)
-    return plus_of_map(once, src_twice, tgt_twice), src_twice, tgt_twice
+    once, _, _ = plus_map(nat)
+    return plus_map(once)
 
 
 def sheaf_condition_report(presheaf):
@@ -730,8 +715,7 @@ def homotopy_presheaf(x, u, basepoint, loop_vertex, n):
         pi_tables[phi] = table
         classifiers[phi] = classify
     restrictions = {}
-    for name, (psi, phi) in comma.arrows.items():
-        h = comma_underlying(name)
+    for name, h, psi, phi in comma_arrows(site, u):
         hom = x.restrictions[h]
         table = {}
         for cls in pi_tables[phi].elements:
@@ -769,8 +753,7 @@ def homotopy_presheaf_2gpd(x, u, basepoint, i):
         else:
             raise ValueError("i must be 1 or 2")
     restrictions = {}
-    for name, (psi, phi) in comma.arrows.items():
-        h = comma_underlying(name)
+    for name, h, psi, phi in comma_arrows(site, u):
         func = x.restrictions[h]
         table = {}
         for cls in tables[phi].elements:

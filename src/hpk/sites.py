@@ -248,35 +248,29 @@ def comma_site(site, u):
     if u not in site.objects:
         raise ValueError(f"{u!r} is not an object of the site")
     objects = list(site.arrows_into(u))
-
-    def arrow_name(h, phi):
-        return f"{h}@{phi}"
-
-    arrows = {}
-    for phi in objects:  # phi: V -> u, the codomain comma object
-        v = site.src(phi)
-        for h in site.arrows:
-            if site.tgt(h) == v:
-                psi = site.comp[(phi, h)]
-                arrows[arrow_name(h, phi)] = (psi, phi)
+    listed = list(comma_arrows(site, u))
+    arrows = {name: (psi, phi) for name, _, psi, phi in listed}
+    name_of = {(h, phi): name for name, h, _, phi in listed}
     comp = {}
-    for name_f, (psi_f, phi_f) in arrows.items():
-        h_f = name_f.rsplit("@", 1)[0]
-        for name_g, (psi_g, phi_g) in arrows.items():
+    for name_f, h_f, psi_f, phi_f in listed:
+        for name_g, h_g, _, phi_g in listed:
             if phi_g == psi_f:
-                h_g = name_g.rsplit("@", 1)[0]
-                comp[(name_f, name_g)] = arrow_name(site.comp[(h_f, h_g)], phi_f)
-    identities = {phi: arrow_name(site.identity(site.src(phi)), phi) for phi in objects}
+                comp[(name_f, name_g)] = name_of[(site.comp[(h_f, h_g)], phi_f)]
+    identities = {phi: name_of[(site.identity(site.src(phi)), phi)] for phi in objects}
     covers = {}
     for phi in objects:
         v = site.src(phi)
         sieves = []
         for s in site.covers[v]:
-            sieves.append(frozenset(arrow_name(h, phi) for h in s))
+            sieves.append(frozenset(name_of[(h, phi)] for h in s))
         covers[phi] = sieves
     return FiniteSite(objects, arrows, comp, identities, covers)
 
 
-def comma_underlying(comma_arrow_name):
-    """The base arrow carried by a comma arrow id."""
-    return comma_arrow_name.rsplit("@", 1)[0]
+def comma_arrows(site, u):
+    """(name, h, psi, phi) for every comma arrow h: (W, psi) -> (V, phi) over u."""
+    for phi in site.arrows_into(u):  # phi: V -> u, the codomain comma object
+        v = site.src(phi)
+        for h in site.arrows:
+            if site.tgt(h) == v:
+                yield f"{h}@{phi}", h, site.comp[(phi, h)], phi

@@ -591,6 +591,11 @@ def pushout(f, g):
     return d, into_b, into_c
 
 
+def pair_id(p):
+    """The id of an element (b, c) of a pullback."""
+    return f"({p[0]}&{p[1]})"
+
+
 def pullback(f, g):
     """Pullback of B -f-> Y <-g- C, computed levelwise.
 
@@ -608,9 +613,6 @@ def pullback(f, g):
             if f(n, xb) == g(n, xc)
         ]
         pairs.append(level_pairs)
-
-    def pair_id(p):
-        return f"({p[0]}&{p[1]})"
 
     levels = [[pair_id(p) for p in level_pairs] for level_pairs in pairs]
     faces = {}

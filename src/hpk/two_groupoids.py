@@ -439,6 +439,26 @@ class TwoFunctor:
 # -- nerve ---------------------------------------------------------------------
 
 
+def triangle_name(f, g, h, a):
+    """The id of the 2-simplex (f, g, h, a: g o f => h) of the nerve."""
+    return f"T({f}|{g}|{h}|{a})"
+
+
+def tuple_name(parts):
+    """The id of a nerve simplex of level >= 3 with the given faces."""
+    return "[" + "|".join(parts) + "]"
+
+
+def _triangles(k):
+    """(f, g, h, a) for every 2-cell a: g o f => h, by 2-cell, then f, then g."""
+    pairs = {}
+    for f, g, composite in sorted((f, g, h) for (g, f), h in k.comp1.items()):
+        pairs.setdefault(composite, []).append((f, g))
+    for a, (source, target) in sorted(k.cells2.items()):
+        for f, g in pairs.get(source, ()):
+            yield f, g, target, a
+
+
 def nerve(k, depth):
     """The Moerdijk-Svensson nerve, 3-coskeletal, to the given depth.
 
@@ -461,29 +481,19 @@ def nerve(k, depth):
         faces[(1, 1)] = {f: k.src1(f) for f in level1}
         degeneracies[(0, 0)] = {x: k.id1[x] for x in level0}
 
-    def tri_id(f, g, h, a):
-        return f"T({f}|{g}|{h}|{a})"
-
     triangles = {}
     if depth >= 2:
-        level2 = []
-        for a, (source, target) in sorted(k.cells2.items()):
-            for f in level1:
-                for g in level1:
-                    if k.src1(g) == k.tgt1(f) and k.comp1[(g, f)] == source:
-                        name = tri_id(f, g, target, a)
-                        triangles[name] = (f, g, target, a)
-                        level2.append(name)
-        level2 = sorted(level2)
+        triangles = {triangle_name(*t): t for t in _triangles(k)}
+        level2 = sorted(triangles)
         levels.append(level2)
         faces[(2, 0)] = {t: triangles[t][1] for t in level2}
         faces[(2, 1)] = {t: triangles[t][2] for t in level2}
         faces[(2, 2)] = {t: triangles[t][0] for t in level2}
         degeneracies[(1, 0)] = {
-            f: tri_id(k.id1[k.src1(f)], f, f, k.id2[f]) for f in level1
+            f: triangle_name(k.id1[k.src1(f)], f, f, k.id2[f]) for f in level1
         }
         degeneracies[(1, 1)] = {
-            f: tri_id(f, k.id1[k.tgt1(f)], f, k.id2[f]) for f in level1
+            f: triangle_name(f, k.id1[k.tgt1(f)], f, k.id2[f]) for f in level1
         }
 
     def cocycle_holds(t0, t1, t2, t3):
@@ -502,7 +512,7 @@ def nerve(k, depth):
         tets = {}
         for tup in compatible:
             if cocycle_holds(*tup):
-                name = "[" + "|".join(tup) + "]"
+                name = tuple_name(tup)
                 tets[name] = tup
                 level3.append(name)
         level3 = sorted(level3)
@@ -520,7 +530,7 @@ def nerve(k, depth):
                         face_tuple.append(t)
                     else:
                         face_tuple.append(degeneracies[(1, i)][faces[(2, j - 1)][t]])
-                table[t] = "[" + "|".join(face_tuple) + "]"
+                table[t] = tuple_name(face_tuple)
             degeneracies[(2, i)] = table
 
     for n in range(4, depth + 1):
@@ -531,7 +541,7 @@ def nerve(k, depth):
         names = {}
         level_n = []
         for tup in compatible:
-            name = "[" + "|".join(tup) + "]"
+            name = tuple_name(tup)
             names[name] = tup
             level_n.append(name)
         level_n = sorted(level_n)
@@ -549,7 +559,7 @@ def nerve(k, depth):
                         face_tuple.append(t)
                     else:
                         face_tuple.append(degeneracies[(n - 2, i)][faces[(n - 1, j - 1)][t]])
-                table[t] = "[" + "|".join(face_tuple) + "]"
+                table[t] = tuple_name(face_tuple)
             degeneracies[(n - 1, i)] = table
 
     return TruncatedSimplicialSet(depth, levels, faces, degeneracies)
@@ -557,7 +567,6 @@ def nerve(k, depth):
 
 def nerve_of_functor(func, source_nerve, target_nerve):
     """The simplicial map induced on nerves by a strict functor."""
-    k, l = func.source, func.target
     depth = source_nerve.depth
     level_maps = [dict() for _ in range(depth + 1)]
     for x in source_nerve.levels[0]:
@@ -566,40 +575,19 @@ def nerve_of_functor(func, source_nerve, target_nerve):
         for f in source_nerve.levels[1]:
             level_maps[1][f] = func.map1[f]
     if depth >= 2:
-        for t in source_nerve.levels[2]:
-            inner = t[2:-1].split("|")
-            f, g, h, a = inner
-            level_maps[2][t] = (
-                f"T({func.map1[f]}|{func.map1[g]}|{func.map1[h]}|{func.map2[a]})"
+        images = {
+            triangle_name(f, g, h, a): triangle_name(
+                func.map1[f], func.map1[g], func.map1[h], func.map2[a]
             )
+            for f, g, h, a in _triangles(func.source)
+        }
+        level_maps[2] = {t: images[t] for t in source_nerve.levels[2]}
     for n in range(3, depth + 1):
         for t in source_nerve.levels[n]:
-            parts = _split_tuple_id(t)
-            level_maps[n][t] = "[" + "|".join(level_maps[n - 1][p] for p in parts) + "]"
+            level_maps[n][t] = tuple_name(
+                level_maps[n - 1][source_nerve.face(n, i, t)] for i in range(n + 1)
+            )
     return level_maps
-
-
-def _split_tuple_id(name):
-    """Split "[a|b|c]" at the top bracket level."""
-    return _split_top_level(name[1:-1])
-
-
-def _split_top_level(inner):
-    parts = []
-    depth = 0
-    cur = []
-    for ch in inner:
-        if ch == "[" or ch == "(":
-            depth += 1
-        elif ch == "]" or ch == ")":
-            depth -= 1
-        if ch == "|" and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    return parts
 
 
 # -- homotopy -------------------------------------------------------------------

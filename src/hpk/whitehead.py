@@ -638,21 +638,15 @@ def count_presented_functors(presented, k):
 # -- the counit into a finite 2-groupoid ----------------------------------------
 
 
-def _parse_triangle(name):
-    from .two_groupoids import _split_top_level
-
-    return _split_top_level(name[2:-1])
-
-
 def counit_functor(k, nerve_sset):
     """The evaluation W(N K) -> K on the presented left adjoint."""
+    from .two_groupoids import _triangles, triangle_name
+
     presented = whitehead_2gpd(nerve_sset)
     obj_map = {o: o for o in presented.objects}
     map1 = {e: e for e in presented.gens1}
-    map2 = {}
-    for t in presented.gens2:
-        _, _, _, alpha = _parse_triangle(t)
-        map2[t] = alpha
+    cell_of = {triangle_name(*t): t[3] for t in _triangles(k)}
+    map2 = {t: cell_of[t] for t in presented.gens2}
     return PresentedFunctor(presented, k, obj_map, map1, map2)
 
 
@@ -722,7 +716,7 @@ def counit_weak_equivalence(k, depth=3, word_cap=2, layer_cap=2, budget=None):
     length at most ``word_cap``) via the rewriting service; an inconclusive
     rewrite makes the whole answer None ("unknown"), never a silent pass.
     """
-    from .two_groupoids import nerve
+    from .two_groupoids import nerve, triangle_name
 
     nerve_sset = nerve(k, depth)
     eps = counit_functor(k, nerve_sset)
@@ -752,7 +746,7 @@ def counit_weak_equivalence(k, depth=3, word_cap=2, layer_cap=2, budget=None):
             if k.src1(g) != k.tgt1(f):
                 continue
             h = k.comp1[(g, f)]
-            witness = f"T({f}|{g}|{h}|{k.id2[h]})"
+            witness = triangle_name(f, g, h, k.id2[h])
             if witness not in presented.gens2:
                 return False, {
                     **details,
@@ -767,7 +761,7 @@ def counit_weak_equivalence(k, depth=3, word_cap=2, layer_cap=2, budget=None):
                     for beta in k.cells2_between(u, v):
                         if u == v and beta == k.id2[u]:
                             continue
-                        witness = f"T({k.id1[x]}|{u}|{v}|{beta})"
+                        witness = triangle_name(k.id1[x], u, v, beta)
                         if witness not in presented.gens2:
                             return False, {
                                 **details,

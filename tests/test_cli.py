@@ -45,7 +45,7 @@ def test_validate_flags_planted_defect(tmp_path, capsys):
 def test_validate_jobs_flag(tmp_path, capsys):
     p1 = write(tmp_path, "a.json", standard_complex("Delta", 1).to_json())
     p2 = write(tmp_path, "b.json", standard_complex("point", depth=2).to_json())
-    code, out = run(capsys, "validate", p1, p2, "--jobs", "2")
+    code, out = run(capsys, "validate", p1, p2)
     assert code == 0
     report = json.loads(out)
     assert [r["file"] for r in report["reports"]] == [p1, p2]
@@ -155,6 +155,18 @@ def test_site_validate_and_comma(tmp_path, capsys):
     assert code == 0
     assert len(json.loads(out)["objects"]) == 2
 
+    # comma arrow ids are "h@phi"; a base arrow id may itself contain "@"
+    data = json.loads(json.dumps(site.to_json()).replace('"f"', '"f@x"'))
+    data["comp"] = {k.replace("f", "f@x"): v for k, v in data["comp"].items()}
+    path = write(tmp_path, "site_at.json", data)
+    code, _ = run(capsys, "site-validate", path)
+    assert code == 0
+    code, out = run(capsys, "comma", path, "--object", "U")
+    assert code == 0
+    comma = json.loads(out)
+    assert sorted(comma["objects"]) == ["f@x", "idU"]
+    assert len(comma["arrows"]) == 3
+
 
 def test_sheafify_command(tmp_path, capsys):
     site = FiniteSite.two_object_site()
@@ -189,6 +201,24 @@ def test_weq_command_pointwise_iso(tmp_path, capsys):
         x, x, {v: SimplicialGroupoidMap.identity(z2) for v in site.objects}
     )
     path = write(tmp_path, "nat.json", jsonio.nat_to_json(nat))
+    code, out = run(capsys, "weq", path, "--kind", "sgpd", "--nmax", "2")
+    assert code == 0
+    assert json.loads(out)["verdict"] is True
+
+    # the trivial topology: the minimal cover of U is {idU, f}, so matching
+    # families hold arrow ids of the chaotic groupoid ("x>y:g0", ...)
+    base = FiniteSite.two_object_site()
+    trivial = FiniteSite.trivial_topology(
+        base.objects, base.arrows, base.comp, base.identities
+    )
+    chaotic = SimplicialGroupoid.constant(
+        FiniteGroupoid.chaotic(["x", "y"], GroupTable.cyclic(2)), 3
+    )
+    y = constant_presheaf(trivial, "sgpd", chaotic)
+    ident = NaturalTransformation(
+        y, y, {v: SimplicialGroupoidMap.identity(chaotic) for v in trivial.objects}
+    )
+    path = write(tmp_path, "nat_trivial.json", jsonio.nat_to_json(ident))
     code, out = run(capsys, "weq", path, "--kind", "sgpd", "--nmax", "2")
     assert code == 0
     assert json.loads(out)["verdict"] is True

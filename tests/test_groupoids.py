@@ -89,6 +89,10 @@ def test_interval_groupoid_is_valid():
     interval = FiniteGroupoid.interval()
     assert interval.validate() == []
     assert len(interval.arrows) == 4
+    # ids are opaque: an object name may contain the separators of arrow ids
+    named = FiniteGroupoid.chaotic(["u:1", "v"], GroupTable.cyclic(2))
+    assert named.validate() == []
+    assert len(named.arrows) == 8
 
 
 def test_pi0_sgpd_examples():

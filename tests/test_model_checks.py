@@ -54,6 +54,10 @@ def test_pullback_sgpd_along_identity():
     p, to_y, to_z = pullback_sgpd(ident, ident)
     assert p.validate() == []
     assert len(p.levels[0].arrows) == 2
+    # an iterated pullback nests pair ids inside pair ids
+    q, _, _ = pullback_sgpd(to_y, ident)
+    assert q.validate() == []
+    assert len(q.levels[0].arrows) == 2
 
 
 def test_fibration_instance_identity_and_collapse():
@@ -147,6 +151,15 @@ def test_pushout_stability_on_free_instances(n, k):
             g_of_pushout.levels[level].generators
         )
     assert len(pi0_sgpd(total)) == len(pi0_sgpd(g_of_pushout))
+
+
+def test_iterated_free_pushout():
+    # generator ids of a pushout are class names; pushing out again nests them
+    _, _, gi, _ = horn_collapse_fixture(2, 1)
+    total, from_b, _ = pushout_free_sgpd(gi, gi)
+    assert total.validate() == []
+    again, _, _ = pushout_free_sgpd(from_b, from_b)
+    assert again.validate() == []
 
 
 def test_free_instance_weak_equivalence_detects_failure():
