@@ -1,10 +1,13 @@
 """Lifting problems in presheaves of simplicial sets, and generating inclusions.
 
 A square (i: A -> B, top: A -> X, p: X -> Y, bottom: B -> Y) is solved by
-backtracking over levelwise assignments: degenerate simplices are forced,
-faces prune within each section, and naturality is enforced across sections
-level by level.  A returned lift is re-verified; exhausting the search is a
-proof that no lift exists; running out of budget is a distinguished outcome.
+enumerating maps B -> X with the level-wise search of ``homsearch`` and its
+simplicial rule over every section: the top leg pins the images of i(A), the
+bottom leg constrains every image through p, degenerate simplices are
+forced, faces prune within each section, and naturality is checked across
+sections level by level.  A returned lift is re-verified; exhausting the
+search is a proof that no lift exists; running out of budget is a
+distinguished outcome.
 
 Single complexes are handled by wrapping them as presheaves on the one-object
 site with its trivial topology.
@@ -13,6 +16,7 @@ site with its trivial topology.
 from itertools import combinations, product
 
 from .budgets import DEFAULT_LIFT_BUDGET, Meter, env_budget
+from .homsearch import level_search, section_maps, simplicial_rule
 from .presheaves import NaturalTransformation, Presheaf, y_u
 from .sites import FiniteSite
 from .sset import SimplicialMap, TruncatedSimplicialSet, standard_complex
@@ -76,110 +80,34 @@ class LiftingProblem:
 def enumerate_presheaf_sset_maps(source, target, pins=None, constraint=None, meter=None):
     """All presheaf maps source -> target (sset-valued), canonically ordered.
 
+    The simplicial level rule of ``homsearch`` over every section at once,
+    with naturality along every arrow as the check on each level combination.
     ``pins`` maps (object, level, simplex) to a forced image; ``constraint``
     is a predicate (object, level, simplex, image) -> bool.
     """
     site = source.site
     objects = list(site.objects)
     depth = source.values[objects[0]].depth if objects else 0
-    pins = dict(pins or {})
-
-    def ordered_candidates(tgt, n):
-        # nondegenerate images first: lifts land on maximal simplices when
-        # both a collapsed and an honest filler exist
-        nondeg = set(tgt.nondegenerate(n))
-        return [y for y in tgt.levels[n] if y in nondeg] + [
-            y for y in tgt.levels[n] if y not in nondeg
-        ]
-
-    def level_choices(v, n, assigned):
-        src, tgt = source.values[v], target.values[v]
-        forced = {}
-        open_simplices = []
-        for s in src.levels[n]:
-            m, base, word = src.decompose(n, s)
-            if m != n:
-                image = tgt.apply_degeneracy_word(m, assigned[m][v][base], word)
-                if (v, n, s) in pins and pins[(v, n, s)] != image:
-                    return None
-                if constraint is not None and not constraint(v, n, s, image):
-                    return None
-                forced[s] = image
-            else:
-                if (v, n, s) in pins:
-                    candidates = [pins[(v, n, s)]]
-                else:
-                    candidates = ordered_candidates(tgt, n)
-                if n > 0:
-                    candidates = [
-                        y
-                        for y in candidates
-                        if all(
-                            tgt.face(n, i, y) == assigned[n - 1][v][src.face(n, i, s)]
-                            for i in range(n + 1)
-                        )
-                    ]
-                if constraint is not None:
-                    candidates = [
-                        y for y in candidates if constraint(v, n, s, y)
-                    ]
-                if not candidates:
-                    return None
-                open_simplices.append((s, candidates))
-        return forced, open_simplices
-
-    def natural_at_level(n, level_assignment):
-        for a, (v, u) in site.arrows.items():
-            res_src = source.restrictions[a]
-            res_tgt = target.restrictions[a]
-            for s in source.values[u].levels[n]:
-                left = level_assignment[v][res_src(n, s)]
-                right = res_tgt(n, level_assignment[u][s])
-                if left != right:
-                    return False
-        return True
-
-    def recurse(n, assigned):
-        if meter is not None:
-            meter.tick()
-        if n > depth:
-            yield _assemble(source, target, assigned)
-            return
-        per_object = []
-        for v in objects:
-            choices = level_choices(v, n, assigned)
-            if choices is None:
-                return
-            per_object.append(choices)
-        names = []
-        candidate_lists = []
-        for v, (_, open_list) in zip(objects, per_object):
-            for s, cands in open_list:
-                names.append((v, s))
-                candidate_lists.append(cands)
-        for combo in product(*candidate_lists):
-            if meter is not None:
-                meter.tick()
-            level_assignment = {
-                v: dict(forced) for v, (forced, _) in zip(objects, per_object)
-            }
-            for (v, s), image in zip(names, combo):
-                level_assignment[v][s] = image
-            if natural_at_level(n, level_assignment):
-                yield from recurse(n + 1, assigned + [level_assignment])
-
-    yield from recurse(0, [])
-
-
-def _assemble(source, target, assigned):
-    components = {}
-    for v in source.site.objects:
-        depth = source.values[v].depth
-        level_maps = [assigned[n][v] for n in range(depth + 1)]
-        components[v] = SimplicialMap(
-            source.values[v], target.values[v], level_maps, check=False
-        )
-    return NaturalTransformation(source, target, components, check=False)
+    rule = simplicial_rule(
+        {v: (source.values[v], target.values[v]) for v in objects},
+        [
+            (v, u, source.restrictions[a], target.restrictions[a])
+            for a, (v, u) in site.arrows.items()
+        ],
+        pins,
+        constraint,
+    )
+    for assigned in level_search(depth, rule, meter):
+        components = {
+            v: SimplicialMap(
+                source.values[v],
+                target.values[v],
+                section_maps(assigned, v, source.values[v]),
+                check=False,
+            )
+            for v in objects
+        }
+        yield NaturalTransformation(source, target, components, check=False)
 
 
 def count_presheaf_maps(source, target, meter=None):
@@ -251,9 +179,14 @@ def _subcomplex_choices(n):
 
 def _restrict_delta(delta, chosen):
     """The subcomplex of a standard simplex with the chosen vertex-set faces."""
+    position = {v: k for k, v in enumerate(delta.levels[0])}
+
+    def vertex_set(n, s):
+        return frozenset(position[delta.vertex(n, s, j)] for j in range(n + 1))
+
     keep = [
-        [s for s in level if frozenset(int(v) for v in s.split(".")) in chosen]
-        for level in delta.levels
+        [s for s in level if vertex_set(n, s) in chosen]
+        for n, level in enumerate(delta.levels)
     ]
     kept = [set(level) for level in keep]
     faces = {

@@ -16,8 +16,6 @@ output metadata):
   s_i inserts an identity with shifted degeneracies.
 """
 
-from itertools import product
-
 from .groupoids import (
     FiniteGroupoid,
     FreeGroupoid,
@@ -25,6 +23,7 @@ from .groupoids import (
     SimplicialGroupoid,
     SimplicialGroupoidMap,
 )
+from .homsearch import level_search
 from .sset import (
     InsufficientDepth,
     SimplicialMap,
@@ -475,19 +474,18 @@ def unit(sset, depth):
 
 
 def enumerate_sgpd_maps(loop_sgpd, sset, target, meter=None):
-    """All simplicial groupoid maps GX -> A, by generator-image backtracking.
+    """All simplicial groupoid maps GX -> A, by the level-wise search.
 
     ``loop_sgpd`` must be the loop groupoid of ``sset`` (its levels are free
-    on simplices of ``sset``); ``target`` must have finite levels.
+    on simplices of ``sset``); ``target`` must have finite levels.  Search
+    level 0 assigns the objects and level n + 1 the generators of level n.
+    A generator's face conditions involve only its own image and level n - 1,
+    so its candidates are filtered by them before the product.
     """
     depth = loop_sgpd.depth
-    objects = loop_sgpd.objects
+    gen_lists = [sorted(loop_sgpd.levels[n].generators) for n in range(depth + 1)]
 
-    gen_lists = []
-    for n in range(depth + 1):
-        gen_lists.append(sorted(loop_sgpd.levels[n].generators))
-
-    def forced_images(n, assignment, obj_map):
+    def forced_images(n, below):
         """Images forced by degeneracies from level n-1; None on conflict."""
         forced = {}
         if n == 0:
@@ -498,7 +496,7 @@ def enumerate_sgpd_maps(loop_sgpd, sset, target, meter=None):
             a_op = target.degeneracy(n - 1, i)
             for x in gen_lists[n - 1]:
                 image_arrow = op(src_gpd.gen(x))
-                forced_value = a_op(assignment[n - 1][x])
+                forced_value = a_op(below[x])
                 if image_arrow.letters:
                     (gen, exp), = image_arrow.letters
                     if exp != 1:
@@ -510,73 +508,57 @@ def enumerate_sgpd_maps(loop_sgpd, sset, target, meter=None):
                         return None
         return forced
 
-    def word_image(n, word, obj_map, level_assignment):
+    def word_image(n, word, obj_map, below):
         gpd = target.levels[n]
         acc = gpd.identity(obj_map[word.src])
         for g, e in word.letters:
-            img = level_assignment[g]
+            img = below[g]
             if e == -1:
                 img = gpd.inv(img)
             acc = gpd.compose(img, acc)
         return acc
 
-    results = []
+    def rule(level, assigned):
+        if level == 0:
+            return {}, [(o, sorted(target.objects)) for o in loop_sgpd.objects], None
+        n = level - 1
+        obj_map, below = assigned[0], assigned[n]
+        forced = forced_images(n, below)
+        if forced is None:
+            return None
+        faces = [(loop_sgpd.face(n, i), target.face(n, i)) for i in range(n + 1)] if n else []
+        open_vars = []
+        for x in gen_lists[n]:
+            gen = loop_sgpd.levels[n].gen(x)
+            want = [(a_op, word_image(n - 1, op(gen), obj_map, below)) for op, a_op in faces]
 
-    def assign_level(n, assignment, obj_map):
-        if meter is not None:
-            meter.tick()
-        if n > depth:
-            level_homs = [
+            def faces_ok(y):
+                return all(a_op(y) == w for a_op, w in want)
+
+            if x in forced:
+                if not faces_ok(forced[x]):
+                    return None
+                continue
+            s, t = loop_sgpd.levels[n].generators[x]
+            arrows = target.levels[n].arrows_between(obj_map[s], obj_map[t])
+            candidates = [y for y in arrows if faces_ok(y)]
+            if not candidates:
+                return None
+            open_vars.append((x, candidates))
+        return forced, open_vars, None
+
+    return [
+        SimplicialGroupoidMap(
+            loop_sgpd,
+            target,
+            assigned[0],
+            [
                 GroupoidHom(
-                    loop_sgpd.levels[m],
-                    target.levels[m],
-                    obj_map,
-                    assignment[m],
-                    check=False,
+                    loop_sgpd.levels[m], target.levels[m], assigned[0], assigned[m + 1], check=False
                 )
                 for m in range(depth + 1)
-            ]
-            results.append(
-                SimplicialGroupoidMap(loop_sgpd, target, obj_map, level_homs, check=False)
-            )
-            return
-        forced = forced_images(n, assignment, obj_map)
-        if forced is None:
-            return
-        gens = gen_lists[n]
-        open_gens = [g for g in gens if g not in forced]
-        candidates = []
-        for g in open_gens:
-            s, t = loop_sgpd.levels[n].generators[g]
-            cands = list(target.levels[n].arrows_between(obj_map[s], obj_map[t]))
-            if not cands:
-                return
-            candidates.append(cands)
-
-        def face_ok(level_assignment):
-            if n == 0:
-                return True
-            for i in range(n + 1):
-                op = loop_sgpd.face(n, i)
-                a_op = target.face(n, i)
-                for x in gens:
-                    left = word_image(
-                        n - 1, op(loop_sgpd.levels[n].gen(x)), obj_map, assignment[n - 1]
-                    )
-                    right = a_op(level_assignment[x])
-                    if left != right:
-                        return False
-            return True
-
-        for combo in product(*candidates):
-            if meter is not None:
-                meter.tick()
-            level_assignment = dict(forced)
-            level_assignment.update(zip(open_gens, combo))
-            if face_ok(level_assignment):
-                assign_level(n + 1, assignment + [level_assignment], obj_map)
-
-    for obj_images in product(sorted(target.objects), repeat=len(objects)):
-        obj_map = dict(zip(objects, obj_images))
-        assign_level(0, [], obj_map)
-    return results
+            ],
+            check=False,
+        )
+        for assigned in level_search(depth + 1, rule, meter)
+    ]

@@ -301,6 +301,8 @@ class Presheaf:
             return ["values not assigned exactly on objects"]
         if set(self.restrictions) != set(self.site.arrows):
             return ["restrictions not assigned exactly on arrows"]
+        if self.domain == "sset" and len({x.depth for x in self.values.values()}) > 1:
+            return ["sset-valued sections must share one depth"]
         for a, (v, u) in self.site.arrows.items():
             problems.extend(
                 f"restriction {a}: {p}"

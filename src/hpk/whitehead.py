@@ -15,10 +15,9 @@ cancel across segment boundaries are not offered, which can only make the
 search answer "unknown" more often, never wrongly.
 """
 
-from itertools import product
-
 from .budgets import DEFAULT_REWRITE_BUDGET, Meter, env_budget
 from .groups import PresentedGroup
+from .homsearch import level_search
 from .sset import _UnionFind
 
 
@@ -593,46 +592,39 @@ class PresentedFunctor:
 
 
 def count_presented_functors(presented, k):
-    """|Hom| from a presented 2-groupoid into a finite 2-groupoid."""
-    objects = list(presented.objects)
+    """|Hom| from a presented 2-groupoid into a finite 2-groupoid.
+
+    The level-wise search of ``homsearch`` over objects, then 1-cell
+    generators, then 2-cell generators, with the relations as the check on
+    each full assignment.
+    """
     gen1_list = sorted(presented.gens1)
     gen2_list = sorted(presented.gens2)
-    count = 0
-    for obj_images in product(k.objects, repeat=len(objects)):
-        obj_map = dict(zip(objects, obj_images))
-        cand1 = []
-        for g in gen1_list:
-            s, t = presented.gens1[g]
-            cands = k.cells1_between(obj_map[s], obj_map[t])
-            if not cands:
-                cand1 = None
-                break
-            cand1.append(cands)
-        if cand1 is None:
-            continue
-        for images1 in product(*cand1):
-            map1 = dict(zip(gen1_list, images1))
-            functor = PresentedFunctor(presented, k, obj_map, map1, {})
-            cand2 = []
+
+    def rule(n, assigned):
+        if n == 0:
+            return {}, [(o, list(k.objects)) for o in presented.objects], None
+        obj_map = assigned[0]
+        open_vars = []
+        if n == 1:
+            for g in gen1_list:
+                s, t = presented.gens1[g]
+                open_vars.append((g, k.cells1_between(obj_map[s], obj_map[t])))
+        else:
+            functor = PresentedFunctor(presented, k, obj_map, assigned[1], {})
             for a in gen2_list:
                 src_word, tgt_word = presented.gens2[a]
                 anchor = presented.anchors2[a]
                 src_cell = functor.eval_word(src_word, at=anchor)
                 tgt_cell = functor.eval_word(tgt_word, at=anchor)
-                cands = k.cells2_between(src_cell, tgt_cell)
-                if not cands:
-                    cand2 = None
-                    break
-                cand2.append(cands)
-            if cand2 is None:
-                continue
-            for images2 in product(*cand2):
-                full = PresentedFunctor(
-                    presented, k, obj_map, map1, dict(zip(gen2_list, images2))
-                )
-                if full.relations_hold():
-                    count += 1
-    return count
+                open_vars.append((a, k.cells2_between(src_cell, tgt_cell)))
+
+        def relations_hold(map2):
+            return PresentedFunctor(presented, k, obj_map, assigned[1], map2).relations_hold()
+
+        return {}, open_vars, relations_hold if n == 2 else None
+
+    return sum(1 for _ in level_search(2, rule))
 
 
 # -- the counit into a finite 2-groupoid ----------------------------------------

@@ -260,6 +260,45 @@ def test_lift_command_examples(tmp_path, capsys):
     assert json.loads(out2)["outcome"] == "no-lift"
 
 
+def discrete_site_json():
+    """Two objects and no arrows between them."""
+    return FiniteSite.trivial_topology(
+        ["U", "V"],
+        {"idU": ("U", "U"), "idV": ("V", "V")},
+        {("idU", "idU"): "idU", ("idV", "idV"): "idV"},
+        {"U": "idU", "V": "idV"},
+    ).to_json()
+
+
+def identity_levels(x):
+    return {"levels": [{s: s for s in level} for level in x.levels]}
+
+
+def test_lift_rejects_sections_of_different_depths(tmp_path, capsys):
+    # no arrow relates the sections, so only the presheaf check can see that
+    # Delta^1 at depth 1 and at depth 2 cannot make one truncated presheaf
+    sections = {
+        "U": standard_complex("Delta", 1, depth=1),
+        "V": standard_complex("Delta", 1, depth=2),
+    }
+    presheaf = {
+        "site": discrete_site_json(),
+        "domain": "sset",
+        "values": {v: x.to_json() for v, x in sections.items()},
+        "restrictions": {f"id{v}": identity_levels(x) for v, x in sections.items()},
+    }
+    leg = {
+        "nat": True,
+        "domain": "sset",
+        "source": presheaf,
+        "target": presheaf,
+        "components": {v: identity_levels(x) for v, x in sections.items()},
+    }
+    path = write(tmp_path, "mixed.json", {key: leg for key in ("i", "top", "p", "bottom")})
+    assert main(["lift", path]) == 2
+    assert "sections must share one depth" in capsys.readouterr().err
+
+
 def test_geninc_command(tmp_path, capsys):
     path = write(tmp_path, "pt.json", FiniteSite.point_site().to_json())
     code, out = run(capsys, "geninc", path, "--nmax", "0")

@@ -11,6 +11,7 @@ import hashlib
 import json
 
 from hpk import jsonio
+from hpk.budgets import Meter
 from hpk.cli import main
 from hpk.groups import GroupTable
 from hpk.groupoids import (
@@ -19,18 +20,21 @@ from hpk.groupoids import (
     SimplicialGroupoid,
     SimplicialGroupoidMap,
 )
-from hpk.loop import loop_groupoid, loop_of_map
+from hpk.homsearch import enumerate_simplicial_maps
+from hpk.lifting import as_point_presheaf, enumerate_presheaf_sset_maps
+from hpk.loop import enumerate_sgpd_maps, loop_groupoid, loop_of_map, wbar
 from hpk.model_checks import pullback_sgpd, pushout_free_sgpd
 from hpk.presheaves import (
     NaturalTransformation,
     Presheaf,
     apply_pointwise,
     constant_presheaf,
+    y_u,
 )
 from hpk.sites import FiniteSite
-from hpk.sset import SimplicialMap, standard_complex
+from hpk.sset import SimplicialMap, standard_complex, truncate as _truncate
 from hpk.two_groupoids import TwoFunctor, TwoGroupoid, nerve
-from hpk.whitehead import counit_functor
+from hpk.whitehead import count_presented_functors, counit_functor, whitehead_2gpd
 
 GOLDEN = {
     "nerve": "c170111ae5b613ba4b7d02c4731ec5608590fd5b4d0cc9f48f6f16d1697d9d94",
@@ -215,3 +219,137 @@ def test_golden_digests(tmp_path, capsys, monkeypatch):
     assert set(outputs) == set(GOLDEN)
     got = {name: _digest(data) for name, data in outputs.items()}
     assert got == GOLDEN
+
+
+# -- hom-set searches --------------------------------------------------------------
+
+# Digests of the map searches' outputs, in enumeration order.  Simplicial
+# maps are digested sorted, with each search's work units: their candidates
+# are tried nondegenerate images first, and only the order of the sequence
+# depends on that.
+GOLDEN_SEARCH = {
+    "sgpd_maps": "4a6196a365eabdcc7d6ba71d4c92fd451ad96bb3afe5d69fdb69840fccca2cdd",
+    "sset_maps_sorted": "8b54acff9f968e12d71cc32d8769e69e5b747d780681b4762838135a0c7ef591",
+    "presheaf_maps": "4b10743eb3d2459fbdd7d4087f37ca68f860e5cbb3eafbb8f1a5973122f3296d",
+    "lift": "562aae26cd4714ec7b7e86b8213cd01700ecf170d2c137a8bebb64798333b152",
+    "geninc": "24bbb73c43fb012ab159ed958ccf1e6ce57c12b681c830caf8ebd20abba27f37",
+    "presented_functors": "fe8de738d411d266c12907050a488faa93253eb2cf4ec0a5685d38e04f178413",
+}
+
+
+def _adjunction_pairs():
+    """The 24 small loop/wbar adjunction pairs of the benchmark's query mix."""
+    complexes = [
+        ("Delta0", standard_complex("Delta", 0, depth=3)),
+        ("Delta1", standard_complex("Delta", 1, depth=3)),
+        ("boundary1", standard_complex("boundary", 1, depth=3)),
+        ("sphere1", standard_complex("sphere", 1, depth=3)),
+        ("Delta2", standard_complex("Delta", 2, depth=3)),
+        ("boundary2", standard_complex("boundary", 2, depth=3)),
+    ]
+    groupoids = [
+        ("trivial", FiniteGroupoid.trivial()),
+        ("interval", FiniteGroupoid.interval()),
+        ("Z2", FiniteGroupoid.from_group(GroupTable.cyclic(2))),
+        ("Z3", FiniteGroupoid.from_group(GroupTable.cyclic(3))),
+    ]
+    for xname, x in complexes:
+        for gname, gpd in groupoids:
+            a = SimplicialGroupoid.constant(gpd, 2)
+            yield f"{xname}/{gname}", x, a, wbar(a, 3), loop_groupoid(x, 2)
+
+
+def _smap_key(smap):
+    return [sorted(level.items()) for level in smap.level_maps]
+
+
+def _search_cases(tmp_path, capsys):
+    out = {"sgpd_maps": {}, "sset_maps_sorted": {}}
+    for name, x, a, wb, gx in _adjunction_pairs():
+        out["sgpd_maps"][name] = [
+            [sorted(m.obj_map.items())] + [sorted(h.arrow_map.items()) for h in m.level_homs]
+            for m in enumerate_sgpd_maps(gx, x, a)
+        ]
+        meter = Meter("sset maps", 10**7)
+        maps = enumerate_simplicial_maps(_truncate(x, 3), wb.sset, meter=meter)
+        keys = sorted(json.dumps(_smap_key(m)) for m in maps)
+        out["sset_maps_sorted"][name] = [keys, meter.used]
+
+    site = FiniteSite.two_object_site()
+    d1 = standard_complex("Delta", 1, depth=1)
+    d1_2 = standard_complex("Delta", 1, depth=2)
+    presheaf_pairs = [
+        (y_u(d1, "U", site), constant_presheaf(site, "sset", d1)),
+        (
+            as_point_presheaf(standard_complex("boundary", 1, depth=1)),
+            as_point_presheaf(standard_complex("Delta", 1)),
+        ),
+        (y_u(d1_2, "U", site), constant_presheaf(site, "sset", d1_2)),
+        (
+            y_u(d1_2, "V", site),
+            constant_presheaf(site, "sset", standard_complex("sphere", 1, depth=2)),
+        ),
+    ]
+    out["presheaf_maps"] = []
+    for source, target in presheaf_pairs:
+        meter = Meter("presheaf maps", 10**7)
+        maps = [
+            {v: _smap_key(nat.components[v]) for v in source.site.objects}
+            for nat in enumerate_presheaf_sset_maps(source, target, meter=meter)
+        ]
+        out["presheaf_maps"].append([maps, meter.used])
+
+    out["lift"] = b"".join(
+        _cli(tmp_path, capsys, f"lift{k}", doc, "lift") for k, doc in enumerate(_lift_documents())
+    )
+    out["geninc"] = b"".join(
+        _cli(tmp_path, capsys, f"site{k}", s.to_json(), "geninc", "--nmax", "2")
+        for k, s in enumerate((FiniteSite.point_site(), site))
+    )
+
+    targets = [
+        TwoGroupoid.from_groupoid(FiniteGroupoid.interval()),
+        TwoGroupoid.from_groupoid(FiniteGroupoid.from_group(GroupTable.cyclic(2))),
+        _pi2_z3(),
+    ]
+    out["presented_functors"] = [
+        count_presented_functors(whitehead_2gpd(standard_complex(kind, n, depth=3)), k)
+        for kind, n in (("Delta", 1), ("sphere", 1), ("boundary", 2))
+        for k in targets
+    ]
+    return out
+
+
+def _lift_documents():
+    """The three lifting problems of acceptance criterion 8, as CLI documents."""
+    horn = standard_complex("horn", 2, k=1, depth=2)
+    d2 = standard_complex("Delta", 2)
+    b1 = standard_complex("boundary", 1, depth=2)
+    d1 = standard_complex("Delta", 1, depth=2)
+    s1 = standard_complex("sphere", 1, depth=2)
+    pt = standard_complex("point", depth=2)
+    b2 = standard_complex("boundary", 2, depth=2)
+
+    def incl(x, y):
+        return SimplicialMap(x, y, [{s: s for s in level} for level in x.levels])
+
+    def crush(x, y):
+        return SimplicialMap(x, y, [{s: "*" for s in level} for level in x.levels])
+
+    squares = [
+        (incl(horn, d2), incl(horn, d2), SimplicialMap.identity(d2), SimplicialMap.identity(d2)),
+        (incl(b1, d1), crush(b1, s1), crush(s1, pt), crush(d1, pt)),
+        (incl(horn, d2), incl(horn, b2), crush(b2, pt), crush(d2, pt)),
+    ]
+    return [
+        {"single": True, **{k: jsonio.smap_to_json(m) for k, m in zip(("i", "top", "p", "bottom"), legs)}}
+        for legs in squares
+    ]
+
+
+def test_search_golden_digests(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("HPK_BUDGET", raising=False)
+    outputs = _search_cases(tmp_path, capsys)
+    assert set(outputs) == set(GOLDEN_SEARCH)
+    got = {name: _digest(data) for name, data in outputs.items()}
+    assert got == GOLDEN_SEARCH
