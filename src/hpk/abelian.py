@@ -41,15 +41,6 @@ class FiniteAbelianGroup:
     def name(self, a):
         return "(" + ",".join(str(x) for x in a) + ")"
 
-    def to_table(self):
-        elems = self.elements()
-        mult = {
-            (self.name(a), self.name(b)): self.name(self.add(a, b))
-            for a in elems
-            for b in elems
-        }
-        return GroupTable([self.name(a) for a in elems], mult, self.name(self.zero()))
-
     def __repr__(self):
         return f"FiniteAbelianGroup{self.moduli}"
 

@@ -602,7 +602,101 @@ def cmd_bounds(args):
     return 0
 
 
-def build_parser():
+def _arg(*flags, **options):
+    """One ``add_argument`` call, as data."""
+    return flags, options
+
+
+FILE = _arg("file")
+FILES = _arg("files", nargs="+")
+DEPTH = _arg("--depth", type=int, required=True)
+BASE = _arg("--base", required=True)
+OBJECT = _arg("--object", required=True)
+COMMON = (
+    _arg("--output", help="write the JSON report to a file"),
+    _arg("--format", choices=["json", "text"], default="json",
+         help="text is a lossy human summary, never parsed back"),
+)
+
+# One row per command: name, function, help text, depth note (appended to the
+# help text in the command's description) and its arguments after COMMON.
+COMMANDS = (
+    ("validate", cmd_validate, "check simplicial/groupoid/2-groupoid invariants", "",
+     (FILES,)),
+    ("complex", cmd_complex, "build a standard complex", "", (
+        _arg("--kind", required=True,
+             choices=["Delta", "boundary", "horn", "sphere", "point"]),
+        _arg("-n", type=int, default=0),
+        _arg("-k", type=int, help="horn index"),
+        _arg("--depth", type=int, help="truncation depth (defaults to the dimension)"),
+    )),
+    ("pushout", cmd_pushout, "levelwise pushout of B <- A -> C", "",
+     (_arg("f"), _arg("g"))),
+    ("pullback", cmd_pullback, "levelwise pullback of B -> Y <- C", "",
+     (_arg("f"), _arg("g"))),
+    ("pi0", cmd_pi0, "path components (needs depth >= 1 for complexes)", "", (FILE,)),
+    ("pikan", cmd_pikan, "homotopy group of a finite Kan complex",
+     " Requires depth >= n+1; Kan condition checked to level n+1.", (
+        FILE, BASE, _arg("-n", type=int, required=True),
+        _arg("--budget", type=int, help=f"filler budget (default {DEFAULT_FILLER_BUDGET})"),
+    )),
+    ("moore", cmd_moore, "Moore-complex homotopy of a simplicial group",
+     " Requires finite one-object levels up to n+1.",
+     (FILE, _arg("-n", type=int, required=True))),
+    ("doldkan", cmd_doldkan, "simplicial abelian group of a chain fixture", "",
+     (FILE, DEPTH)),
+    ("loop", cmd_loop, "loop groupoid of a complex",
+     " Requires complex depth >= depth + 1.", (FILE, DEPTH)),
+    ("wbar", cmd_wbar, "classifying complex of a simplicial groupoid",
+     " Requires finite groupoid levels 0..depth-1.", (FILE, DEPTH)),
+    ("wtotal", cmd_wtotal, "total space W with its projection to wbar",
+     " Requires a one-object simplicial group up to the depth.", (FILE, DEPTH)),
+    ("transpose", cmd_transpose, "adjunction transpose in either direction", "",
+     (FILE,)),
+    ("unit", cmd_unit, "the map into the classifying complex of the loop groupoid",
+     " Materialisable only when the loop groupoid is discrete.", (FILE, DEPTH)),
+    ("counit", cmd_counit, "the evaluation from the loop groupoid of wbar", "",
+     (FILE, DEPTH)),
+    ("nerve", cmd_nerve, "nerve of a 2-groupoid (3-coskeletal)", "", (FILE, DEPTH)),
+    ("pi2gpd", cmd_pi2gpd, "pi_0, pi_1 or pi_2 of a 2-groupoid", "",
+     (FILE, BASE, _arg("-i", type=int, required=True, choices=[0, 1, 2]))),
+    ("whitehead", cmd_whitehead, "presented 2-groupoid of a complex",
+     " Requires depth >= 3.",
+     (FILE, _arg("--pi1-at", help="also compute pi_1 at this vertex"))),
+    ("msweq", cmd_msweq, "Moerdijk-Svensson weak equivalence predicate", "", (FILE,)),
+    ("msfib", cmd_msfib, "Moerdijk-Svensson fibration predicate", "", (FILE,)),
+    ("site-validate", cmd_site_validate, "check the Grothendieck topology axioms", "",
+     (FILES,)),
+    ("comma", cmd_comma, "slice site over an object", "", (FILE, OBJECT)),
+    ("yu", cmd_yu, "left adjoint to the sections functor", "",
+     (FILE, _arg("--site", required=True), OBJECT)),
+    ("sheafify", cmd_sheafify, "associated sheaf (plus construction twice)", "",
+     (FILE,)),
+    ("hsheaf", cmd_hsheaf, "homotopy sheaf on the comma site",
+     " Needs section depth >= n+1 for simplicial groupoid values.", (
+        FILE, OBJECT, BASE,
+        _arg("-n", type=int, required=True,
+             help="Moore degree (sgpd) or pi index 1|2 (2gpd)"),
+    )),
+    ("weq", cmd_weq, "sheaf-isomorphism weak-equivalence criterion", "", (
+        FILE, _arg("--kind", required=True, choices=["sgpd", "2gpd"]),
+        _arg("--nmax", type=int, default=2),
+    )),
+    ("geninc", cmd_geninc, "generating inclusions S in Delta^n_U", "", (
+        FILE, _arg("--nmax", type=int, required=True),
+        _arg("--budget", type=int, help=f"assignment budget (default {DEFAULT_LIFT_BUDGET})"),
+    )),
+    ("lift", cmd_lift, "solve a lifting problem by backtracking", "", (
+        FILE,
+        _arg("--budget", type=int, help=f"search budget (default {DEFAULT_LIFT_BUDGET})"),
+    )),
+    ("bounds", cmd_bounds, "per-level cardinality report", "", (FILES,)),
+)
+COMMAND_NAMES = frozenset(row[0] for row in COMMANDS)
+
+
+def build_parser(command=None):
+    """The parser of every command in ``COMMANDS``, or of ``command`` alone."""
     parser = argparse.ArgumentParser(
         prog="hpk",
         description=(
@@ -611,152 +705,32 @@ def build_parser():
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, help_text, depth_note=""):
-        p = sub.add_parser(name, help=help_text, description=help_text + depth_note)
-        p.set_defaults(func=func)
-        p.add_argument("--output", help="write the JSON report to a file")
-        p.add_argument(
-            "--format", choices=["json", "text"], default="json",
-            help="text is a lossy human summary, never parsed back",
-        )
-        return p
-
-    p = add("validate", cmd_validate, "check simplicial/groupoid/2-groupoid invariants")
-    p.add_argument("files", nargs="+")
-
-    p = add("complex", cmd_complex, "build a standard complex")
-    p.add_argument("--kind", required=True,
-                   choices=["Delta", "boundary", "horn", "sphere", "point"])
-    p.add_argument("-n", type=int, default=0)
-    p.add_argument("-k", type=int, default=None, help="horn index")
-    p.add_argument("--depth", type=int, default=None,
-                   help="truncation depth (defaults to the dimension)")
-
-    p = add("pushout", cmd_pushout, "levelwise pushout of B <- A -> C")
-    p.add_argument("f")
-    p.add_argument("g")
-
-    p = add("pullback", cmd_pullback, "levelwise pullback of B -> Y <- C")
-    p.add_argument("f")
-    p.add_argument("g")
-
-    p = add("pi0", cmd_pi0, "path components (needs depth >= 1 for complexes)")
-    p.add_argument("file")
-
-    p = add("pikan", cmd_pikan,
-            "homotopy group of a finite Kan complex",
-            " Requires depth >= n+1; Kan condition checked to level n+1.")
-    p.add_argument("file")
-    p.add_argument("--base", required=True)
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("--budget", type=int, default=None,
-                   help=f"filler budget (default {DEFAULT_FILLER_BUDGET})")
-
-    p = add("moore", cmd_moore, "Moore-complex homotopy of a simplicial group",
-            " Requires finite one-object levels up to n+1.")
-    p.add_argument("file")
-    p.add_argument("-n", type=int, required=True)
-
-    p = add("doldkan", cmd_doldkan, "simplicial abelian group of a chain fixture")
-    p.add_argument("file")
-    p.add_argument("--depth", type=int, required=True)
-
-    p = add("loop", cmd_loop, "loop groupoid of a complex",
-            " Requires complex depth >= depth + 1.")
-    p.add_argument("file")
-    p.add_argument("--depth", type=int, required=True)
-
-    p = add("wbar", cmd_wbar, "classifying complex of a simplicial groupoid",
-            " Requires finite groupoid levels 0..depth-1.")
-    p.add_argument("file")
-    p.add_argument("--depth", type=int, required=True)
-
-    p = add("wtotal", cmd_wtotal, "total space W with its projection to wbar",
-            " Requires a one-object simplicial group up to the depth.")
-    p.add_argument("file")
-    p.add_argument("--depth", type=int, required=True)
-
-    p = add("transpose", cmd_transpose, "adjunction transpose in either direction")
-    p.add_argument("file")
-
-    p = add("unit", cmd_unit, "the map into the classifying complex of the loop groupoid",
-            " Materialisable only when the loop groupoid is discrete.")
-    p.add_argument("file")
-    p.add_argument("--depth", type=int, required=True)
-
-    p = add("counit", cmd_counit, "the evaluation from the loop groupoid of wbar")
-    p.add_argument("file")
-    p.add_argument("--depth", type=int, required=True)
-
-    p = add("nerve", cmd_nerve, "nerve of a 2-groupoid (3-coskeletal)")
-    p.add_argument("file")
-    p.add_argument("--depth", type=int, required=True)
-
-    p = add("pi2gpd", cmd_pi2gpd, "pi_0, pi_1 or pi_2 of a 2-groupoid")
-    p.add_argument("file")
-    p.add_argument("--base", required=True)
-    p.add_argument("-i", type=int, required=True, choices=[0, 1, 2])
-
-    p = add("whitehead", cmd_whitehead, "presented 2-groupoid of a complex",
-            " Requires depth >= 3.")
-    p.add_argument("file")
-    p.add_argument("--pi1-at", default=None, help="also compute pi_1 at this vertex")
-
-    p = add("msweq", cmd_msweq, "Moerdijk-Svensson weak equivalence predicate")
-    p.add_argument("file")
-
-    p = add("msfib", cmd_msfib, "Moerdijk-Svensson fibration predicate")
-    p.add_argument("file")
-
-    p = add("site-validate", cmd_site_validate, "check the Grothendieck topology axioms")
-    p.add_argument("files", nargs="+")
-
-    p = add("comma", cmd_comma, "slice site over an object")
-    p.add_argument("file")
-    p.add_argument("--object", required=True)
-
-    p = add("yu", cmd_yu, "left adjoint to the sections functor")
-    p.add_argument("file")
-    p.add_argument("--site", required=True)
-    p.add_argument("--object", required=True)
-
-    p = add("sheafify", cmd_sheafify, "associated sheaf (plus construction twice)")
-    p.add_argument("file")
-
-    p = add("hsheaf", cmd_hsheaf, "homotopy sheaf on the comma site",
-            " Needs section depth >= n+1 for simplicial groupoid values.")
-    p.add_argument("file")
-    p.add_argument("--object", required=True)
-    p.add_argument("--base", required=True)
-    p.add_argument("-n", type=int, required=True,
-                   help="Moore degree (sgpd) or pi index 1|2 (2gpd)")
-
-    p = add("weq", cmd_weq, "sheaf-isomorphism weak-equivalence criterion")
-    p.add_argument("file")
-    p.add_argument("--kind", required=True, choices=["sgpd", "2gpd"])
-    p.add_argument("--nmax", type=int, default=2)
-
-    p = add("geninc", cmd_geninc, "generating inclusions S in Delta^n_U")
-    p.add_argument("file")
-    p.add_argument("--nmax", type=int, required=True)
-    p.add_argument("--budget", type=int, default=None,
-                   help=f"assignment budget (default {DEFAULT_LIFT_BUDGET})")
-
-    p = add("lift", cmd_lift, "solve a lifting problem by backtracking")
-    p.add_argument("file")
-    p.add_argument("--budget", type=int, default=None,
-                   help=f"search budget (default {DEFAULT_LIFT_BUDGET})")
-
-    p = add("bounds", cmd_bounds, "per-level cardinality report")
-    p.add_argument("files", nargs="+")
-
+    for name, func, help_text, depth_note, arguments in COMMANDS:
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_text, description=help_text + depth_note)
+            p.set_defaults(func=func)
+            for flags, options in COMMON + arguments:
+                p.add_argument(*flags, **options)
     return parser
 
 
+def parse_args(argv=None):
+    """Parse with the named command's parser alone when that suffices.
+
+    The full parser is built only where its text is printed: the top-level
+    help, and errors that list every command (no command word, an unknown
+    one, or arguments the command does not take).
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in COMMAND_NAMES:
+        args, extras = build_parser(argv[0]).parse_known_args(argv)
+        if not extras:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(argv)
     try:
         return args.func(args)
     except BudgetExceeded as exc:

@@ -456,9 +456,6 @@ class SimplicialGroupoid:
     def degeneracy(self, n, i):
         return self.degeneracies[(n, i)]
 
-    def is_finite_level(self, n):
-        return not self.levels[n].is_free
-
     def validate(self):
         problems = []
         for n, gpd in enumerate(self.levels):

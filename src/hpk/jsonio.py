@@ -175,13 +175,6 @@ def functor2_from_json(data):
     )
 
 
-def map_from_json(data):
-    kinds = {"sset": smap_from_json, "sgpd": sgpd_map_from_json, "2gpd": functor2_from_json}
-    if "map" not in data or data["map"] not in kinds:
-        raise ValueError("expected a map object with a 'map' kind")
-    return kinds[data["map"]](data)
-
-
 # -- presheaves -----------------------------------------------------------------------
 
 

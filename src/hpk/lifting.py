@@ -82,17 +82,21 @@ def enumerate_presheaf_sset_maps(source, target, pins=None, constraint=None, met
 
     The simplicial level rule of ``homsearch`` over every section at once,
     with naturality along every arrow as the check on each level combination.
+    Identity arrows are skipped: a valid presheaf restricts along them by
+    the identity, so their squares always commute.
     ``pins`` maps (object, level, simplex) to a forced image; ``constraint``
     is a predicate (object, level, simplex, image) -> bool.
     """
     site = source.site
     objects = list(site.objects)
     depth = source.values[objects[0]].depth if objects else 0
+    identities = set(site.identities.values())
     rule = simplicial_rule(
         {v: (source.values[v], target.values[v]) for v in objects},
         [
             (v, u, source.restrictions[a], target.restrictions[a])
             for a, (v, u) in site.arrows.items()
+            if a not in identities
         ],
         pins,
         constraint,

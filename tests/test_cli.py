@@ -1,8 +1,9 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from hpk.cli import main
+from hpk.cli import COMMANDS, main
 from hpk.groups import GroupTable
 from hpk.groupoids import FiniteGroupoid, SimplicialGroupoid
 from hpk import jsonio
@@ -381,6 +382,13 @@ def test_help_documents_depth_requirements(capsys):
     out = capsys.readouterr().out
     assert "depth >= n+1" in out
     assert "budget" in out
+
+
+def test_readme_lists_every_command_in_table_order():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1]
+    listed = section.split("```\n", 2)[1].split()
+    assert listed == [row[0] for row in COMMANDS]
 
 
 def test_pushout_pullback_commands(tmp_path, capsys):

@@ -6,13 +6,19 @@ are drawn independently, so most documents are malformed in some way (maps
 that are not simplicial, squares that do not commute, sections of different
 depths) and must be rejected with exit 2; the rest are solved (0 or 1) or
 run out of budget (3).
+
+Command lines are drawn from the command table's words, options, choices and
+junk tokens; the parser built for the command word alone must give the same
+namespace as the full parser, or the same exit status and text.
 """
 
+import contextlib
+import io
 import json
 
 from hypothesis import given, settings, strategies as st
 
-from hpk.cli import main
+from hpk.cli import COMMANDS, COMMON, build_parser, main, parse_args
 from hpk.sites import FiniteSite
 from hpk.sset import standard_complex
 
@@ -99,3 +105,57 @@ def test_lift_never_raises(tmp_path_factory, doc):
     path = tmp_path_factory.mktemp("lift") / "doc.json"
     path.write_text(json.dumps(doc))
     assert main(["lift", str(path)]) in (0, 1, 2, 3)
+
+
+NAMES = [row[0] for row in COMMANDS]
+OPTIONS = sorted(
+    {flags[0] for row in COMMANDS for flags, _ in COMMON + row[4] if flags[0][0] == "-"}
+)
+CHOICES = sorted(
+    {str(c) for row in COMMANDS for _, options in COMMON + row[4] for c in options.get("choices", ())}
+)
+JUNK = ["", "-", "--", "-x", "--bogus", "--dep", "--depth=2", "-n3", "-h", "--help", "-1", "x", "f.json"]
+
+
+def _value(options):
+    if "choices" in options:
+        return st.sampled_from([str(c) for c in options["choices"]] + ["5"])
+    if options.get("type") is int:
+        return st.sampled_from(["0", "2", "-1", "x"])
+    return st.sampled_from(["f.json", "*", "-x"])
+
+
+@st.composite
+def command_lines(draw):
+    """A command word and a mostly valid argument list, junk spliced in."""
+    name, _, _, _, arguments = draw(st.sampled_from(COMMANDS))
+    groups = []
+    for flags, options in COMMON + arguments:
+        if flags[0][0] != "-":
+            groups.append([draw(_value(options)) for _ in range(1 + (options.get("nargs") == "+"))])
+        elif options.get("required") or draw(st.booleans()):
+            groups.append([draw(st.sampled_from(flags)), draw(_value(options))])
+    groups = draw(st.permutations(groups))
+    tokens = [t for group in groups for t in group]
+    for _ in range(draw(st.integers(0, 2))):
+        junk = draw(st.sampled_from(JUNK + OPTIONS + CHOICES + NAMES))
+        tokens.insert(draw(st.integers(0, len(tokens))), junk)
+    head = draw(st.sampled_from([[name]] * 6 + [[], ["bogus"], ["-h"], ["--x"]]))
+    return head + tokens
+
+
+def _outcome(parse, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = parse(argv)
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(command_lines())
+def test_command_parser_matches_full_parser(argv):
+    full = _outcome(lambda a: build_parser().parse_args(a), argv)
+    assert _outcome(parse_args, argv) == full

@@ -9,10 +9,13 @@ the output format changes, which must be deliberate.
 
 import hashlib
 import json
+import sys
+
+import pytest
 
 from hpk import jsonio
 from hpk.budgets import Meter
-from hpk.cli import main
+from hpk.cli import COMMANDS, build_parser, main
 from hpk.groups import GroupTable
 from hpk.groupoids import (
     FiniteGroupoid,
@@ -353,3 +356,88 @@ def test_search_golden_digests(tmp_path, capsys, monkeypatch):
     assert set(outputs) == set(GOLDEN_SEARCH)
     got = {name: _digest(data) for name, data in outputs.items()}
     assert got == GOLDEN_SEARCH
+
+
+# argparse's help and error text with COLUMNS=80, recorded before the parser
+# was built per command.  Argparse words and wraps its text differently from
+# one Python version to the next, so the digests are keyed by version.
+GOLDEN_HELP = {
+    (3, 11): {
+        "--help": "bd84f5a66b555c02e60ae7954e234dcf0125a058c806810ab71d1e7f4d6d3589",
+        "validate": "07a2389bb96eaadea768312dde03a811fca5ed22da85b295ef68efcb1d51b7e9",
+        "complex": "61041a1657c0dd35ad6c018aa3ca588321e761df6865259e164bd8ca18501ff4",
+        "pushout": "26c930b4c81d3951d833f20ada0e34a5f521846e8ced645df12d668854e89ad1",
+        "pullback": "12aaee40ad7490765e9375f777a264f345807e98636d22a44fde8451a574df70",
+        "pi0": "a40d01a9809210c0ea1252b04768dfe0e7b86f472e1ea5808f16336427ca5681",
+        "pikan": "6efcd22fb0e070b110b4592dbcac63ffef56f65d3327dfe1a948caec787389b5",
+        "moore": "1ed96c3e5d375a70c7f3e5177ff3def50f0f8e3d4a064071ef4851421e3ba45f",
+        "doldkan": "03af591fc032bc825bcc2ced2ede47709e668c0ae8dc16d1f41fbe46385c4aa5",
+        "loop": "69156e7b37d166434b8204e0b68ceb02b43c855de4279282b42d116154079357",
+        "wbar": "1d7ae258e7f7ae728fc94a6b4f64fcb2239fc68adb615e11150fa3bc46e25579",
+        "wtotal": "e2403a4cd24cccb16f413371d1e004164a867a8f8071f4a206ffa7f0b3e16cf8",
+        "transpose": "1bde41be1176e672187bc845f158b2c16e09f6a860b9f0734794ca0a64e3ac27",
+        "unit": "809c50020139a31f96c55c6d7f93a96f641eaa04709c07d531d19d66c5648bec",
+        "counit": "7d171de0887c2e5097f78515b885ecf69b488558a49354a578a3110f1b29aef6",
+        "nerve": "88c98c5d68bf20fb60317bb109e2c126cd71c6cac370e62af8d73424dbe56ad0",
+        "pi2gpd": "2cf0e7eb34093c900103341f7255e1152eafbfc7820778bde8f0a765ae459ccd",
+        "whitehead": "f22909fc4b30b9070a7724b67b74d9c8652fc423310a42efb2f29ffd5533ebe1",
+        "msweq": "7c918f10f2b91d190c8af781e58fd0664280771b842e004d81b9695cf1ddd797",
+        "msfib": "cb661c8d51b5e2034ca4b8f60bba681bd4ea34a232550ff32a24cb3516ae5c5e",
+        "site-validate": "a6f876ba8ec9ecc3b8d2102ff2573299c32f9094834e76a380be1942a36d77d8",
+        "comma": "5f04955a47befe14d9ea3ce26208d2be6175cfdec678a584b0fdbcf041c1c774",
+        "yu": "9a906a3e945342b68c63b28f6fb98febc86bf1d40158c6dd2702bd5f65857c96",
+        "sheafify": "a5575dbd1166a186c329e3fb30da833272a0bb920b771217856ffd7a29eb28de",
+        "hsheaf": "bf8dcbe10eef034bc27c4d38a69e387fc0d15b0bfc138c561476153bd592991d",
+        "weq": "64185dae9f2eef3223b54c1dde59b626d9dc6153912f3ea173efccf272c7a419",
+        "geninc": "cc1dfef34110b1674ada1caef159560e90055969626d8d25bd5004bc5a7b4481",
+        "lift": "fb760279082a9ecd453067a79276e15eeb13072735eb5310d8824a7206ac6d0a",
+        "bounds": "5e73b0484395bfa4800f4d3cd6fa510a590479d4a09351cb818c9bf1d9c127e4",
+    },
+}
+ERROR_ARGV = {
+    "no_command": [],
+    "unknown_command": ["bogus"],
+    "missing_option": ["nerve", "f.json"],
+    "bad_choice": ["pi2gpd", "f.json", "--base", "x", "-i", "5"],
+    "unrecognized": ["nerve", "f.json", "--depth", "3", "--bogus"],
+}
+GOLDEN_ERRORS = {
+    (3, 11): {
+        "no_command": [2, "a1d9b7bbf12814583ca5eb35295e6ff63608cc9400a62ad88e9df3c08e5c8c1a"],
+        "unknown_command": [2, "7f86d3da77b675069ff90c3dee4dbbac3a5808c1f9de989e42bc34e9ff03048c"],
+        "missing_option": [2, "baedfbaf2d1357980e36ec2b89839560a4cbc804fe9157d746cd97fec33b1510"],
+        "bad_choice": [2, "950431b18460a9640147bf7e4d34d05145072793785bb589a5be44450befcb1d"],
+        "unrecognized": [2, "67b6a70ac249ca82130d9bc0ab9d370ecd5d149acfba8bf5439c77989e7ab4b8"],
+    },
+}
+
+
+def _exit(capsys, parse, argv):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out, err = capsys.readouterr()
+    return exc.value.code, out, err
+
+
+def test_help_and_error_golden_digests(capsys, monkeypatch):
+    """Help and argparse errors through ``main`` match the recorded digests.
+
+    On every version they also match the full parser's text for the same
+    argv, which is the whole check where no digests are recorded.
+    """
+    monkeypatch.setenv("COLUMNS", "80")
+    helps = {"--help": ["--help"], **{row[0]: [row[0], "--help"] for row in COMMANDS}}
+    got_help, got_errors = {}, {}
+    for key, argv in {**helps, **ERROR_ARGV}.items():
+        code, out, err = _exit(capsys, main, argv)
+        assert (code, out, err) == _exit(capsys, build_parser().parse_args, argv)
+        if key in helps:
+            assert code == 0 and err == ""
+            got_help[key] = _digest(out.encode())
+        else:
+            assert out == ""
+            got_errors[key] = [code, _digest(err.encode())]
+    version = sys.version_info[:2]
+    if version in GOLDEN_HELP:
+        assert got_help == GOLDEN_HELP[version]
+        assert got_errors == GOLDEN_ERRORS[version]
