@@ -130,15 +130,11 @@ def section_maps(assigned, v, source):
     return [{s: level[(v, s)] for s in source.levels[n]} for n, level in enumerate(assigned)]
 
 
-def enumerate_simplicial_maps(source, target, pins=None, meter=None):
-    """Yield every simplicial map source -> target, in canonical order.
-
-    ``pins`` maps (level, simplex) to a forced image (extension problems).
-    """
+def enumerate_simplicial_maps(source, target, meter=None):
+    """Yield every simplicial map source -> target, in canonical order."""
     if source.depth != target.depth:
         raise ValueError("source and target must have equal depth")
-    pins = {(None, n, x): y for (n, x), y in (pins or {}).items()}
-    rule = simplicial_rule({None: (source, target)}, pins=pins)
+    rule = simplicial_rule({None: (source, target)})
     for assigned in level_search(source.depth, rule, meter):
         yield SimplicialMap(source, target, section_maps(assigned, None, source), check=False)
 

@@ -3,13 +3,14 @@
 Right properness is checked on designated pullback squares: the base-change
 of a weak equivalence along a map that is a sectionwise fibration instance
 (verified by relative horn filling on classifying complexes at the tested
-levels) must again be a weak equivalence.  Pushout stability is checked on
-free instances: the loop groupoid of a trivial cofibration is pushed out and
-the resulting map is verified to be a weak equivalence through the exactly
-computable invariants of free instances (components and the fundamental-group
-presentation).
+levels, a face-key lookup with no lifting problem) must again be a weak
+equivalence.  Pushout stability is checked on free instances: the loop
+groupoid of a trivial cofibration is pushed out and the resulting map is
+verified to be a weak equivalence through the exactly computable invariants
+of free instances (components and the fundamental-group presentation).
 """
 
+from .budgets import DEFAULT_FILLER_BUDGET, Meter, env_budget
 from .groupoids import (
     FiniteGroupoid,
     FreeGroupoid,
@@ -19,10 +20,9 @@ from .groupoids import (
     pi0_hom_presentation,
     pi0_sgpd,
 )
-from .homsearch import enumerate_simplicial_maps
-from .lifting import LiftingProblem, as_point_map, solve_lifting
+from .kan import enumerate_horns
 from .loop import wbar, wbar_of_map
-from .sset import SimplicialMap, _UnionFind, pair_id, standard_complex
+from .sset import InsufficientDepth, _UnionFind, pair_id
 
 
 # -- pullbacks of simplicial groupoids -----------------------------------------
@@ -115,39 +115,36 @@ def pullback_sgpd(p_map, g_map):
 
 
 def map_fills_horns(smap, max_level):
-    """Relative horn filling for a simplicial map, at levels <= max_level.
+    """Relative horn filling for p: X -> Y, at levels <= max_level.
 
-    Enumerates every horn into the source with a compatible simplex in the
-    target and solves the lifting problem; returns the unsolvable instances.
+    Returns the failures (m, k, horn_key, z): a horn of X with its faces in
+    the order of i, and an m-simplex z of Y over the horn's image that is
+    p(y) for no y with those faces.  Horns come from ``enumerate_horns``,
+    charged to the filler budget as in ``kan_report``.
     """
-    depth = smap.source.depth
+    source, target = smap.source, smap.target
+    if max_level > source.depth:
+        raise InsufficientDepth(
+            f"horn filling to level {max_level} needs depth {max_level}, have {source.depth}"
+        )
+    meter = Meter("horn enumeration", env_budget(DEFAULT_FILLER_BUDGET))
     failures = []
     for m in range(1, max_level + 1):
+        below = smap.level_maps[m - 1]
         for k in range(m + 1):
-            horn = standard_complex("horn", m, k=k, depth=depth)
-            simplex = standard_complex("Delta", m, depth=depth)
-            include = SimplicialMap(
-                horn, simplex, [{x: x for x in level} for level in horn.levels]
-            )
-            for top in enumerate_simplicial_maps(horn, smap.source):
-                below = smap.compose(top)
-                horn_pins = {
-                    (n, x): below.level_maps[n][x]
-                    for n in range(horn.depth + 1)
-                    for x in horn.levels[n]
-                }
-                for bottom in enumerate_simplicial_maps(
-                    simplex, smap.target, pins=horn_pins
-                ):
-                    problem = LiftingProblem(
-                        as_point_map(include),
-                        as_point_map(top),
-                        as_point_map(smap),
-                        as_point_map(bottom),
-                    )
-                    result = solve_lifting(problem)
-                    if result["outcome"] != "lift":
-                        failures.append((m, k, top.level_maps, bottom.level_maps))
+            positions = [i for i in range(m + 1) if i != k]
+            filled = {
+                (tuple(source.face(m, i, y) for i in positions), smap(m, y))
+                for y in source.levels[m]
+            }
+            bucket = {}
+            for z in target.levels[m]:
+                bucket.setdefault(tuple(target.face(m, i, z) for i in positions), []).append(z)
+            for horn in enumerate_horns(source, m, k, meter):
+                key = tuple(horn[i] for i in positions)
+                for z in bucket.get(tuple(below[x] for x in key), ()):
+                    if (key, z) not in filled:
+                        failures.append((m, k, key, z))
     return failures
 
 

@@ -32,9 +32,10 @@ def test_wbar_outputs_are_kan_at_tested_levels():
 
 
 def test_w_projection_fills_horns_at_tested_levels():
-    sgpd = constant(FiniteGroupoid.from_group(GroupTable.cyclic(2)), 2)
-    total, q, wb = w_total(sgpd, 2)
-    assert map_fills_horns(q, 2) == []
+    for depth in (2, 3):
+        sgpd = constant(FiniteGroupoid.from_group(GroupTable.cyclic(2)), depth)
+        total, q, wb = w_total(sgpd, depth)
+        assert map_fills_horns(q, depth) == []
 
 
 def test_weak_equivalence_two_out_of_three_on_composable_triples():
