@@ -11,13 +11,18 @@ from itertools import product
 from .groups import GroupTable
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class FiniteAbelianGroup:
     """Z/m_1 x ... x Z/m_r with elements represented as int tuples."""
 
     def __init__(self, moduli):
-        self.moduli = tuple(int(m) for m in moduli)
-        if any(m < 1 for m in self.moduli):
-            raise ValueError("moduli must be >= 1")
+        self.moduli = tuple(moduli)
+        for m in self.moduli:
+            if not _is_int(m) or m < 1:
+                raise ValueError(f"moduli must be integers >= 1, got {m!r}")
 
     def elements(self):
         return list(product(*(range(m) for m in self.moduli)))
@@ -31,6 +36,12 @@ class FiniteAbelianGroup:
 
     def zero(self):
         return tuple(0 for _ in self.moduli)
+
+    def is_element(self, a):
+        """One int coordinate in [0, m) per modulus m."""
+        return len(a) == len(self.moduli) and all(
+            _is_int(x) and 0 <= x < m for x, m in zip(a, self.moduli)
+        )
 
     def add(self, a, b):
         return tuple((x + y) % m for x, y, m in zip(a, b, self.moduli))
@@ -57,6 +68,8 @@ class AbelianHom:
         if check:
             for i, m in enumerate(source.moduli):
                 img = self.generator_images[i]
+                if not target.is_element(img):
+                    raise ValueError(f"generator {i} image {list(img)} is not in {target!r}")
                 total = target.zero()
                 for _ in range(m):
                     total = target.add(total, img)

@@ -10,7 +10,8 @@ depth, all sharing one object set, with face and degeneracy operators acting
 on arrows and fixing objects.
 """
 
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
+from math import prod
 from typing import NamedTuple
 
 from .groups import GroupTable
@@ -914,13 +915,46 @@ def _surjections(n, k):
     return out
 
 
+def _sum_law(moduli):
+    """Addition and negation of Z/m_1 x ... x Z/m_r on mixed-radix indices.
+
+    Element (a_1, ..., a_r) has index ((a_1 * m_2 + a_2) * m_3 + ...) + a_r,
+    its position in ``product(*(range(m) for m in moduli))``.  The table of
+    G x Z/m comes from the table T of G: (i, a) + (j, b) has index
+    T[i][j] * m + (a + b) % m.
+    """
+    table, neg = [[0]], [0]
+    for m in moduli:
+        shifts = [[(a + b) % m for b in range(m)] for a in range(m)]
+        table = [[t * m + c for t in row for c in shift] for row in table for shift in shifts]
+        neg = [x * m + (-a) % m for x in neg for a in range(m)]
+    return table, neg
+
+
+def _index(element, moduli):
+    """Mixed-radix index of a group element, as in :func:`_sum_law`."""
+    out = 0
+    for a, m in zip(element, moduli):
+        out = out * m + a
+    return out
+
+
 def dold_kan(chain, depth):
     """The simplicial abelian group of a chain fixture, as a one-object sgpd.
 
     Level n is the direct sum of C_k over order-preserving surjections
     [n] ->> [k]; operators are induced in the standard way (identity on the
     epi part, boundary for the top missing face, zero otherwise).
+
+    An element of level n is a flat index: the mixed-radix number of its
+    coordinates, summand by summand, in the order of
+    ``product(*(range(m) for m in moduli))`` over the level's moduli.  Each
+    element is named once; the composition table, the inverses and every
+    face and degeneracy are computed on indices and read through the one
+    name list.
     """
+    if not isinstance(depth, int) or isinstance(depth, bool) or depth < 0:
+        raise ValueError(f"depth must be a non-negative integer, got {depth!r}")
     obj = "*"
     summands = []
     for n in range(depth + 1):
@@ -930,83 +964,62 @@ def dold_kan(chain, depth):
                 level.append(sigma)
         summands.append(level)
 
-    def elements_at(n):
-        def build(idx, acc):
-            if idx == len(summands[n]):
-                yield tuple(acc)
-                return
-            sigma = summands[n][idx]
-            k = sigma[-1]
-            for c in chain.group(k).elements():
-                yield from build(idx + 1, acc + [c])
-
-        return list(build(0, []))
-
-    def name_at(n, element):
-        return ";".join(
-            "".join(str(v) for v in sigma) + ":" + ",".join(str(c) for c in comp)
-            for sigma, comp in zip(summands[n], element)
-        ) or "0"
-
-    level_elements = [elements_at(n) for n in range(depth + 1)]
+    level_names, level_tables, level_strides = [], [], []
     level_groupoids = []
     for n in range(depth + 1):
-        elems = level_elements[n]
-        names = {e: name_at(n, e) for e in elems}
-
-        def add(e1, e2, n=n):
-            return tuple(
-                chain.group(sigma[-1]).add(c1, c2)
-                for sigma, c1, c2 in zip(summands[n], e1, e2)
+        labels = []
+        for sigma in summands[n]:
+            head = "".join(str(v) for v in sigma) + ":"
+            labels.append(
+                [head + ",".join(str(c) for c in e) for e in chain.group(sigma[-1]).elements()]
             )
-
-        zero = tuple(chain.group(sigma[-1]).zero() for sigma in summands[n])
-        arrows = {names[e]: (obj, obj) for e in elems}
+        names = [";".join(parts) or "0" for parts in product(*labels)]
+        # index weight of each summand: the order of the summands after it
+        orders = [len(part) for part in labels]
+        level_strides.append([prod(orders[p + 1:]) for p in range(len(orders))])
+        table, neg = _sum_law(
+            [m for sigma in summands[n] for m in chain.group(sigma[-1]).moduli]
+        )
+        arrows = {name: (obj, obj) for name in names}
         comp = {
-            (names[e1], names[e2]): names[add(e1, e2)] for e1 in elems for e2 in elems
+            (a, b): names[c] for a, row in zip(names, table) for b, c in zip(names, row)
         }
-        neg = {
-            names[e]: names[tuple(
-                chain.group(sigma[-1]).neg(c) for sigma, c in zip(summands[n], e)
-            )]
-            for e in elems
-        }
+        inverses = {name: names[i] for name, i in zip(names, neg)}
+        level_names.append(names)
+        level_tables.append(table)
         level_groupoids.append(
-            FiniteGroupoid([obj], arrows, comp, {obj: names[zero]}, neg, check=False)
+            FiniteGroupoid([obj], arrows, comp, {obj: names[0]}, inverses, check=False)
         )
 
     def transfer(n, out_level, mapping_index):
         """Operator level n -> out_level given index map [out] -> [n]."""
         out_summands = summands[out_level]
         out_index = {sigma: i for i, sigma in enumerate(out_summands)}
-        moves = []  # per input summand: (out position, use_boundary) or None
+        out_table, out_strides = level_tables[out_level], level_strides[out_level]
+        # images[x] is the image of the element whose coordinates in the
+        # summands seen so far have index x and are zero elsewhere
+        images = [0]
         for sigma in summands[n]:
             k = sigma[-1]
+            group = chain.group(k)
             f = tuple(sigma[j] for j in mapping_index)
             image = set(f)
             if image == set(range(k + 1)):
-                moves.append((out_index[f], None))
+                pos, bnd = out_index[f], None
             elif k >= 1 and image == set(range(k)):
-                moves.append((out_index[f], k))
+                pos, bnd = out_index[f], chain.boundary(k)
             else:
-                moves.append(None)
-        zero = tuple(chain.group(s[-1]).zero() for s in out_summands)
-
-        def apply(element):
-            acc = list(zero)
-            for pos, (comp_val, move) in enumerate(zip(element, moves)):
-                if move is None:
-                    continue
-                out_pos, bnd = move
-                value = comp_val if bnd is None else chain.boundary(bnd)(comp_val)
-                group = chain.group(out_summands[out_pos][-1])
-                acc[out_pos] = group.add(acc[out_pos], value)
-            return tuple(acc)
-
+                images = [x for x in images for _ in range(group.order)]
+                continue
+            moduli = chain.group(out_summands[pos][-1]).moduli
+            summand_images = [
+                _index(c if bnd is None else bnd(c), moduli) * out_strides[pos]
+                for c in group.elements()
+            ]
+            images = [out_table[x][y] for x in images for y in summand_images]
+        names_out = level_names[out_level]
+        arrow_map = {name: names_out[i] for name, i in zip(level_names[n], images)}
         src_gpd, tgt_gpd = level_groupoids[n], level_groupoids[out_level]
-        names_in = {e: name_at(n, e) for e in level_elements[n]}
-        names_out = {e: name_at(out_level, e) for e in level_elements[out_level]}
-        arrow_map = {names_in[e]: names_out[apply(e)] for e in level_elements[n]}
         return GroupoidHom(src_gpd, tgt_gpd, {obj: obj}, arrow_map, check=False)
 
     faces = {}

@@ -85,13 +85,24 @@ def load_object(data):
 # -- chains ----------------------------------------------------------------------
 
 
+def _list_of_lists(value, what):
+    if not isinstance(value, list) or not all(isinstance(v, list) for v in value):
+        raise ValueError(f"{what} must be a list of lists")
+    return value
+
+
 def chain_from_json(data):
-    groups = [FiniteAbelianGroup(moduli) for moduli in data["groups"]]
+    """A chain fixture: moduli per degree and, for each degree i >= 1, the
+    images of the generators of C_i in C_(i-1) as coordinate lists."""
+    groups = [FiniteAbelianGroup(m) for m in _list_of_lists(data["groups"], "groups")]
+    images = _list_of_lists(data["boundaries"], "boundaries")
+    need = max(len(groups) - 1, 0)
+    if len(images) != need:
+        raise ValueError(f"{len(groups)} chain groups need {need} boundaries, got {len(images)}")
     boundaries = []
-    for i, images in enumerate(data["boundaries"], start=1):
-        boundaries.append(
-            AbelianHom(groups[i], groups[i - 1], [tuple(v) for v in images])
-        )
+    for i, gens in enumerate(images, start=1):
+        gens = _list_of_lists(gens, f"boundary {i}")
+        boundaries.append(AbelianHom(groups[i], groups[i - 1], [tuple(v) for v in gens]))
     return ChainFixture(groups, boundaries)
 
 

@@ -131,6 +131,42 @@ def test_doldkan_command(tmp_path, capsys):
     assert [len(level["arrows"]) for level in data["levels"]] == [1, 2, 4, 8]
 
 
+# each chain document is malformed in one way; none may reach a traceback or
+# be read with a meaning of its own
+MALFORMED_CHAINS = {
+    "extra_boundary": {"groups": [[2]], "boundaries": [[[1]]]},
+    "missing_boundary": {"groups": [[2], [2]], "boundaries": []},
+    "string_coordinate": {"groups": [[2], [2]], "boundaries": [[["1"]]]},
+    "bool_coordinate": {"groups": [[2], [2]], "boundaries": [[[True]]]},
+    "long_image": {"groups": [[2], [2]], "boundaries": [[[1, 7]]]},
+    "short_image": {"groups": [[2, 2], [2]], "boundaries": [[[1]]]},
+    "negative_coordinate": {"groups": [[2], [2]], "boundaries": [[[-1]]]},
+    "coordinate_past_modulus": {"groups": [[2], [2]], "boundaries": [[[3]]]},
+    "float_modulus": {"groups": [[2.5]], "boundaries": []},
+    "bool_modulus": {"groups": [[True]], "boundaries": []},
+    "zero_modulus": {"groups": [[0]], "boundaries": []},
+    "group_not_a_list": {"groups": [2], "boundaries": []},
+    "image_not_a_list": {"groups": [[2], [2]], "boundaries": [[1]]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_CHAINS))
+def test_doldkan_rejects_malformed_chain(tmp_path, capsys, name):
+    path = write(tmp_path, "chain.json", MALFORMED_CHAINS[name])
+    code = main(["doldkan", path, "--depth", "1"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith("input error")
+
+
+def test_doldkan_rejects_negative_depth(tmp_path, capsys):
+    path = write(tmp_path, "chain.json", {"groups": [[], [2]], "boundaries": [[[]]]})
+    code = main(["doldkan", path, "--depth", "-1"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert "depth must be a non-negative integer" in err
+
+
 def test_loop_command(tmp_path, capsys):
     s1 = standard_complex("sphere", 1, depth=3)
     path = write(tmp_path, "s1.json", s1.to_json())

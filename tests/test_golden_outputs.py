@@ -224,6 +224,32 @@ def test_golden_digests(tmp_path, capsys, monkeypatch):
     assert got == GOLDEN
 
 
+# `hpk doldkan` stdout, recorded before the levels were built from flat
+# indices: Z/2 in degree 1, Z/2 <- Z/4 by reduction, Z/2+Z/2 <- Z/2 on the
+# diagonal, and Z/2 <- Z/4 <- Z/2 (reduction, then doubling)
+DOLDKAN_DOCUMENTS = {
+    "z2_in_degree_1": ({"groups": [[], [2]], "boundaries": [[[]]]}, 3),
+    "z4_onto_z2": ({"groups": [[2], [4]], "boundaries": [[[1]]]}, 3),
+    "z2_into_z2z2": ({"groups": [[2, 2], [2]], "boundaries": [[[1, 1]]]}, 2),
+    "three_groups": ({"groups": [[2], [4], [2]], "boundaries": [[[1]], [[2]]]}, 2),
+}
+GOLDEN_DOLDKAN = {
+    "z2_in_degree_1": "4ce01002ebe092b08ef9f1fdd54437824ca542f08d744359626a8448359bd787",
+    "z4_onto_z2": "c4839dc7229c457ba858b548b9caac8db7a3d8132e160e3d23e61a75359e08cd",
+    "z2_into_z2z2": "f3b20e43a1bf22b89303ecf7a57ad5f8a88bcdca93bec500e710e7635ce6102a",
+    "three_groups": "ae4b9ee304efbc60174b558474a81c0aad30fd2cba64cac2dccf31569f9fa692",
+}
+
+
+def test_doldkan_golden_digests(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("HPK_BUDGET", raising=False)
+    got = {
+        name: _digest(_cli(tmp_path, capsys, name, doc, "doldkan", "--depth", str(depth)))
+        for name, (doc, depth) in DOLDKAN_DOCUMENTS.items()
+    }
+    assert got == GOLDEN_DOLDKAN
+
+
 # -- hom-set searches --------------------------------------------------------------
 
 # Digests of the map searches' outputs, in enumeration order.  Simplicial

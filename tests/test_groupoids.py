@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -6,8 +8,10 @@ from hpk.groups import GroupTable
 from hpk.groupoids import (
     FiniteGroupoid,
     FreeGroupoid,
+    GroupoidHom,
     NonComposableWord,
     SimplicialGroupoid,
+    _surjections,
     disjoint_union_sgpd,
     dold_kan,
     hom_complex,
@@ -213,6 +217,188 @@ def test_moore_pi0_equals_pi0_of_hom_complex():
     b = dold_kan(z2_chain_in_degree(1), 2)
     homb = hom_complex(b, "*", "*")
     assert len(pi0_sset(homb)) == moore_pi_n(b, 0).order
+
+
+# -- dold_kan against the construction it replaced ------------------------------
+
+
+def _reference_dold_kan(chain, depth):
+    """dold_kan as built before flat indices, kept as the differential oracle.
+
+    Elements are tuples of per-summand group elements, composition is the
+    per-summand ``add``, and every operator names both of its levels again.
+    """
+    obj = "*"
+    summands = []
+    for n in range(depth + 1):
+        level = []
+        for k in range(0, min(n, chain.top_degree) + 1):
+            for sigma in _surjections(n, k):
+                level.append(sigma)
+        summands.append(level)
+
+    def elements_at(n):
+        def build(idx, acc):
+            if idx == len(summands[n]):
+                yield tuple(acc)
+                return
+            sigma = summands[n][idx]
+            k = sigma[-1]
+            for c in chain.group(k).elements():
+                yield from build(idx + 1, acc + [c])
+
+        return list(build(0, []))
+
+    def name_at(n, element):
+        return ";".join(
+            "".join(str(v) for v in sigma) + ":" + ",".join(str(c) for c in comp)
+            for sigma, comp in zip(summands[n], element)
+        ) or "0"
+
+    level_elements = [elements_at(n) for n in range(depth + 1)]
+    level_groupoids = []
+    for n in range(depth + 1):
+        elems = level_elements[n]
+        names = {e: name_at(n, e) for e in elems}
+
+        def add(e1, e2, n=n):
+            return tuple(
+                chain.group(sigma[-1]).add(c1, c2)
+                for sigma, c1, c2 in zip(summands[n], e1, e2)
+            )
+
+        zero = tuple(chain.group(sigma[-1]).zero() for sigma in summands[n])
+        arrows = {names[e]: (obj, obj) for e in elems}
+        comp = {
+            (names[e1], names[e2]): names[add(e1, e2)] for e1 in elems for e2 in elems
+        }
+        neg = {
+            names[e]: names[tuple(
+                chain.group(sigma[-1]).neg(c) for sigma, c in zip(summands[n], e)
+            )]
+            for e in elems
+        }
+        level_groupoids.append(
+            FiniteGroupoid([obj], arrows, comp, {obj: names[zero]}, neg, check=False)
+        )
+
+    def transfer(n, out_level, mapping_index):
+        out_summands = summands[out_level]
+        out_index = {sigma: i for i, sigma in enumerate(out_summands)}
+        moves = []
+        for sigma in summands[n]:
+            k = sigma[-1]
+            f = tuple(sigma[j] for j in mapping_index)
+            image = set(f)
+            if image == set(range(k + 1)):
+                moves.append((out_index[f], None))
+            elif k >= 1 and image == set(range(k)):
+                moves.append((out_index[f], k))
+            else:
+                moves.append(None)
+        zero = tuple(chain.group(s[-1]).zero() for s in out_summands)
+
+        def apply(element):
+            acc = list(zero)
+            for comp_val, move in zip(element, moves):
+                if move is None:
+                    continue
+                out_pos, bnd = move
+                value = comp_val if bnd is None else chain.boundary(bnd)(comp_val)
+                group = chain.group(out_summands[out_pos][-1])
+                acc[out_pos] = group.add(acc[out_pos], value)
+            return tuple(acc)
+
+        src_gpd, tgt_gpd = level_groupoids[n], level_groupoids[out_level]
+        names_in = {e: name_at(n, e) for e in level_elements[n]}
+        names_out = {e: name_at(out_level, e) for e in level_elements[out_level]}
+        arrow_map = {names_in[e]: names_out[apply(e)] for e in level_elements[n]}
+        return GroupoidHom(src_gpd, tgt_gpd, {obj: obj}, arrow_map, check=False)
+
+    faces = {}
+    degeneracies = {}
+    for n in range(1, depth + 1):
+        for i in range(n + 1):
+            delta = [j for j in range(n + 1) if j != i]
+            faces[(n, i)] = transfer(n, n - 1, delta)
+    for n in range(0, depth):
+        for i in range(n + 1):
+            sigma_map = list(range(i + 1)) + list(range(i, n + 1))
+            degeneracies[(n, i)] = transfer(n, n + 1, sigma_map)
+    return SimplicialGroupoid([obj], level_groupoids, faces, degeneracies)
+
+
+def _chain(groups, boundaries):
+    """A chain fixture from moduli lists and generator images, as in JSON."""
+    gs = [FiniteAbelianGroup(moduli) for moduli in groups]
+    homs = [
+        AbelianHom(gs[i], gs[i - 1], images) for i, images in enumerate(boundaries, start=1)
+    ]
+    return ChainFixture(gs, homs)
+
+
+# (chain, deepest depth checked); every chain of two or more groups has a
+# nonzero boundary, and the last four have a C_2 term
+DOLD_KAN_CHAINS = {
+    "empty": (_chain([], []), 2),
+    "Z3": (_chain([[3]], []), 3),
+    "Z2+Z3": (_chain([[2, 3]], []), 3),
+    "Z2<-Z4": (_chain([[2], [4]], [[(1,)]]), 3),
+    "Z4<-Z4": (_chain([[4], [4]], [[(2,)]]), 3),
+    "Z3<-Z3": (_chain([[3], [3]], [[(1,)]]), 3),
+    "Z2+Z2<-Z2": (_chain([[2, 2], [2]], [[(1, 1)]]), 3),
+    "0<-Z2<-Z2": (_chain([[], [2], [2]], [[()], [(1,)]]), 3),
+    "Z2<-Z4<-Z2": (_chain([[2], [4], [2]], [[(1,)], [(2,)]]), 2),
+    "Z2<-Z2+Z2<-Z2": (_chain([[2], [2, 2], [2]], [[(1,), (1,)], [(1, 1)]]), 2),
+    "0<-Z3<-Z3": (_chain([[], [3], [3]], [[()], [(1,)]]), 2),
+}
+DOLD_KAN_CASES = [
+    (label, depth)
+    for label, (_, top) in DOLD_KAN_CHAINS.items()
+    for depth in range(top + 1)
+]
+
+
+@pytest.mark.parametrize("label, depth", DOLD_KAN_CASES)
+def test_dold_kan_matches_reference(label, depth):
+    chain = DOLD_KAN_CHAINS[label][0]
+    got, ref = dold_kan(chain, depth), _reference_dold_kan(chain, depth)
+    assert json.dumps(got.to_json()) == json.dumps(ref.to_json())
+    for level, ref_level in zip(got.levels, ref.levels, strict=True):
+        assert list(level.arrows.items()) == list(ref_level.arrows.items())
+        assert list(level.comp.items()) == list(ref_level.comp.items())
+        assert list(level.inverses.items()) == list(ref_level.inverses.items())
+        assert level.identities == ref_level.identities
+    for ops, ref_ops in ((got.faces, ref.faces), (got.degeneracies, ref.degeneracies)):
+        assert list(ops) == list(ref_ops)
+        for key, op in ops.items():
+            assert list(op.arrow_map.items()) == list(ref_ops[key].arrow_map.items())
+
+
+# associativity is checked on every triple, so only levels this small
+LAW_CHECK_MAX = 27
+
+
+@pytest.mark.parametrize("label", sorted(DOLD_KAN_CHAINS))
+def test_dold_kan_levels_and_operators_satisfy_the_laws(label):
+    chain, depth = DOLD_KAN_CHAINS[label]
+    sgpd = dold_kan(chain, depth)
+    small = {n for n, level in enumerate(sgpd.levels) if len(level.arrows) <= LAW_CHECK_MAX}
+    assert 0 in small
+    for n in small:
+        assert sgpd.levels[n].validate() == []
+    ops = [(n, n - 1, op) for (n, _), op in sgpd.faces.items()]
+    ops += [(n, n + 1, op) for (n, _), op in sgpd.degeneracies.items()]
+    checked = [op for n, out, op in ops if {n, out} <= small]
+    assert checked
+    for op in checked:
+        assert op.validate() == []
+
+
+@pytest.mark.parametrize("depth", [-1, True, 1.5, "2"])
+def test_dold_kan_rejects_bad_depth(depth):
+    with pytest.raises(ValueError, match="depth must be a non-negative integer"):
+        dold_kan(z2_chain_in_degree(1), depth)
 
 
 def test_hom_simplicial_group_extracts_loops():
