@@ -59,22 +59,21 @@ class FiniteAbelianGroup:
 class AbelianHom:
     """Homomorphism given by generator images (a matrix acting mod moduli)."""
 
-    def __init__(self, source, target, generator_images, check=True):
+    def __init__(self, source, target, generator_images):
         self.source = source
         self.target = target
         self.generator_images = [tuple(v) for v in generator_images]
         if len(self.generator_images) != len(source.moduli):
             raise ValueError("need one image per source generator")
-        if check:
-            for i, m in enumerate(source.moduli):
-                img = self.generator_images[i]
-                if not target.is_element(img):
-                    raise ValueError(f"generator {i} image {list(img)} is not in {target!r}")
-                total = target.zero()
-                for _ in range(m):
-                    total = target.add(total, img)
-                if total != target.zero():
-                    raise ValueError(f"generator {i} image has incompatible order")
+        for i, m in enumerate(source.moduli):
+            img = self.generator_images[i]
+            if not target.is_element(img):
+                raise ValueError(f"generator {i} image {list(img)} is not in {target!r}")
+            total = target.zero()
+            for _ in range(m):
+                total = target.add(total, img)
+            if total != target.zero():
+                raise ValueError(f"generator {i} image has incompatible order")
 
     def __call__(self, a):
         out = self.target.zero()

@@ -83,7 +83,10 @@ def cmd_validate(args):
     def one(path):
         kind, obj = jsonio.load_object_unchecked(_read(path))
         if kind in ("sset", "sgpd", "groupoid", "2gpd", "presheaf"):
+            # the parts are input like any other; the whole is what is reported
+            jsonio.check_parts(obj)
             return {"file": path, "kind": kind, "violations": obj.validate()}
+        jsonio.checked(obj)  # an invalid document of another kind is still invalid input
         raise ValueError(f"validate does not handle kind {kind!r}")
 
     reports = [one(path) for path in args.files]
@@ -238,8 +241,8 @@ def cmd_transpose(args):
     from .sset import SimplicialMap
 
     data = _read(args.file)
-    sset = jsonio.TruncatedSimplicialSet.from_json(data["complex"])
-    sgpd = jsonio.SimplicialGroupoid.from_json(data["groupoid"])
+    sset = jsonio.checked(jsonio.TruncatedSimplicialSet.from_json(data["complex"]))
+    sgpd = jsonio.checked(jsonio.SimplicialGroupoid.from_json(data["groupoid"]))
     depth = data["depth"]
     gx = loop_groupoid(sset, depth)
     wb = wbar(sgpd, depth + 1)
@@ -252,9 +255,9 @@ def cmd_transpose(args):
                 for gen, value in table.items()
             }
             level_homs.append(
-                GroupoidHom(gx.levels[n], sgpd.levels[n], obj_map, arrow_map)
+                jsonio.check(GroupoidHom(gx.levels[n], sgpd.levels[n], obj_map, arrow_map))
             )
-        sg_map = SimplicialGroupoidMap(gx, sgpd, obj_map, level_homs)
+        sg_map = jsonio.check(SimplicialGroupoidMap(gx, sgpd, obj_map, level_homs))
         out = transpose_to_sset(sg_map, sset, gx, wb)
         _emit(
             {"transpose": [dict(sorted(m.items())) for m in out.level_maps]}, args
@@ -264,7 +267,7 @@ def cmd_transpose(args):
         from .loop import _truncate_sset
 
         truncated = _truncate_sset(sset, depth + 1)
-        smap = SimplicialMap(truncated, wb.sset, data["map"]["levels"])
+        smap = jsonio.check(SimplicialMap(truncated, wb.sset, data["map"]["levels"]))
         out = transpose_to_sgpd(smap, gx, sgpd, wb)
         _emit(
             {
@@ -416,17 +419,7 @@ def cmd_site_validate(args):
         data = _read(path)
         if jsonio.detect_kind(data) != "site":
             raise ValueError(f"{path} is not a site")
-        from .sites import FiniteSite
-
-        site = FiniteSite(
-            data["objects"],
-            {a["id"]: (a["src"], a["tgt"]) for a in data["arrows"]},
-            {tuple(k.split("|")): v for k, v in data["comp"].items()},
-            data["identities"],
-            {u: [frozenset(s) for s in sieves] for u, sieves in data["covers"].items()},
-            check=False,
-        )
-        return {"file": path, "violations": site.validate()}
+        return {"file": path, "violations": jsonio.FiniteSite.from_json(data).validate()}
 
     reports = [one(path) for path in args.files]
     _emit({"reports": reports}, args)
@@ -534,7 +527,7 @@ def cmd_lift(args):
         }
     else:
         legs = {key: jsonio.nat_from_json(data[key]) for key in ("i", "top", "p", "bottom")}
-    problem = LiftingProblem(legs["i"], legs["top"], legs["p"], legs["bottom"])
+    problem = jsonio.check(LiftingProblem(legs["i"], legs["top"], legs["p"], legs["bottom"]))
     result = solve_lifting(problem, budget=args.budget)
     payload = {"outcome": result["outcome"], "search_nodes": result.get("search_nodes")}
     if result["outcome"] == "lift":

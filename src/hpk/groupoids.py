@@ -15,21 +15,17 @@ from math import prod
 from typing import NamedTuple
 
 from .groups import GroupTable
-from .sset import InsufficientDepth, TruncatedSimplicialSet, _UnionFind
+from .sset import InsufficientDepth, TruncatedSimplicialSet, _UnionFind, split_pair_key
 
 
 class FiniteGroupoid:
-    def __init__(self, objects, arrows, comp, identities, inverses, check=True):
+    def __init__(self, objects, arrows, comp, identities, inverses):
         self.objects = tuple(sorted(objects))
         self.arrows = {a: (s, t) for a, (s, t) in arrows.items()}
         self.comp = dict(comp)
         self.identities = dict(identities)
         self.inverses = dict(inverses)
         self.is_free = False
-        if check:
-            problems = self.validate()
-            if problems:
-                raise ValueError("invalid groupoid: " + "; ".join(problems[:3]))
 
     # protocol ------------------------------------------------------------
 
@@ -132,16 +128,10 @@ class FiniteGroupoid:
         }
 
     @classmethod
-    def from_json(cls, data, check=True):
+    def from_json(cls, data):
         arrows = {a["id"]: (a["src"], a["tgt"]) for a in data["arrows"]}
-        comp = {}
-        for key, h in data["comp"].items():
-            f, g = key.split("|")
-            comp[(f, g)] = h
-        return cls(
-            data["objects"], arrows, comp, data["identities"], data["inverses"],
-            check=check,
-        )
+        comp = {split_pair_key(key): h for key, h in data["comp"].items()}
+        return cls(data["objects"], arrows, comp, data["identities"], data["inverses"])
 
     # constructors ----------------------------------------------------------
 
@@ -334,15 +324,11 @@ def arrow_from_json(gpd, data):
 class GroupoidHom:
     """A functor between groupoids, given on arrows (finite) or generators (free)."""
 
-    def __init__(self, source, target, obj_map, arrow_map, check=True):
+    def __init__(self, source, target, obj_map, arrow_map):
         self.source = source
         self.target = target
         self.obj_map = dict(obj_map)
         self.arrow_map = dict(arrow_map)
-        if check:
-            problems = self.validate()
-            if problems:
-                raise ValueError("invalid groupoid map: " + "; ".join(problems[:3]))
 
     def __call__(self, arrow):
         if self.source.is_free:
@@ -404,7 +390,7 @@ class GroupoidHom:
             arrow_map = {g: gpd.gen(g) for g in gpd.generators}
         else:
             arrow_map = {a: a for a in gpd.arrows}
-        return cls(gpd, gpd, obj_map, arrow_map, check=False)
+        return cls(gpd, gpd, obj_map, arrow_map)
 
     def compose_with(self, other):
         """self after other."""
@@ -413,7 +399,7 @@ class GroupoidHom:
             arrow_map = {g: self(other.arrow_map[g]) for g in other.arrow_map}
         else:
             arrow_map = {a: self(other.arrow_map[a]) for a in other.arrow_map}
-        return GroupoidHom(other.source, self.target, obj_map, arrow_map, check=False)
+        return GroupoidHom(other.source, self.target, obj_map, arrow_map)
 
     def probe_arrows(self):
         """Arrows on which equality of maps out of the source may be tested."""
@@ -433,18 +419,12 @@ class GroupoidHom:
 class SimplicialGroupoid:
     """Levelwise groupoids on a shared object set with simplicial operators."""
 
-    def __init__(self, objects, levels, faces, degeneracies, check=True):
+    def __init__(self, objects, levels, faces, degeneracies):
         self.objects = tuple(sorted(objects))
         self.levels = list(levels)
         self.depth = len(self.levels) - 1
         self.faces = dict(faces)
         self.degeneracies = dict(degeneracies)
-        if check:
-            problems = self.validate()
-            if problems:
-                raise ValueError(
-                    "invalid simplicial groupoid: " + "; ".join(problems[:3])
-                )
 
     def level(self, n):
         if not 0 <= n <= self.depth:
@@ -544,11 +524,11 @@ class SimplicialGroupoid:
         return a
 
     @classmethod
-    def from_json(cls, data, check=True):
+    def from_json(cls, data):
         levels = [
             FreeGroupoid.from_json(g)
             if g.get("free")
-            else FiniteGroupoid.from_json(g, check=check)
+            else FiniteGroupoid.from_json(g)
             for g in data["levels"]
         ]
 
@@ -557,34 +537,26 @@ class SimplicialGroupoid:
             n, i = (int(v) for v in key.split(","))
             src, tgt = levels[n], levels[n - 1]
             arrow_map = {a: arrow_from_json(tgt, v) for a, v in table.items()}
-            faces[(n, i)] = GroupoidHom(
-                src, tgt, {o: o for o in data["objects"]}, arrow_map, check=check
-            )
+            faces[(n, i)] = GroupoidHom(src, tgt, {o: o for o in data["objects"]}, arrow_map)
         degeneracies = {}
         for key, table in data["degeneracies"].items():
             n, i = (int(v) for v in key.split(","))
             src, tgt = levels[n], levels[n + 1]
             arrow_map = {a: arrow_from_json(tgt, v) for a, v in table.items()}
             degeneracies[(n, i)] = GroupoidHom(
-                src, tgt, {o: o for o in data["objects"]}, arrow_map, check=check
+                src, tgt, {o: o for o in data["objects"]}, arrow_map
             )
-        return cls(data["objects"], levels, faces, degeneracies, check=check)
+        return cls(data["objects"], levels, faces, degeneracies)
 
 
 class SimplicialGroupoidMap:
     """A levelwise functor commuting with the simplicial operators."""
 
-    def __init__(self, source, target, obj_map, level_homs, check=True):
+    def __init__(self, source, target, obj_map, level_homs):
         self.source = source
         self.target = target
         self.obj_map = dict(obj_map)
         self.level_homs = list(level_homs)
-        if check:
-            problems = self.validate()
-            if problems:
-                raise ValueError(
-                    "invalid simplicial groupoid map: " + "; ".join(problems[:3])
-                )
 
     def level(self, n):
         return self.level_homs[n]
@@ -622,7 +594,6 @@ class SimplicialGroupoidMap:
             sgpd,
             {o: o for o in sgpd.objects},
             [GroupoidHom.identity(level) for level in sgpd.levels],
-            check=False,
         )
 
     def compose_with(self, other):
@@ -634,7 +605,6 @@ class SimplicialGroupoidMap:
                 self.level_homs[n].compose_with(other.level_homs[n])
                 for n in range(other.source.depth + 1)
             ],
-            check=False,
         )
 
     def equals(self, other):
@@ -657,7 +627,7 @@ def disjoint_union_sgpd(a, b, tags=("a", "b")):
         identities = {f"{tag}:{o}": f"{tag}:{e}" for o, e in gpd.identities.items()}
         inverses = {f"{tag}:{f}": f"{tag}:{g}" for f, g in gpd.inverses.items()}
         objects = [f"{tag}:{o}" for o in gpd.objects]
-        return FiniteGroupoid(objects, arrows, comp, identities, inverses, check=False)
+        return FiniteGroupoid(objects, arrows, comp, identities, inverses)
 
     levels = []
     for n in range(a.depth + 1):
@@ -668,7 +638,6 @@ def disjoint_union_sgpd(a, b, tags=("a", "b")):
             {**ga.comp, **gb.comp},
             {**ga.identities, **gb.identities},
             {**ga.inverses, **gb.inverses},
-            check=False,
         )
         levels.append(merged)
 
@@ -682,7 +651,7 @@ def disjoint_union_sgpd(a, b, tags=("a", "b")):
             arrow_map[f"{ta}:{f}"] = f"{ta}:{table_a.arrow_map[f]}"
         for f in table_b.arrow_map:
             arrow_map[f"{tb}:{f}"] = f"{tb}:{table_b.arrow_map[f]}"
-        return GroupoidHom(src, tgt, {o: o for o in src.objects}, arrow_map, check=False)
+        return GroupoidHom(src, tgt, {o: o for o in src.objects}, arrow_map)
 
     faces = {key: merge_hom(key, -1) for key in a.faces}
     degeneracies = {key: merge_hom(key, +1) for key in a.degeneracies}
@@ -768,21 +737,17 @@ def hom_simplicial_group(sgpd, x):
         levels.append(
             FiniteGroupoid([x], arrows, comp, {x: gpd.identities[x]}, {
                 a: gpd.inverses[a] for a in loops
-            }, check=False)
+            })
         )
     faces = {}
     degeneracies = {}
     for (n, i), hom in sgpd.faces.items():
         arrow_map = {a: hom(a) for a in levels[n].arrows}
-        faces[(n, i)] = GroupoidHom(
-            levels[n], levels[n - 1], {x: x}, arrow_map, check=False
-        )
+        faces[(n, i)] = GroupoidHom(levels[n], levels[n - 1], {x: x}, arrow_map)
     for (n, i), hom in sgpd.degeneracies.items():
         arrow_map = {a: hom(a) for a in levels[n].arrows}
-        degeneracies[(n, i)] = GroupoidHom(
-            levels[n], levels[n + 1], {x: x}, arrow_map, check=False
-        )
-    return SimplicialGroupoid([x], levels, faces, degeneracies, check=False)
+        degeneracies[(n, i)] = GroupoidHom(levels[n], levels[n + 1], {x: x}, arrow_map)
+    return SimplicialGroupoid([x], levels, faces, degeneracies)
 
 
 def moore_pi_n_with_classes(sgpd, n):
@@ -988,7 +953,7 @@ def dold_kan(chain, depth):
         level_names.append(names)
         level_tables.append(table)
         level_groupoids.append(
-            FiniteGroupoid([obj], arrows, comp, {obj: names[0]}, inverses, check=False)
+            FiniteGroupoid([obj], arrows, comp, {obj: names[0]}, inverses)
         )
 
     def transfer(n, out_level, mapping_index):
@@ -1020,7 +985,7 @@ def dold_kan(chain, depth):
         names_out = level_names[out_level]
         arrow_map = {name: names_out[i] for name, i in zip(level_names[n], images)}
         src_gpd, tgt_gpd = level_groupoids[n], level_groupoids[out_level]
-        return GroupoidHom(src_gpd, tgt_gpd, {obj: obj}, arrow_map, check=False)
+        return GroupoidHom(src_gpd, tgt_gpd, {obj: obj}, arrow_map)
 
     faces = {}
     degeneracies = {}

@@ -11,6 +11,7 @@ questions about presentations are answered by bounded methods that may return
 from itertools import combinations, product
 
 from .budgets import Meter
+from .sset import split_pair_key
 
 
 class GroupTable:
@@ -19,18 +20,15 @@ class GroupTable:
     ``mult[(a, b)]`` is the product a*b.  Elements are strings.
     """
 
-    def __init__(self, elements, mult, identity, check=True):
+    def __init__(self, elements, mult, identity):
         self.elements = tuple(sorted(elements))
         self.mult = dict(mult)
         self.identity = identity
-        if check:
-            problems = self.validate()
-            if problems:
-                raise ValueError("not a group: " + "; ".join(problems[:3]))
+        # a missing product is for validate() to report, not a KeyError here
         self.inverse = {}
         for a in self.elements:
             for b in self.elements:
-                if self.mult[(a, b)] == self.identity:
+                if self.mult.get((a, b)) == self.identity:
                     self.inverse[a] = b
                     break
 
@@ -198,10 +196,7 @@ class GroupTable:
 
     @classmethod
     def from_json(cls, data):
-        mult = {}
-        for key, c in data["mult"].items():
-            a, b = key.split("|")
-            mult[(a, b)] = c
+        mult = {split_pair_key(key): c for key, c in data["mult"].items()}
         return cls(data["elements"], mult, data["identity"])
 
     @classmethod

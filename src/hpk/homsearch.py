@@ -136,7 +136,7 @@ def enumerate_simplicial_maps(source, target, meter=None):
         raise ValueError("source and target must have equal depth")
     rule = simplicial_rule({None: (source, target)})
     for assigned in level_search(source.depth, rule, meter):
-        yield SimplicialMap(source, target, section_maps(assigned, None, source), check=False)
+        yield SimplicialMap(source, target, section_maps(assigned, None, source))
 
 
 def count_simplicial_maps(source, target, meter=None):

@@ -3,6 +3,12 @@
 The simplicial-set and site formats are fixed; maps and presheaves carry
 their endpoints inline so a single file is self-contained.  Kinds are
 inferred from the key shape where unambiguous.
+
+This is where hpk checks its input.  Constructors only store their data; every
+reader here runs ``validate()`` on each object it builds, parts before the
+objects built from them, and rejects the first invalid one with
+``ValueError("invalid <what>: ...")``.  Chain documents are the exception:
+``AbelianHom`` and ``ChainFixture`` check themselves on construction.
 """
 
 from .abelian import AbelianHom, ChainFixture, FiniteAbelianGroup
@@ -16,26 +22,81 @@ from .groupoids import (
     arrow_from_json,
     arrow_to_json,
 )
+from .lifting import LiftingProblem
 from .presheaves import NaturalTransformation, Presheaf
 from .sites import FiniteSite
 from .sset import SimplicialMap, TruncatedSimplicialSet
 from .two_groupoids import TwoFunctor, TwoGroupoid
 
 
+# the start of the error a failed law check raises, by the class checked
+_INVALID = {
+    TruncatedSimplicialSet: "invalid simplicial set",
+    SimplicialMap: "invalid simplicial map",
+    FiniteGroupoid: "invalid groupoid",
+    GroupoidHom: "invalid groupoid map",
+    SimplicialGroupoid: "invalid simplicial groupoid",
+    SimplicialGroupoidMap: "invalid simplicial groupoid map",
+    GroupTable: "not a group",
+    TwoGroupoid: "invalid 2-groupoid",
+    TwoFunctor: "invalid 2-functor",
+    FiniteSite: "invalid site",
+    Presheaf: "invalid presheaf",
+    NaturalTransformation: "invalid natural transformation",
+    LiftingProblem: "invalid lifting problem",
+}
+
+
+def check(obj):
+    """``obj`` if ``obj.validate()`` finds nothing; else a ValueError naming
+    the first three violations.  Objects without a law check pass as they are."""
+    what = _INVALID.get(type(obj))
+    if what is not None:
+        problems = obj.validate()
+        if problems:
+            raise ValueError(f"{what}: " + "; ".join(problems[:3]))
+    return obj
+
+
+def _parts(obj):
+    """The objects ``obj`` is built from, in the order its document lists them."""
+    if isinstance(obj, SimplicialGroupoid):
+        return [*obj.levels, *obj.faces.values(), *obj.degeneracies.values()]
+    if isinstance(obj, SimplicialGroupoidMap):
+        return [obj.source, obj.target, *obj.level_homs]
+    if isinstance(obj, (SimplicialMap, TwoFunctor)):
+        return [obj.source, obj.target]
+    if isinstance(obj, Presheaf):
+        return [obj.site, *obj.values.values(), *obj.restrictions.values()]
+    if isinstance(obj, NaturalTransformation):
+        return [obj.source, obj.target, *obj.components.values()]
+    return []
+
+
+def check_parts(obj):
+    """Check, once each, every object ``obj`` is built from, inner ones first."""
+    seen = set()
+
+    def walk(x):
+        for part in _parts(x):
+            if id(part) not in seen:
+                seen.add(id(part))
+                walk(part)
+                check(part)
+
+    walk(obj)
+    return obj
+
+
+def checked(obj):
+    """``obj`` once it and everything it is built from pass their law checks."""
+    return check(check_parts(obj))
+
+
 def load_object_unchecked(data):
-    """Load without running validation (for the validate command itself)."""
+    """(kind, object) of a document, parsed without any law check."""
     kind = detect_kind(data)
-    if kind == "sset":
-        return kind, TruncatedSimplicialSet.from_json(data, check=False)
-    if kind == "sgpd":
-        return kind, SimplicialGroupoid.from_json(data, check=False)
-    if kind == "groupoid":
-        return kind, FiniteGroupoid.from_json(data, check=False)
-    if kind == "2gpd":
-        return kind, TwoGroupoid.from_json(data, check=False)
-    if kind == "presheaf":
-        return kind, presheaf_from_json(data, check=False)
-    return load_object(data)
+    return kind, LOADERS[kind](data)
 
 
 def detect_kind(data):
@@ -59,27 +120,15 @@ def detect_kind(data):
         return "presheaf"
     if "groups" in data and "boundaries" in data:
         return "chain"
-    if "moduli" in data:
-        return "abelian"
     if "elements" in data and "mult" in data:
         return "group"
     raise ValueError("could not infer the kind of the JSON object")
 
 
 def load_object(data):
-    kind = detect_kind(data)
-    loaders = {
-        "site": FiniteSite.from_json,
-        "2gpd": TwoGroupoid.from_json,
-        "sset": TruncatedSimplicialSet.from_json,
-        "sgpd": SimplicialGroupoid.from_json,
-        "groupoid": FiniteGroupoid.from_json,
-        "free_groupoid": FreeGroupoid.from_json,
-        "presheaf": presheaf_from_json,
-        "chain": chain_from_json,
-        "group": GroupTable.from_json,
-    }
-    return kind, loaders[kind](data)
+    """(kind, object) of a document whose objects all pass their law checks."""
+    kind, obj = load_object_unchecked(data)
+    return kind, checked(obj)
 
 
 # -- chains ----------------------------------------------------------------------
@@ -130,7 +179,7 @@ def smap_to_json(smap):
 def smap_from_json(data):
     source = TruncatedSimplicialSet.from_json(data["source"])
     target = TruncatedSimplicialSet.from_json(data["target"])
-    return SimplicialMap(source, target, data["levels"])
+    return checked(SimplicialMap(source, target, data["levels"]))
 
 
 def sgpd_map_to_json(sg_map):
@@ -151,20 +200,6 @@ def sgpd_map_to_json(sg_map):
     }
 
 
-def sgpd_map_from_json(data):
-    source = SimplicialGroupoid.from_json(data["source"])
-    target = SimplicialGroupoid.from_json(data["target"])
-    level_homs = []
-    for n, table in enumerate(data["levels"]):
-        arrow_map = {
-            key: arrow_from_json(target.levels[n], value) for key, value in table.items()
-        }
-        level_homs.append(
-            GroupoidHom(source.levels[n], target.levels[n], data["obj_map"], arrow_map)
-        )
-    return SimplicialGroupoidMap(source, target, data["obj_map"], level_homs)
-
-
 def functor2_to_json(func):
     return {
         "map": "2gpd",
@@ -177,12 +212,14 @@ def functor2_to_json(func):
 
 
 def functor2_from_json(data):
-    return TwoFunctor(
-        TwoGroupoid.from_json(data["source"]),
-        TwoGroupoid.from_json(data["target"]),
-        data["objects"],
-        data["map1"],
-        data["map2"],
+    return checked(
+        TwoFunctor(
+            TwoGroupoid.from_json(data["source"]),
+            TwoGroupoid.from_json(data["target"]),
+            data["objects"],
+            data["map1"],
+            data["map2"],
+        )
     )
 
 
@@ -280,7 +317,7 @@ def presheaf_to_json(presheaf):
     }
 
 
-def presheaf_from_json(data, check=True):
+def _presheaf(data):
     site = FiniteSite.from_json(data["site"])
     domain = data["domain"]
     values = {u: _value_from_json(domain, v) for u, v in data["values"].items()}
@@ -288,7 +325,11 @@ def presheaf_from_json(data, check=True):
     for a, m in data["restrictions"].items():
         v, u = site.arrows[a]
         restrictions[a] = _morphism_from_json(domain, m, values[u], values[v])
-    return Presheaf(site, domain, values, restrictions, check=check)
+    return Presheaf(site, domain, values, restrictions)
+
+
+def presheaf_from_json(data):
+    return checked(_presheaf(data))
 
 
 def nat_to_json(nat):
@@ -310,12 +351,26 @@ def nat_to_json(nat):
 
 
 def nat_from_json(data):
-    source = presheaf_from_json(data["source"])
-    target = presheaf_from_json(data["target"])
+    source = _presheaf(data["source"])
+    target = _presheaf(data["target"])
     components = {
         u: _morphism_from_json(
             data["domain"], m, source.values[u], target.values[u]
         )
         for u, m in data["components"].items()
     }
-    return NaturalTransformation(source, target, components)
+    return checked(NaturalTransformation(source, target, components))
+
+
+# the parser of each kind, for load_object_unchecked (chains check themselves)
+LOADERS = {
+    "site": FiniteSite.from_json,
+    "2gpd": TwoGroupoid.from_json,
+    "sset": TruncatedSimplicialSet.from_json,
+    "sgpd": SimplicialGroupoid.from_json,
+    "groupoid": FiniteGroupoid.from_json,
+    "free_groupoid": FreeGroupoid.from_json,
+    "presheaf": _presheaf,
+    "chain": chain_from_json,
+    "group": GroupTable.from_json,
+}

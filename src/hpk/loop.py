@@ -79,14 +79,14 @@ def loop_groupoid(sset, depth):
                     a = gen_arrow(tgt, n, sset.face(n + 1, 1, x))
                     b = gen_arrow(tgt, n, sset.face(n + 1, 0, x))
                     arrow_map[x] = tgt.compose(a, tgt.inv(b))
-            faces[(n, i)] = GroupoidHom(src, tgt, obj_id, arrow_map, check=False)
+            faces[(n, i)] = GroupoidHom(src, tgt, obj_id, arrow_map)
     for n in range(0, depth):
         src, tgt = levels[n], levels[n + 1]
         for i in range(n + 1):
             arrow_map = {}
             for x in src.generators:
                 arrow_map[x] = gen_arrow(tgt, n + 2, sset.degeneracy(n + 1, i + 1, x))
-            degeneracies[(n, i)] = GroupoidHom(src, tgt, obj_id, arrow_map, check=False)
+            degeneracies[(n, i)] = GroupoidHom(src, tgt, obj_id, arrow_map)
     return SimplicialGroupoid(objects, levels, faces, degeneracies)
 
 
@@ -105,7 +105,7 @@ def loop_of_map(smap, source_loop, target_loop):
                 arrow_map[x] = tgt.identity(tgt_sset.vertex(n + 1, y, 0))
             else:
                 arrow_map[x] = tgt.gen(y)
-        level_homs.append(GroupoidHom(src, tgt, obj_map, arrow_map, check=False))
+        level_homs.append(GroupoidHom(src, tgt, obj_map, arrow_map))
     return SimplicialGroupoidMap(source_loop, target_loop, obj_map, level_homs)
 
 
@@ -127,7 +127,7 @@ def finitize_discrete(sgpd):
     def convert(hom, n, offset):
         src, tgt = levels[n], levels[n + offset]
         arrow_map = {a: tgt.identity(src.arrows[a][0]) for a in src.arrows}
-        return GroupoidHom(src, tgt, hom.obj_map, arrow_map, check=False)
+        return GroupoidHom(src, tgt, hom.obj_map, arrow_map)
 
     faces = {(n, i): convert(h, n, -1) for (n, i), h in sgpd.faces.items()}
     degeneracies = {(n, i): convert(h, n, 1) for (n, i), h in sgpd.degeneracies.items()}
@@ -417,7 +417,7 @@ def transpose_to_sgpd(smap, loop_sgpd, target_sgpd, wbar_result):
         for x in src.generators:
             image_string = wbar_result.strings[smap(n + 1, x)]
             arrow_map[x] = image_string[0]
-        level_homs.append(GroupoidHom(src, tgt, obj_map, arrow_map, check=False))
+        level_homs.append(GroupoidHom(src, tgt, obj_map, arrow_map))
     return SimplicialGroupoidMap(loop_sgpd, target_sgpd, obj_map, level_homs)
 
 
@@ -433,7 +433,7 @@ def counit(sgpd, depth):
     for n in range(depth + 1):
         src, tgt = gw.levels[n], sgpd.levels[n]
         arrow_map = {w: wb.strings[w][0] for w in src.generators}
-        level_homs.append(GroupoidHom(src, tgt, obj_map, arrow_map, check=False))
+        level_homs.append(GroupoidHom(src, tgt, obj_map, arrow_map))
     eps = SimplicialGroupoidMap(gw, sgpd, obj_map, level_homs)
     return eps, gw, wb
 
@@ -554,11 +554,10 @@ def enumerate_sgpd_maps(loop_sgpd, sset, target, meter=None):
             assigned[0],
             [
                 GroupoidHom(
-                    loop_sgpd.levels[m], target.levels[m], assigned[0], assigned[m + 1], check=False
+                    loop_sgpd.levels[m], target.levels[m], assigned[0], assigned[m + 1]
                 )
                 for m in range(depth + 1)
             ],
-            check=False,
         )
         for assigned in level_search(depth + 1, rule, meter)
     ]

@@ -96,7 +96,7 @@ def pullback_sgpd(p_map, g_map):
             a: pair_id((op_y(homs_y[n].arrow_map[a]), op_z(homs_z[n].arrow_map[a])))
             for a in src.arrows
         }
-        return GroupoidHom(src, tgt, {o: o for o in src.objects}, arrow_map, check=False)
+        return GroupoidHom(src, tgt, {o: o for o in src.objects}, arrow_map)
 
     faces = {
         (n, i): induced(y.face(n, i), z.face(n, i), n, -1) for (n, i) in y.faces
@@ -258,9 +258,7 @@ def pushout_free_sgpd(f_map, g_map):
             home = b if tag == "b" else c
             image = home.faces[(n, i)](home.levels[n].gen(g))
             arrow_map[name] = transport_word(n - 1, tag, image)
-        faces[(n, i)] = GroupoidHom(
-            src, tgt, {o: o for o in objects}, arrow_map, check=False
-        )
+        faces[(n, i)] = GroupoidHom(src, tgt, {o: o for o in objects}, arrow_map)
     for (n, i) in b.degeneracies:
         src, tgt = levels[n], levels[n + 1]
         arrow_map = {}
@@ -269,9 +267,7 @@ def pushout_free_sgpd(f_map, g_map):
             home = b if tag == "b" else c
             image = home.degeneracies[(n, i)](home.levels[n].gen(g))
             arrow_map[name] = transport_word(n + 1, tag, image)
-        degeneracies[(n, i)] = GroupoidHom(
-            src, tgt, {o: o for o in objects}, arrow_map, check=False
-        )
+        degeneracies[(n, i)] = GroupoidHom(src, tgt, {o: o for o in objects}, arrow_map)
     total = SimplicialGroupoid(objects, levels, faces, degeneracies)
 
     def leg(home, tag):
@@ -287,7 +283,6 @@ def pushout_free_sgpd(f_map, g_map):
                     levels[n],
                     {o: obj_name[(tag, o)] for o in home.objects},
                     arrow_map,
-                    check=False,
                 )
             )
         return SimplicialGroupoidMap(

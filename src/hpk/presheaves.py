@@ -165,18 +165,12 @@ class Presented2Map:
     simplicial map, which is the only way these morphisms arise here.
     """
 
-    def __init__(self, source, target, obj_map, map1, map2, check=True):
+    def __init__(self, source, target, obj_map, map1, map2):
         self.source = source
         self.target = target
         self.obj_map = dict(obj_map)
         self.map1 = {g: tuple(w) for g, w in map1.items()}
         self.map2 = dict(map2)
-        if check:
-            problems = self.validate()
-            if problems:
-                raise ValueError(
-                    "invalid presented 2-groupoid map: " + "; ".join(problems[:3])
-                )
 
     def word_image(self, word):
         out = []
@@ -228,7 +222,6 @@ class Presented2Map:
             {o: self.obj_map[v] for o, v in other.obj_map.items()},
             map1,
             map2,
-            check=False,
         )
 
     def equals(self, other):
@@ -254,7 +247,6 @@ class _Presented2Ops:
             {o: o for o in value.objects},
             {g: ((g, 1),) for g in value.gens1},
             {a: a for a in value.gens2},
-            check=False,
         )
 
     @staticmethod
@@ -278,16 +270,12 @@ class Presheaf:
     ``restrictions[a]`` for an arrow a: V -> U is the map F(U) -> F(V).
     """
 
-    def __init__(self, site, domain, values, restrictions, check=True):
+    def __init__(self, site, domain, values, restrictions):
         self.site = site
         self.domain = domain
         self.ops = DOMAINS[domain]
         self.values = dict(values)
         self.restrictions = dict(restrictions)
-        if check:
-            problems = self.validate()
-            if problems:
-                raise ValueError("invalid presheaf: " + "; ".join(problems[:3]))
 
     def value(self, obj):
         return self.values[obj]
@@ -326,16 +314,10 @@ class Presheaf:
 
 
 class NaturalTransformation:
-    def __init__(self, source, target, components, check=True):
+    def __init__(self, source, target, components):
         self.source = source
         self.target = target
         self.components = dict(components)
-        if check:
-            problems = self.validate()
-            if problems:
-                raise ValueError(
-                    "invalid natural transformation: " + "; ".join(problems[:3])
-                )
 
     def component(self, obj):
         return self.components[obj]
@@ -570,7 +552,7 @@ def presheaves_isomorphic(f, g, budget=None):
         for combo in product(*candidate_lists):
             meter.tick()
             components = dict(zip(objects, combo))
-            nat = NaturalTransformation(f, g, components, check=False)
+            nat = NaturalTransformation(f, g, components)
             if not nat.validate():
                 return True
     except BudgetExceeded:
@@ -1007,6 +989,6 @@ def _finitize_map(sg_map, fin_source, fin_target):
             a: tgt.identity(sg_map.obj_map[src.arrows[a][0]]) for a in src.arrows
         }
         level_homs.append(
-            GroupoidHom(src, tgt, sg_map.obj_map, arrow_map, check=False)
+            GroupoidHom(src, tgt, sg_map.obj_map, arrow_map)
         )
     return SimplicialGroupoidMap(fin_source, fin_target, sg_map.obj_map, level_homs)

@@ -2,25 +2,24 @@
 
 A sieve on U is stored extensionally as a frozenset of arrow ids with target
 U, closed under precomposition.  The stored coverage is the complete set of
-covering sieves (small sites have few sieves); ``validate_site`` checks the
-maximal-sieve, pullback-stability and local-character axioms by enumeration
-over all sieves.
+covering sieves (small sites have few sieves); ``FiniteSite.validate``
+checks the category laws and the maximal-sieve, pullback-stability and
+local-character axioms by enumeration over all sieves.  The constructor does
+not run it.
 """
 
 from itertools import combinations
 
+from .sset import split_pair_key
+
 
 class FiniteSite:
-    def __init__(self, objects, arrows, comp, identities, covers, check=True):
+    def __init__(self, objects, arrows, comp, identities, covers):
         self.objects = tuple(sorted(objects))
         self.arrows = {a: (s, t) for a, (s, t) in arrows.items()}
         self.comp = dict(comp)
         self.identities = dict(identities)
         self.covers = {u: [frozenset(s) for s in sieves] for u, sieves in covers.items()}
-        if check:
-            problems = self.validate()
-            if problems:
-                raise ValueError("invalid site: " + "; ".join(problems[:3]))
 
     # -- category structure ---------------------------------------------------
 
@@ -195,14 +194,10 @@ class FiniteSite:
 
     @classmethod
     def from_json(cls, data):
-        comp = {}
-        for key, h in data["comp"].items():
-            f, g = key.split("|")
-            comp[(f, g)] = h
         return cls(
             data["objects"],
             {a["id"]: (a["src"], a["tgt"]) for a in data["arrows"]},
-            comp,
+            {split_pair_key(key): h for key, h in data["comp"].items()},
             data["identities"],
             {u: [frozenset(s) for s in sieves] for u, sieves in data["covers"].items()},
         )
@@ -211,7 +206,7 @@ class FiniteSite:
 
     @classmethod
     def trivial_topology(cls, objects, arrows, comp, identities):
-        site = cls(objects, arrows, comp, identities, {}, check=False)
+        site = cls(objects, arrows, comp, identities, {})
         covers = {u: [site.maximal_sieve(u)] for u in site.objects}
         return cls(objects, arrows, comp, identities, covers)
 

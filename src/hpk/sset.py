@@ -2,10 +2,10 @@
 
 A :class:`TruncatedSimplicialSet` stores every simplex explicitly per level,
 including degenerate ones, together with total face and degeneracy tables.
-``validate`` checks the five simplicial identity families wherever both sides
-are defined within the truncation depth; any operation that needs more depth
-than it was given raises :class:`InsufficientDepth` rather than
-approximating.
+Constructors store their tables unchecked; ``validate`` checks the five
+simplicial identity families wherever both sides are defined within the
+truncation depth.  Any operation that needs more depth than it was given
+raises :class:`InsufficientDepth` rather than approximating.
 """
 
 from itertools import combinations_with_replacement
@@ -16,7 +16,7 @@ class InsufficientDepth(ValueError):
 
 
 class TruncatedSimplicialSet:
-    def __init__(self, depth, levels, faces, degeneracies, check=True):
+    def __init__(self, depth, levels, faces, degeneracies):
         if not isinstance(depth, int) or isinstance(depth, bool) or depth < 0:
             raise ValueError(f"depth must be a non-negative integer, got {depth!r}")
         self.depth = depth
@@ -25,10 +25,6 @@ class TruncatedSimplicialSet:
         self.degeneracies = {key: dict(table) for key, table in degeneracies.items()}
         if len(self.levels) != depth + 1:
             raise ValueError(f"expected {depth + 1} levels, got {len(self.levels)}")
-        if check:
-            problems = self.validate()
-            if problems:
-                raise ValueError("invalid simplicial set: " + "; ".join(problems[:3]))
 
     # -- basic access -----------------------------------------------------
 
@@ -219,7 +215,7 @@ class TruncatedSimplicialSet:
         }
 
     @classmethod
-    def from_json(cls, data, check=True):
+    def from_json(cls, data):
         faces = {}
         for key, table in data["faces"].items():
             n, i = key.split(",")
@@ -228,7 +224,7 @@ class TruncatedSimplicialSet:
         for key, table in data["degeneracies"].items():
             n, i = key.split(",")
             degeneracies[(int(n), int(i))] = table
-        return cls(data["depth"], data["levels"], faces, degeneracies, check=check)
+        return cls(data["depth"], data["levels"], faces, degeneracies)
 
     def __repr__(self):
         return f"TruncatedSimplicialSet(depth={self.depth}, sizes={self.level_sizes()})"
@@ -237,16 +233,12 @@ class TruncatedSimplicialSet:
 class SimplicialMap:
     """A levelwise map of truncated simplicial sets of equal depth."""
 
-    def __init__(self, source, target, level_maps, check=True):
+    def __init__(self, source, target, level_maps):
         if source.depth != target.depth:
             raise ValueError("source and target must have equal depth")
         self.source = source
         self.target = target
         self.level_maps = [dict(m) for m in level_maps]
-        if check:
-            problems = self.validate()
-            if problems:
-                raise ValueError("invalid simplicial map: " + "; ".join(problems[:3]))
 
     def __call__(self, n, x):
         return self.level_maps[n][x]
@@ -594,6 +586,14 @@ def pushout(f, g):
 def pair_id(p):
     """The id of an element (b, c) of a pullback."""
     return f"({p[0]}&{p[1]})"
+
+
+def split_pair_key(key):
+    """The two ids of a key ``"a|b"`` of a JSON product or composition table."""
+    parts = key.split("|")
+    if len(parts) != 2:
+        raise ValueError(f"table key {key!r} is not two ids joined by '|'")
+    return tuple(parts)
 
 
 def pullback(f, g):

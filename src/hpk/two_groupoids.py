@@ -7,24 +7,11 @@ and b framed over y -> z, giving a 2-cell over x -> z.
 """
 
 from .groups import GroupTable
-from .sset import TruncatedSimplicialSet, _UnionFind, compatible_tuples
+from .sset import TruncatedSimplicialSet, _UnionFind, compatible_tuples, split_pair_key
 
 
 class TwoGroupoid:
-    def __init__(
-        self,
-        objects,
-        cells1,
-        comp1,
-        id1,
-        inv1,
-        cells2,
-        vcomp,
-        hcomp,
-        id2,
-        vinv,
-        check=True,
-    ):
+    def __init__(self, objects, cells1, comp1, id1, inv1, cells2, vcomp, hcomp, id2, vinv):
         self.objects = tuple(sorted(objects))
         self.cells1 = dict(cells1)  # id -> (src obj, tgt obj)
         self.comp1 = dict(comp1)
@@ -35,10 +22,6 @@ class TwoGroupoid:
         self.hcomp = dict(hcomp)
         self.id2 = dict(id2)
         self.vinv = dict(vinv)
-        if check:
-            problems = self.validate()
-            if problems:
-                raise ValueError("invalid 2-groupoid: " + "; ".join(problems[:3]))
 
     # -- access -------------------------------------------------------------
 
@@ -328,13 +311,9 @@ class TwoGroupoid:
         }
 
     @classmethod
-    def from_json(cls, data, check=True):
+    def from_json(cls, data):
         def unpack(pairs):
-            out = {}
-            for key, v in pairs.items():
-                x, y = key.split("|")
-                out[(x, y)] = v
-            return out
+            return {split_pair_key(key): v for key, v in pairs.items()}
 
         return cls(
             data["objects"],
@@ -347,7 +326,6 @@ class TwoGroupoid:
             unpack(data["hcomp"]),
             data["id2"],
             data["vinv"],
-            check=check,
         )
 
 
@@ -358,16 +336,12 @@ def validate_2gpd(k):
 class TwoFunctor:
     """A strict functor of 2-groupoids."""
 
-    def __init__(self, source, target, obj_map, map1, map2, check=True):
+    def __init__(self, source, target, obj_map, map1, map2):
         self.source = source
         self.target = target
         self.obj_map = dict(obj_map)
         self.map1 = dict(map1)
         self.map2 = dict(map2)
-        if check:
-            problems = self.validate()
-            if problems:
-                raise ValueError("invalid 2-functor: " + "; ".join(problems[:3]))
 
     def validate(self):
         problems = []
@@ -414,7 +388,6 @@ class TwoFunctor:
             {o: o for o in k.objects},
             {f: f for f in k.cells1},
             {a: a for a in k.cells2},
-            check=False,
         )
 
     def compose_with(self, other):
@@ -425,7 +398,6 @@ class TwoFunctor:
             {o: self.obj_map[v] for o, v in other.obj_map.items()},
             {f: self.map1[v] for f, v in other.map1.items()},
             {a: self.map2[v] for a, v in other.map2.items()},
-            check=False,
         )
 
     def equals(self, other):

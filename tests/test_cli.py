@@ -553,3 +553,262 @@ def test_site_validate_failure_exit(tmp_path, capsys):
     path = write(tmp_path, "bad_site.json", data)
     code, out = run(capsys, "site-validate", path)
     assert code == 1
+
+
+# -- the JSON boundary ---------------------------------------------------------------
+
+
+def _gpd_z2():
+    return FiniteGroupoid.from_group(GroupTable.cyclic(2))
+
+
+def _bad_sset():
+    data = standard_complex("Delta", 2).to_json()
+    data["faces"]["2,0"]["0.1.2"] = "0.1"
+    return data
+
+
+def _bad_sgpd():
+    data = SimplicialGroupoid.constant(_gpd_z2(), 1).to_json()
+    data["faces"]["1,0"]["g1"] = "g0"
+    data["faces"]["1,1"]["g1"] = "g0"
+    data["degeneracies"]["0,0"]["g1"] = "g0"
+    return data
+
+
+def _bad_sgpd_level():
+    data = SimplicialGroupoid.constant(_gpd_z2(), 1).to_json()
+    data["levels"][1]["comp"]["g1|g1"] = "g1"
+    return data
+
+
+def _bad_groupoid():
+    data = _gpd_z2().to_json()
+    data["comp"]["g1|g1"] = "g1"
+    return data
+
+
+def _bad_2gpd():
+    from hpk.two_groupoids import TwoGroupoid
+
+    data = TwoGroupoid.one_object_with_pi2(GroupTable.cyclic(2)).to_json()
+    data["hcomp"]["g1|g1"] = "g1"
+    return data
+
+
+def _bad_site():
+    data = FiniteSite.two_object_site().to_json()
+    data["covers"]["V"] = []
+    return data
+
+
+def _bad_group():
+    data = GroupTable.cyclic(3).to_json()
+    data["mult"]["g1|g1"] = "g0"
+    return data
+
+
+def _set_presheaf(restriction_f):
+    return {
+        "site": FiniteSite.two_object_site().to_json(),
+        "domain": "set",
+        "values": {"U": ["a", "b"], "V": ["c", "d"]},
+        "restrictions": {
+            "idU": {"a": "a", "b": "b"},
+            "idV": {"c": "c", "d": "d"},
+            "f": restriction_f,
+        },
+    }
+
+
+def _bad_presheaf():
+    data = _set_presheaf({"a": "c", "b": "d"})
+    data["restrictions"]["idV"] = {"c": "d", "d": "c"}
+    return data
+
+
+def _bad_presheaf_value():
+    site = FiniteSite.point_site()
+    return {
+        "site": site.to_json(),
+        "domain": "sset",
+        "values": {"*": _bad_sset()},
+        "restrictions": {"id": identity_levels(standard_complex("Delta", 2))},
+    }
+
+
+def _bad_smap():
+    d1 = standard_complex("Delta", 1, depth=1)
+    data = jsonio.smap_to_json(SimplicialMap.identity(d1))
+    data["levels"][0]["0"] = "1"
+    return data
+
+
+def _bad_nat():
+    presheaf = _set_presheaf({"a": "c", "b": "d"})
+    return {
+        "nat": True,
+        "domain": "set",
+        "source": presheaf,
+        "target": presheaf,
+        "components": {"U": {"a": "a", "b": "b"}, "V": {"c": "d", "d": "c"}},
+    }
+
+
+def _bad_2functor():
+    from hpk.two_groupoids import TwoFunctor, TwoGroupoid
+
+    k = TwoGroupoid.one_object_with_pi2(GroupTable.cyclic(2))
+    data = jsonio.functor2_to_json(TwoFunctor.identity(k))
+    data["map2"]["g0"] = "g1"
+    return data
+
+
+def _bad_lift():
+    d1 = standard_complex("Delta", 1, depth=1)
+    pt = standard_complex("point", depth=1)
+    b1 = standard_complex("boundary", 1, depth=1)
+    include = SimplicialMap(b1, d1, [{x: x for x in lvl} for lvl in b1.levels])
+    ident = SimplicialMap.identity(d1)
+    to_0 = SimplicialMap(b1, d1, [{"0": "0", "1": "0"}, {"0.0": "0.0", "1.1": "0.0"}])
+    return {
+        "single": True,
+        "i": jsonio.smap_to_json(include),
+        "top": jsonio.smap_to_json(to_0),
+        "p": jsonio.smap_to_json(ident),
+        "bottom": jsonio.smap_to_json(ident),
+    }
+
+
+def _bad_transpose():
+    x = standard_complex("Delta", 1, depth=3)
+    a = SimplicialGroupoid.constant(FiniteGroupoid.interval(), 2)
+    return {
+        "direction": "to-sgpd",
+        "complex": x.to_json(),
+        "groupoid": a.to_json(),
+        "depth": 2,
+        "map": {"levels": [{s: s for s in level} for level in x.levels]},
+    }
+
+
+# one invalid document per kind the CLI reads: its builder, the command that
+# reads it, the exit code and the stderr recorded before constructors stopped
+# validating (None: the command reports the violations on stdout instead)
+INVALID_DOCUMENTS = {
+    "sset": (_bad_sset, ["pi0"], 2, "invalid simplicial set: "
+             "d_0 d_1 != d_0 d_0 at level 2 on 0.1.2; d_0 d_2 != d_1 d_0 at level 2 on 0.1.2"),
+    "sset_validate": (_bad_sset, ["validate"], 1, None),
+    "sgpd": (_bad_sgpd, ["moore", "-n", "0"], 2,
+             "invalid simplicial groupoid: d s != id at level 0, s_0"),
+    "sgpd_level": (_bad_sgpd_level, ["wbar", "--depth", "1"], 2,
+                   "invalid groupoid: f o f^-1 != id at g1; f^-1 o f != id at g1"),
+    "groupoid": (_bad_groupoid, ["pi0"], 2,
+                 "invalid groupoid: f o f^-1 != id at g1; f^-1 o f != id at g1"),
+    "2gpd": (_bad_2gpd, ["nerve", "--depth", "2"], 2, "invalid 2-groupoid: interchange law fails"),
+    "site": (_bad_site, ["comma", "--object", "U"], 2,
+             "invalid site: object V has no covering sieves"),
+    "group": (_bad_group, ["pi0"], 2, "not a group: associativity fails at (g1,g1,g2)"),
+    "group_validate": (_bad_group, ["validate"], 2,
+                       "not a group: associativity fails at (g1,g1,g2)"),
+    "presheaf": (_bad_presheaf, ["sheafify"], 2, "invalid presheaf: "
+                 "restriction along id_V is not the identity; functoriality fails at foidV; "
+                 "functoriality fails at idVoidV"),
+    "presheaf_value": (_bad_presheaf_value, ["sheafify"], 2, "invalid simplicial set: "
+                       "d_0 d_1 != d_0 d_0 at level 2 on 0.1.2; "
+                       "d_0 d_2 != d_1 d_0 at level 2 on 0.1.2"),
+    "presheaf_value_validate": (_bad_presheaf_value, ["validate"], 2, "invalid simplicial set: "
+                                "d_0 d_1 != d_0 d_0 at level 2 on 0.1.2; "
+                                "d_0 d_2 != d_1 d_0 at level 2 on 0.1.2"),
+    "smap": (_bad_smap, ["pushout"], 2, "invalid simplicial map: "
+             "does not commute with d_0 at level 1 on 0.0; "
+             "does not commute with d_1 at level 1 on 0.0; "
+             "does not commute with d_1 at level 1 on 0.1"),
+    "nat": (_bad_nat, ["weq", "--kind", "sgpd"], 2,
+            "invalid natural transformation: naturality fails at f"),
+    "2functor": (_bad_2functor, ["msweq"], 2,
+                 "invalid 2-functor: vertical composition not preserved"),
+    "lift": (_bad_lift, ["lift"], 2,
+             "invalid lifting problem: square does not commute at *, level 0"),
+    "transpose": (_bad_transpose, ["transpose"], 2,
+                  "invalid simplicial map: level 1 map escapes target"),
+}
+
+
+def run_on(tmp_path, capsys, name, document, argv):
+    path = write(tmp_path, f"{name}.json", document)
+    files = [path, path] if argv[0] == "pushout" else [path]
+    code = main([argv[0], *files, *argv[1:]])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("name", sorted(INVALID_DOCUMENTS))
+def test_boundary_rejects_invalid_documents(tmp_path, capsys, name):
+    build, argv, code, reason = INVALID_DOCUMENTS[name]
+    got, out, err = run_on(tmp_path, capsys, name, build(), argv)
+    assert got == code
+    if reason is None:
+        assert err == "" and json.loads(out)["reports"][0]["violations"]
+    else:
+        assert (out, err) == ("", f"input error: {reason}\n")
+
+
+def test_validate_rejects_a_simplicial_groupoid_with_an_invalid_level(tmp_path, capsys):
+    # the levels are read like any other input; only the whole is reported
+    code, out, err = run_on(tmp_path, capsys, "level", _bad_sgpd_level(), ["validate"])
+    assert (code, out) == (2, "")
+    assert err == "input error: invalid groupoid: f o f^-1 != id at g1; f^-1 o f != id at g1\n"
+
+
+@pytest.mark.parametrize("command", [["validate"], ["moore", "-n", "0"]])
+def test_a_bare_abelian_group_document_has_no_kind(tmp_path, capsys, command):
+    code, out, err = run_on(tmp_path, capsys, "moduli", {"moduli": [2]}, command)
+    assert (code, out) == (2, "")
+    assert err == "input error: could not infer the kind of the JSON object\n"
+
+
+def _pair_key_documents():
+    from hpk.two_groupoids import TwoGroupoid
+
+    k = TwoGroupoid.one_object_with_pi2(GroupTable.cyclic(2))
+    return {
+        "group": (GroupTable.cyclic(2).to_json(), "mult"),
+        "groupoid": (_gpd_z2().to_json(), "comp"),
+        "site": (FiniteSite.point_site().to_json(), "comp"),
+        "2gpd": (k.to_json(), "hcomp"),
+    }
+
+
+def _with_key(key_of, document, field):
+    """``document`` with the last key of its ``field`` table renamed by ``key_of``."""
+    table = document[field]
+    old = sorted(table)[-1]
+    new = key_of(old)
+    table[new] = table.pop(old)
+    return document, new
+
+
+PAIR_KEY_SHAPES = {
+    "one_part": lambda key: key.replace("|", ""),
+    "three_parts": lambda key: key + "|" + key.split("|")[0],
+}
+
+
+@pytest.mark.parametrize("shape", sorted(PAIR_KEY_SHAPES))
+@pytest.mark.parametrize("kind", ["group", "groupoid", "site", "2gpd"])
+def test_table_keys_must_join_two_ids(kind, shape):
+    document, field = _pair_key_documents()[kind]
+    document, key = _with_key(PAIR_KEY_SHAPES[shape], document, field)
+    with pytest.raises(ValueError) as exc:
+        jsonio.load_object_unchecked(document)
+    assert str(exc.value) == f"table key {key!r} is not two ids joined by '|'"
+
+
+@pytest.mark.parametrize("command", [["comma", "--object", "*"], ["site-validate"]])
+def test_site_commands_agree_on_a_malformed_table_key(tmp_path, capsys, command):
+    site = FiniteSite.point_site().to_json()
+    document, _ = _with_key(PAIR_KEY_SHAPES["three_parts"], site, "comp")
+    code, out, err = run_on(tmp_path, capsys, "site", document, command)
+    assert (code, out) == (2, "")
+    assert err == "input error: table key 'id|id|id' is not two ids joined by '|'\n"

@@ -279,7 +279,7 @@ def _reference_dold_kan(chain, depth):
             for e in elems
         }
         level_groupoids.append(
-            FiniteGroupoid([obj], arrows, comp, {obj: names[zero]}, neg, check=False)
+            FiniteGroupoid([obj], arrows, comp, {obj: names[zero]}, neg)
         )
 
     def transfer(n, out_level, mapping_index):
@@ -313,7 +313,7 @@ def _reference_dold_kan(chain, depth):
         names_in = {e: name_at(n, e) for e in level_elements[n]}
         names_out = {e: name_at(out_level, e) for e in level_elements[out_level]}
         arrow_map = {names_in[e]: names_out[apply(e)] for e in level_elements[n]}
-        return GroupoidHom(src_gpd, tgt_gpd, {obj: obj}, arrow_map, check=False)
+        return GroupoidHom(src_gpd, tgt_gpd, {obj: obj}, arrow_map)
 
     faces = {}
     degeneracies = {}

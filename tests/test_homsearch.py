@@ -64,7 +64,7 @@ def brute_simplicial_maps(source, target):
         level_maps = [{} for _ in source.levels]
         for (n, x), y in zip(cells, images):
             level_maps[n][x] = y
-        smap = SimplicialMap(source, target, level_maps, check=False)
+        smap = SimplicialMap(source, target, level_maps)
         if smap.validate() == []:
             found.append(smap)
     return found
@@ -108,10 +108,10 @@ def test_presheaf_maps_match_brute_force():
         for (v, n, x), y in zip(cells, images):
             level_maps[v][n][x] = y
         components = {
-            v: SimplicialMap(source.values[v], target.values[v], level_maps[v], check=False)
+            v: SimplicialMap(source.values[v], target.values[v], level_maps[v])
             for v in site.objects
         }
-        nat = NaturalTransformation(source, target, components, check=False)
+        nat = NaturalTransformation(source, target, components)
         if nat.validate() == []:
             reference.add(json.dumps({v: smap_key(c) for v, c in components.items()}))
     searched = [
@@ -145,10 +145,10 @@ def brute_sgpd_maps(loop_sgpd, target):
             for (n, g), a in zip(cells, images):
                 arrow_maps[n][g] = a
             level_homs = [
-                GroupoidHom(loop_sgpd.levels[n], target.levels[n], obj_map, arrow_maps[n], check=False)
+                GroupoidHom(loop_sgpd.levels[n], target.levels[n], obj_map, arrow_maps[n])
                 for n in range(loop_sgpd.depth + 1)
             ]
-            sg_map = SimplicialGroupoidMap(loop_sgpd, target, obj_map, level_homs, check=False)
+            sg_map = SimplicialGroupoidMap(loop_sgpd, target, obj_map, level_homs)
             if sg_map.validate() == []:
                 found.append(sg_map)
     return found

@@ -93,8 +93,8 @@ def test_square_must_commute():
     )
     p = as_point_map(v0)
     bottom = as_point_map(SimplicialMap.identity(d1))
-    with pytest.raises(ValueError):
-        LiftingProblem(i, top, p, bottom)
+    problem = LiftingProblem(i, top, p, bottom)
+    assert problem.validate() == ["square does not commute at *, level 0"]
 
 
 def test_generating_inclusions_point_site_dimension_zero():

@@ -1,5 +1,3 @@
-import pytest
-
 from hpk.groups import GroupTable
 from hpk.groupoids import FiniteGroupoid, SimplicialGroupoid
 from hpk.presheaves import (
@@ -42,13 +40,13 @@ def two_object_presheaf(values_u, value_v, restriction):
 
 def test_presheaf_validation_catches_broken_functoriality():
     site = FiniteSite.two_object_site()
-    with pytest.raises(ValueError):
-        Presheaf(
-            site,
-            "set",
-            {"U": ("a",), "V": ("c",)},
-            {"idU": {"a": "a"}, "idV": {"c": "c"}, "f": {"a": "missing"}},
-        )
+    presheaf = Presheaf(
+        site,
+        "set",
+        {"U": ("a",), "V": ("c",)},
+        {"idU": {"a": "a"}, "idV": {"c": "c"}, "f": {"a": "missing"}},
+    )
+    assert presheaf.validate() == ["restriction f: map escapes target"]
 
 
 def test_hand_oracle_sheafification_of_two_point_presheaf():

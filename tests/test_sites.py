@@ -26,7 +26,7 @@ def test_planted_non_stable_coverage_is_reported():
     covers = {u: list(s) for u, s in site.covers.items()}
     covers["V"] = [frozenset()]
     broken = FiniteSite(
-        site.objects, site.arrows, site.comp, site.identities, covers, check=False
+        site.objects, site.arrows, site.comp, site.identities, covers
     )
     report = broken.validate()
     assert report
@@ -39,7 +39,7 @@ def test_removing_small_cover_still_valid():
     covers = {u: list(s) for u, s in site.covers.items()}
     covers["U"] = [frozenset({"idU", "f"})]
     still = FiniteSite(
-        site.objects, site.arrows, site.comp, site.identities, covers, check=False
+        site.objects, site.arrows, site.comp, site.identities, covers
     )
     assert still.validate() == []
 
@@ -51,7 +51,7 @@ def test_local_character_catches_missing_sieve():
     covers = {u: list(s) for u, s in site.covers.items()}
     covers["V"] = [frozenset({"idV"}), frozenset()]
     broken = FiniteSite(
-        site.objects, site.arrows, site.comp, site.identities, covers, check=False
+        site.objects, site.arrows, site.comp, site.identities, covers
     )
     report = broken.validate()
     assert any("locally covering" in line for line in report)

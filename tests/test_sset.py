@@ -50,7 +50,7 @@ def test_planted_identity_violation_is_reported():
     good = faces[(2, 0)][top]
     other = next(e for e in d2.levels[1] if e != good)
     faces[(2, 0)][top] = other
-    broken = TruncatedSimplicialSet(2, d2.levels, faces, d2.degeneracies, check=False)
+    broken = TruncatedSimplicialSet(2, d2.levels, faces, d2.degeneracies)
     report = broken.validate()
     assert report
     assert any("d_0" in line for line in report)

@@ -64,7 +64,6 @@ def test_planted_interchange_violation_is_reported():
         hcomp,
         k.id2,
         k.vinv,
-        check=False,
     )
     report = validate_2gpd(broken)
     assert report
