@@ -56,6 +56,7 @@ from .two_groupoids import (
     pi_2gpd,
     validate_2gpd,
 )
+from .cover import pi2_by_cover
 from .whitehead import (
     PresentedTwoGroupoid,
     counit_weak_equivalence,

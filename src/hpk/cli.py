@@ -20,6 +20,7 @@ from .budgets import (
     DEFAULT_REWRITE_BUDGET,
     env_budget,
 )
+from .kan import KanConditionFailed
 from .loop import CONVENTIONS
 
 
@@ -729,6 +730,9 @@ def main(argv=None):
     except BudgetExceeded as exc:
         sys.stderr.write(f"budget exceeded: {exc}\n")
         return 3
+    except KanConditionFailed as exc:
+        sys.stderr.write(f"property violation: not Kan: {exc}\n")
+        return 1
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return 2

@@ -9,9 +9,13 @@ questions about presentations are answered by bounded methods that may return
 """
 
 from itertools import combinations, product
+from math import gcd
 
 from .budgets import Meter
 from .sset import split_pair_key
+
+# the coset cap of every Todd-Coxeter run that does not name its own
+DEFAULT_MAX_COSETS = 1000
 
 
 class GroupTable:
@@ -274,13 +278,13 @@ class PresentedGroup:
         index = {g: i for i, g in enumerate(self.generators)}
         rows = []
         for rel in self.relators:
-            row = [0] * len(self.generators)
+            row = {}
             for g, e in rel:
-                row[index[g]] += e
+                row[index[g]] = row.get(index[g], 0) + e
             rows.append(row)
-        diag = _smith_diagonal(rows, len(self.generators))
+        diag = _smith_diagonal(rows)
         torsion = sorted(d for d in diag if d > 1)
-        rank = len(self.generators) - len([d for d in diag if d != 0])
+        rank = len(self.generators) - len(diag)
         return rank, torsion
 
     def is_infinite_cyclic(self):
@@ -297,7 +301,7 @@ class PresentedGroup:
             return False
         return None
 
-    def coset_enumeration(self, max_cosets=1000):
+    def coset_enumeration(self, max_cosets=DEFAULT_MAX_COSETS):
         """Todd-Coxeter over the trivial subgroup, bounded by ``max_cosets``.
 
         Returns a GroupTable when the enumeration completes, None otherwise.
@@ -323,7 +327,7 @@ class PresentedGroup:
                 mult[(names[c1], names[c2])] = names[apply_word(c1, words[c2])]
         return GroupTable(elements, mult, names[0])
 
-    def isomorphic_to_table(self, other, max_cosets=1000):
+    def isomorphic_to_table(self, other, max_cosets=DEFAULT_MAX_COSETS):
         """True/False/None comparison against a finite GroupTable."""
         table = self.coset_enumeration(max_cosets=max_cosets)
         if table is not None:
@@ -343,8 +347,67 @@ class PresentedGroup:
         return f"PresentedGroup(gens={len(self.generators)}, rels={len(self.relators)})"
 
 
-def _smith_diagonal(rows, ncols):
-    """Diagonal entries of the Smith normal form of an integer matrix."""
+def _smith_diagonal(rows):
+    """Invariant factors of an integer matrix, each dividing the next.
+
+    These are the nonzero diagonal entries of its Smith normal form; their
+    count is the rank.  ``rows`` are sparse, as {column: entry} maps.  Pivots
+    of absolute value 1, which make up most of a boundary matrix, are
+    eliminated sparsely first; the dense stage reduces what is left.
+    """
+    rows = [{j: v for j, v in row.items() if v} for row in rows]
+    holders = {}
+    for i, row in enumerate(rows):
+        for j in row:
+            holders.setdefault(j, set()).add(i)
+    units = 0
+    progress = True
+    while progress:
+        progress = False
+        for i, row in enumerate(rows):
+            pivots = [j for j, v in row.items() if v in (1, -1)]
+            if not pivots:
+                continue
+            j = min(pivots, key=lambda col: (len(holders[col]), col))
+            for r in holders.pop(j) - {i}:
+                other = rows[r]
+                factor = other[j] * row[j]
+                for col, v in row.items():
+                    w = other.get(col, 0) - factor * v
+                    if w:
+                        other[col] = w
+                        holders[col].add(r)
+                    else:
+                        del other[col]
+                        if col != j:
+                            holders[col].discard(r)
+            for col in row:
+                if col != j:
+                    holders[col].discard(i)
+            rows[i] = {}
+            units += 1
+            progress = True
+    rest = [row for row in rows if row]
+    cols = sorted({j for row in rest for j in row})
+    where = {j: k for k, j in enumerate(cols)}
+    dense = []
+    for row in rest:
+        line = [0] * len(cols)
+        for j, v in row.items():
+            line[where[j]] = v
+        dense.append(line)
+    diag = _dense_smith_diagonal(dense, len(cols))
+    factors = [d for d in diag if d != 1]
+    # diag(a, b) is equivalent to diag(gcd, lcm): make each factor divide the next
+    for a in range(len(factors)):
+        for b in range(a + 1, len(factors)):
+            g = gcd(factors[a], factors[b])
+            factors[a], factors[b] = g, factors[a] * factors[b] // g
+    return [1] * (units + len(diag) - len(factors)) + factors
+
+
+def _dense_smith_diagonal(rows, ncols):
+    """Nonzero diagonal entries of a diagonal form of a dense integer matrix."""
     m = [list(r) for r in rows]
     diag = []
     r = 0

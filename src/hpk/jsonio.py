@@ -328,10 +328,6 @@ def _presheaf(data):
     return Presheaf(site, domain, values, restrictions)
 
 
-def presheaf_from_json(data):
-    return checked(_presheaf(data))
-
-
 def nat_to_json(nat):
     return {
         "nat": True,

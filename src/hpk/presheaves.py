@@ -12,7 +12,7 @@ condition exhaustively in the tests.
 from itertools import product
 
 from .budgets import DEFAULT_ISO_SEARCH_BUDGET, Meter, env_budget
-from .groups import GroupTable
+from .groups import GroupTable, free_reduce, invert_word
 from .groupoids import (
     SimplicialGroupoidMap,
     hom_simplicial_group,
@@ -176,12 +176,8 @@ class Presented2Map:
         out = []
         for g, e in word:
             image = self.map1[g]
-            if e == -1:
-                image = tuple((h, -d) for h, d in reversed(image))
-            out.extend(image)
-        from .whitehead import _reduced
-
-        return _reduced(tuple(out))
+            out.extend(invert_word(image) if e == -1 else image)
+        return free_reduce(tuple(out))
 
     def validate(self):
         problems = []

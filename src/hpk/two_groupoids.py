@@ -6,6 +6,8 @@ horizontal composition ``hcomp[(b, a)]`` is b * a for a framed over x -> y
 and b framed over y -> z, giving a 2-cell over x -> z.
 """
 
+from collections.abc import Hashable
+
 from .groups import GroupTable
 from .sset import TruncatedSimplicialSet, _UnionFind, compatible_tuples, split_pair_key
 
@@ -352,6 +354,16 @@ class TwoFunctor:
             return ["1-cell map not total"]
         if set(self.map2) != set(k.cells2):
             return ["2-cell map not total"]
+        for what, mapping, known in (
+            ("object", self.obj_map, set(l.objects)),
+            ("1-cell", self.map1, l.cells1),
+            ("2-cell", self.map2, l.cells2),
+        ):
+            for x, image in mapping.items():
+                if not isinstance(image, Hashable) or image not in known:
+                    problems.append(f"image {image!r} of {what} {x} is not a target {what}")
+        if problems:
+            return problems
         for f, (s, t) in k.cells1.items():
             if l.cells1[self.map1[f]] != (self.obj_map[s], self.obj_map[t]):
                 problems.append(f"1-cell {f} image has wrong endpoints")

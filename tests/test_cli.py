@@ -98,6 +98,16 @@ def test_pikan_budget_exceeded(tmp_path, capsys, monkeypatch):
     assert code == 3
 
 
+def test_pikan_on_a_complex_that_is_not_kan_is_a_property_violation(tmp_path, capsys):
+    path = write(tmp_path, "s1.json", standard_complex("sphere", 1, depth=3).to_json())
+    code = main(["pikan", path, "--base", "*", "-n", "1"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err == (
+        "property violation: not Kan: horn Lambda^2_0 with faces ('*', '0.1') has no filler\n"
+    )
+
+
 def test_hpk_budget_env_override(tmp_path, capsys, monkeypatch):
     from hpk.loop import wbar
 
@@ -752,6 +762,27 @@ def test_boundary_rejects_invalid_documents(tmp_path, capsys, name):
         assert err == "" and json.loads(out)["reports"][0]["violations"]
     else:
         assert (out, err) == ("", f"input error: {reason}\n")
+
+
+@pytest.mark.parametrize(
+    "part, cell, image, reason",
+    [
+        ("objects", "*", "zz", "image 'zz' of object * is not a target object"),
+        ("map1", "id_*", "zz", "image 'zz' of 1-cell id_* is not a target 1-cell"),
+        ("map2", "g1", "zz", "image 'zz' of 2-cell g1 is not a target 2-cell"),
+        ("map2", "g1", ["g0"], "image ['g0'] of 2-cell g1 is not a target 2-cell"),
+    ],
+)
+def test_msweq_names_an_image_outside_the_target(tmp_path, capsys, part, cell, image, reason):
+    from hpk.two_groupoids import TwoFunctor, TwoGroupoid
+
+    k = TwoGroupoid.one_object_with_pi2(GroupTable.cyclic(2))
+    data = jsonio.functor2_to_json(TwoFunctor.identity(k))
+    assert cell in data[part]
+    data[part][cell] = image
+    code, out, err = run_on(tmp_path, capsys, "unknown_image", data, ["msweq"])
+    assert (code, out) == (2, "")
+    assert err == f"input error: invalid 2-functor: {reason}\n"
 
 
 def test_validate_rejects_a_simplicial_groupoid_with_an_invalid_level(tmp_path, capsys):
