@@ -20,11 +20,13 @@ from .sset import InsufficientDepth, TruncatedSimplicialSet, _UnionFind, split_p
 
 class FiniteGroupoid:
     def __init__(self, objects, arrows, comp, identities, inverses):
+        """``comp``, ``identities`` and ``inverses`` are stored as passed, not
+        copied: callers hand over fresh dicts and do not change them."""
         self.objects = tuple(sorted(objects))
         self.arrows = {a: (s, t) for a, (s, t) in arrows.items()}
-        self.comp = dict(comp)
-        self.identities = dict(identities)
-        self.inverses = dict(inverses)
+        self.comp = comp
+        self.identities = identities
+        self.inverses = inverses
         self.is_free = False
 
     # protocol ------------------------------------------------------------
@@ -131,7 +133,9 @@ class FiniteGroupoid:
     def from_json(cls, data):
         arrows = {a["id"]: (a["src"], a["tgt"]) for a in data["arrows"]}
         comp = {split_pair_key(key): h for key, h in data["comp"].items()}
-        return cls(data["objects"], arrows, comp, data["identities"], data["inverses"])
+        return cls(
+            data["objects"], arrows, comp, dict(data["identities"]), dict(data["inverses"])
+        )
 
     # constructors ----------------------------------------------------------
 

@@ -12,6 +12,11 @@ Degenerate simplices are forced by their Eilenberg-Zilber decomposition, a
 nondegenerate one takes the target simplices with its faces' images as
 faces, nondegenerate images first, and naturality is checked on each level
 combination.
+
+Both the simplicial rule and the loop-groupoid rule (``loop``) plan each
+level once per search, lazily: what is forced and how, and the target's
+cells bucketed by their faces.  A node then looks each open variable's
+candidates up by the face key its assigned neighbours give.
 """
 
 from itertools import product

@@ -473,75 +473,90 @@ def unit(sset, depth):
 # -- hom enumeration for the adjunction --------------------------------------
 
 
+def _sgpd_level_plan(loop_sgpd, target, n):
+    """Level n of the loop-groupoid rule: what each node needs, built once.
+
+    Each generator x of level n - 1 comes with, for every s_i, the target's
+    s_i and the level-n generator that s_i x hits, or None where s_i x is
+    killed.  Each generator of level n comes with its endpoints and its face
+    words d_i(gen x) as (source, letters).  The target's level-n arrows are
+    bucketed by endpoints and then by faces, in sorted order; ``face_key``
+    gives each arrow's faces.
+    """
+    degeneracies = []
+    if n:
+        lower = loop_sgpd.levels[n - 1]
+        for i in range(n):
+            op = loop_sgpd.degeneracy(n - 1, i)
+            a_op = target.degeneracy(n - 1, i)
+            for x in sorted(lower.generators):
+                letters = op(lower.gen(x)).letters
+                if letters and (len(letters) != 1 or letters[0][1] != 1):
+                    raise AssertionError("degeneracy image should be a generator")
+                degeneracies.append((a_op, x, letters[0][0] if letters else None))
+    gpd = loop_sgpd.levels[n]
+    faces = [loop_sgpd.face(n, i) for i in range(n + 1)] if n else []
+    generators = []
+    for x in sorted(gpd.generators):
+        words = [op(gpd.gen(x)) for op in faces]
+        generators.append((x, *gpd.generators[x], [(w.src, w.letters) for w in words]))
+    a_faces = [target.face(n, i) for i in range(n + 1)] if n else []
+    arrows = target.levels[n].arrows
+    buckets, face_key = {}, {}
+    for y in sorted(arrows):
+        face_key[y] = key = tuple(op(y) for op in a_faces)
+        buckets.setdefault(arrows[y], {}).setdefault(key, []).append(y)
+    return degeneracies, generators, buckets, face_key
+
+
 def enumerate_sgpd_maps(loop_sgpd, sset, target, meter=None):
     """All simplicial groupoid maps GX -> A, by the level-wise search.
 
     ``loop_sgpd`` must be the loop groupoid of ``sset`` (its levels are free
     on simplices of ``sset``); ``target`` must have finite levels.  Search
     level 0 assigns the objects and level n + 1 the generators of level n.
-    A generator's face conditions involve only its own image and level n - 1,
-    so its candidates are filtered by them before the product.
+    As in the simplicial rule, each level is planned once per search
+    (``_sgpd_level_plan``).  A node reads the images forced by degeneracies
+    off the plan, and a generator's face conditions involve only its own
+    image and level n - 1, so its candidates are the target arrows whose
+    faces are the images of its face words, looked up by that face key.
     """
     depth = loop_sgpd.depth
-    gen_lists = [sorted(loop_sgpd.levels[n].generators) for n in range(depth + 1)]
-
-    def forced_images(n, below):
-        """Images forced by degeneracies from level n-1; None on conflict."""
-        forced = {}
-        if n == 0:
-            return forced
-        src_gpd = loop_sgpd.levels[n - 1]
-        for i in range(n):
-            op = loop_sgpd.degeneracy(n - 1, i)
-            a_op = target.degeneracy(n - 1, i)
-            for x in gen_lists[n - 1]:
-                image_arrow = op(src_gpd.gen(x))
-                forced_value = a_op(below[x])
-                if image_arrow.letters:
-                    (gen, exp), = image_arrow.letters
-                    if exp != 1:
-                        raise AssertionError("degeneracy image should be a generator")
-                    if forced.setdefault(gen, forced_value) != forced_value:
-                        return None
-                else:
-                    if not target.levels[n].is_identity(forced_value):
-                        return None
-        return forced
-
-    def word_image(n, word, obj_map, below):
-        gpd = target.levels[n]
-        acc = gpd.identity(obj_map[word.src])
-        for g, e in word.letters:
-            img = below[g]
-            if e == -1:
-                img = gpd.inv(img)
-            acc = gpd.compose(img, acc)
-        return acc
+    plans = {}
 
     def rule(level, assigned):
         if level == 0:
             return {}, [(o, sorted(target.objects)) for o in loop_sgpd.objects], None
         n = level - 1
+        if n not in plans:
+            plans[n] = _sgpd_level_plan(loop_sgpd, target, n)
+        degeneracies, generators, buckets, face_key = plans[n]
         obj_map, below = assigned[0], assigned[n]
-        forced = forced_images(n, below)
-        if forced is None:
-            return None
-        faces = [(loop_sgpd.face(n, i), target.face(n, i)) for i in range(n + 1)] if n else []
+        forced = {}
+        for a_op, x, hit in degeneracies:
+            image = a_op(below[x])
+            if hit is None:
+                if not target.levels[n].is_identity(image):
+                    return None
+            elif forced.setdefault(hit, image) != image:
+                return None
+        gpd = target.levels[n - 1] if n else None
+
+        def word_image(src, letters):
+            acc = gpd.identity(obj_map[src])
+            for g, e in letters:
+                img = below[g] if e == 1 else gpd.inv(below[g])
+                acc = gpd.compose(img, acc)
+            return acc
+
         open_vars = []
-        for x in gen_lists[n]:
-            gen = loop_sgpd.levels[n].gen(x)
-            want = [(a_op, word_image(n - 1, op(gen), obj_map, below)) for op, a_op in faces]
-
-            def faces_ok(y):
-                return all(a_op(y) == w for a_op, w in want)
-
+        for x, s, t, face_words in generators:
+            want = tuple(word_image(src, letters) for src, letters in face_words)
             if x in forced:
-                if not faces_ok(forced[x]):
+                if face_key[forced[x]] != want:
                     return None
                 continue
-            s, t = loop_sgpd.levels[n].generators[x]
-            arrows = target.levels[n].arrows_between(obj_map[s], obj_map[t])
-            candidates = [y for y in arrows if faces_ok(y)]
+            candidates = buckets.get((obj_map[s], obj_map[t]), {}).get(want)
             if not candidates:
                 return None
             open_vars.append((x, candidates))

@@ -255,9 +255,11 @@ def test_doldkan_golden_digests(tmp_path, capsys, monkeypatch):
 # Digests of the map searches' outputs, in enumeration order.  Simplicial
 # maps are digested sorted, with each search's work units: their candidates
 # are tried nondegenerate images first, and only the order of the sequence
-# depends on that.
+# depends on that.  The loop-groupoid maps of the benchmark's tail pair are
+# digested with their work units.
 GOLDEN_SEARCH = {
     "sgpd_maps": "4a6196a365eabdcc7d6ba71d4c92fd451ad96bb3afe5d69fdb69840fccca2cdd",
+    "sgpd_maps_tail": "5e2ba68ff4fc1ae5f411aced79f3cf7d42a8d14584f6a56f7d6a22b6bd3795c3",
     "sset_maps_sorted": "8b54acff9f968e12d71cc32d8769e69e5b747d780681b4762838135a0c7ef591",
     "presheaf_maps": "4b10743eb3d2459fbdd7d4087f37ca68f860e5cbb3eafbb8f1a5973122f3296d",
     "lift": "562aae26cd4714ec7b7e86b8213cd01700ecf170d2c137a8bebb64798333b152",
@@ -266,7 +268,7 @@ GOLDEN_SEARCH = {
 }
 
 
-def _adjunction_pairs():
+def adjunction_pairs():
     """The 24 small loop/wbar adjunction pairs of the benchmark's query mix."""
     complexes = [
         ("Delta0", standard_complex("Delta", 0, depth=3)),
@@ -288,21 +290,37 @@ def _adjunction_pairs():
             yield f"{xname}/{gname}", x, a, wbar(a, 3), loop_groupoid(x, 2)
 
 
+def tail_pair():
+    """Delta^3 against chaotic Z/2 on two objects: the benchmark's slowest pair."""
+    x = standard_complex("Delta", 3, depth=3)
+    a = SimplicialGroupoid.constant(
+        FiniteGroupoid.chaotic(["x", "y"], GroupTable.cyclic(2)), 2
+    )
+    return "Delta3/chaotic Z2", x, a, wbar(a, 3), loop_groupoid(x, 2)
+
+
+def _sgpd_key(sg_map):
+    return [sorted(sg_map.obj_map.items())] + [
+        sorted(h.arrow_map.items()) for h in sg_map.level_homs
+    ]
+
+
 def _smap_key(smap):
     return [sorted(level.items()) for level in smap.level_maps]
 
 
 def _search_cases(tmp_path, capsys):
     out = {"sgpd_maps": {}, "sset_maps_sorted": {}}
-    for name, x, a, wb, gx in _adjunction_pairs():
-        out["sgpd_maps"][name] = [
-            [sorted(m.obj_map.items())] + [sorted(h.arrow_map.items()) for h in m.level_homs]
-            for m in enumerate_sgpd_maps(gx, x, a)
-        ]
+    for name, x, a, wb, gx in adjunction_pairs():
+        out["sgpd_maps"][name] = [_sgpd_key(m) for m in enumerate_sgpd_maps(gx, x, a)]
         meter = Meter("sset maps", 10**7)
         maps = enumerate_simplicial_maps(_truncate(x, 3), wb.sset, meter=meter)
         keys = sorted(json.dumps(_smap_key(m)) for m in maps)
         out["sset_maps_sorted"][name] = [keys, meter.used]
+    _, x, a, _, gx = tail_pair()
+    meter = Meter("sgpd maps", 10**7)
+    maps = [_sgpd_key(m) for m in enumerate_sgpd_maps(gx, x, a, meter=meter)]
+    out["sgpd_maps_tail"] = [maps, meter.used]
 
     site = FiniteSite.two_object_site()
     d1 = standard_complex("Delta", 1, depth=1)

@@ -3,7 +3,8 @@
 Each reference takes the product of every candidate for every variable, with
 no pruning and no level structure, and keeps what passes validation.
 ``level_search`` and its level rules must give the same map sets, each map
-once.
+once.  The loop-groupoid rule is also checked against ``unplanned_sgpd_maps``,
+the rule it replaced, for the same ordered maps and the same work units.
 """
 
 import json
@@ -23,6 +24,7 @@ from hpk.loop import enumerate_sgpd_maps, loop_groupoid, wbar
 from hpk.presheaves import NaturalTransformation, constant_presheaf, y_u
 from hpk.sites import FiniteSite
 from hpk.sset import SimplicialMap, standard_complex
+from test_golden_outputs import adjunction_pairs, tail_pair
 
 GROUPOIDS = {
     "trivial": FiniteGroupoid.trivial(),
@@ -163,6 +165,122 @@ def test_loop_groupoid_maps_match_brute_force():
         reference = {sgpd_key(m) for m in brute_sgpd_maps(gx, target)}
         assert len(searched) == len(set(searched)), (kind, gname)
         assert set(searched) == reference, (kind, gname)
+
+
+def unplanned_sgpd_maps(loop_sgpd, sset, target, meter=None):
+    """The loop-groupoid level rule before planning, as a reference.
+
+    At every node it recomputes the degeneracy images and face words of each
+    generator, scans ``arrows_between`` and filters each candidate by applying
+    every target face map.
+    """
+    depth = loop_sgpd.depth
+    gen_lists = [sorted(loop_sgpd.levels[n].generators) for n in range(depth + 1)]
+
+    def forced_images(n, below):
+        """Images forced by degeneracies from level n-1; None on conflict."""
+        forced = {}
+        if n == 0:
+            return forced
+        src_gpd = loop_sgpd.levels[n - 1]
+        for i in range(n):
+            op = loop_sgpd.degeneracy(n - 1, i)
+            a_op = target.degeneracy(n - 1, i)
+            for x in gen_lists[n - 1]:
+                image_arrow = op(src_gpd.gen(x))
+                forced_value = a_op(below[x])
+                if image_arrow.letters:
+                    (gen, exp), = image_arrow.letters
+                    if exp != 1:
+                        raise AssertionError("degeneracy image should be a generator")
+                    if forced.setdefault(gen, forced_value) != forced_value:
+                        return None
+                else:
+                    if not target.levels[n].is_identity(forced_value):
+                        return None
+        return forced
+
+    def word_image(n, word, obj_map, below):
+        gpd = target.levels[n]
+        acc = gpd.identity(obj_map[word.src])
+        for g, e in word.letters:
+            img = below[g]
+            if e == -1:
+                img = gpd.inv(img)
+            acc = gpd.compose(img, acc)
+        return acc
+
+    def rule(level, assigned):
+        if level == 0:
+            return {}, [(o, sorted(target.objects)) for o in loop_sgpd.objects], None
+        n = level - 1
+        obj_map, below = assigned[0], assigned[n]
+        forced = forced_images(n, below)
+        if forced is None:
+            return None
+        faces = [(loop_sgpd.face(n, i), target.face(n, i)) for i in range(n + 1)] if n else []
+        open_vars = []
+        for x in gen_lists[n]:
+            gen = loop_sgpd.levels[n].gen(x)
+            want = [(a_op, word_image(n - 1, op(gen), obj_map, below)) for op, a_op in faces]
+
+            def faces_ok(y):
+                return all(a_op(y) == w for a_op, w in want)
+
+            if x in forced:
+                if not faces_ok(forced[x]):
+                    return None
+                continue
+            s, t = loop_sgpd.levels[n].generators[x]
+            arrows = target.levels[n].arrows_between(obj_map[s], obj_map[t])
+            candidates = [y for y in arrows if faces_ok(y)]
+            if not candidates:
+                return None
+            open_vars.append((x, candidates))
+        return forced, open_vars, None
+
+    return [
+        SimplicialGroupoidMap(
+            loop_sgpd,
+            target,
+            assigned[0],
+            [
+                GroupoidHom(
+                    loop_sgpd.levels[m], target.levels[m], assigned[0], assigned[m + 1]
+                )
+                for m in range(depth + 1)
+            ],
+        )
+        for assigned in level_search(depth + 1, rule, meter)
+    ]
+
+
+def sgpd_items(sg_map):
+    return [list(sg_map.obj_map.items())] + [
+        list(hom.arrow_map.items()) for hom in sg_map.level_homs
+    ]
+
+
+def _loop_differential_cases():
+    for name, x, a, _, gx in list(adjunction_pairs()) + [tail_pair()]:
+        yield name, gx, x, a
+    for kind, n, depth, gname in LOOP_CASES:
+        x = standard_complex(kind, n, depth=depth)
+        target = SimplicialGroupoid.constant(GROUPOIDS[gname], depth - 1)
+        yield f"{kind}{n}/depth {depth}/{gname}", loop_groupoid(x, depth - 1), x, target
+
+
+def test_loop_groupoid_maps_match_unplanned_rule():
+    """Same maps in the same order, each level map in the same key order,
+    and the same work units as the rule without a level plan."""
+    cases = list(_loop_differential_cases())
+    assert len(cases) == 24 + 1 + len(LOOP_CASES)
+    for name, gx, x, target in cases:
+        meter, ref_meter = Meter("maps", 10**7), Meter("maps", 10**7)
+        planned = enumerate_sgpd_maps(gx, x, target, meter=meter)
+        reference = unplanned_sgpd_maps(gx, x, target, meter=ref_meter)
+        assert [sgpd_items(m) for m in planned] == [sgpd_items(m) for m in reference], name
+        assert meter.used == ref_meter.used, name
 
 
 def test_level_search_ticks_once_per_node_and_per_combination():
