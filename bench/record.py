@@ -1,24 +1,37 @@
-"""Record the loop/W-bar adjunction hom-set searches into a BENCH_*.json file.
+"""Record hpk searches and kernels into a BENCH_*.json file.
 
-    python3 bench/record.py --out BENCH_12.json --parent ../hpk-parent
-    python3 bench/record.py --check BENCH_12.json
+    python3 bench/record.py --out BENCH_12.json --parent ../hpk-parent --section pairs
+    python3 bench/record.py --out BENCH_13.json --parent ../hpk-parent --section kernels
+    python3 bench/record.py --check BENCH_13.json
 
-The pairs are the 25 of the benchmark's ``invariant_queries`` mix: six small
-complexes against the constant simplicial groupoids of four small groupoids,
-and Delta^3 against chaotic Z/2 on two objects.  For each pair both routes
-of the adjunction are searched, hom(GX, A) by ``loop.enumerate_sgpd_maps``
-and hom(X, WbarA) by ``homsearch.enumerate_simplicial_maps``, and the file
-records each route's map count, its ``Meter`` work units and its best wall
-time on the parent checkout and on this one.
+A record holds one or more sections, each a list of cases:
 
-Each side runs in its own process, importing hpk from that checkout's
-``src/``.  The five repeats alternate which side runs first; a repeat times
-every search once after one untimed pass, and a recorded time is the best of
-the five.  Writing fails if the two sides disagree on a count or a unit.
+``pairs``
+    The 25 loop/W-bar adjunction pairs of the benchmark's
+    ``invariant_queries`` mix: six small complexes against the constant
+    simplicial groupoids of four small groupoids, and Delta^3 against chaotic
+    Z/2 on two objects.  For each pair both routes of the adjunction are
+    searched, hom(GX, A) by ``loop.enumerate_sgpd_maps`` and hom(X, WbarA) by
+    ``homsearch.enumerate_simplicial_maps``; a route records its map count
+    and its ``Meter`` work units.
+``kernels``
+    A ladder of the face-table kernels: the nerve of the chaotic V4
+    2-groupoid on 1-3 objects at depth 3, built and then checked by
+    ``validate_sset``; ``kan_report`` on W-bar of Z/n, n = 2..6, to level 3;
+    and ``pi_n_kan(., 3)`` on the nerve of the 2-groupoid with pi_2 = Z/3 at
+    depth 4.  A step records the level sizes, the number of problems (or the
+    order of the group), and the units of every ``Meter`` it made.
 
-``--check`` recomputes the map counts and work units on this checkout and
-exits 1 on any difference from the file.  It never compares wall times,
-which depend on the machine.
+Every step also records its best wall time on the parent checkout and on
+this one.  Each side runs in its own process, importing hpk from that
+checkout's ``src/``.  The five repeats alternate which side runs first; a
+repeat times every step once after one untimed pass, and a recorded time is
+the best of the five.  Writing fails if the two sides disagree on any field
+other than the times.
+
+``--check`` recomputes the fields other than the times of whichever sections
+the file holds, on this checkout, and exits 1 on any difference from the
+file.  It never compares wall times, which depend on the machine.
 """
 
 import argparse
@@ -32,7 +45,6 @@ from time import perf_counter
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 REPEATS = 5
-ROUTES = ("loop", "wbar")
 
 
 def adjunction_pairs():
@@ -64,19 +76,20 @@ def adjunction_pairs():
         yield f"{xname}/{gname}", x, a, wbar(a, 3), loop_groupoid(x, 2), truncate(x, 3)
 
 
-def searches():
-    """{pair: {route: search}}, each search returning (maps, work units)."""
+def pair_cases():
+    """{pair: {route: search}}, each search returning its map count and units."""
     from hpk.budgets import Meter
     from hpk.homsearch import enumerate_simplicial_maps
     from hpk.loop import enumerate_sgpd_maps
 
     def via_loop(x, a, gx):
         meter = Meter("sgpd maps", 10**7)
-        return len(enumerate_sgpd_maps(gx, x, a, meter=meter)), meter.used
+        return {"maps": len(enumerate_sgpd_maps(gx, x, a, meter=meter)), "units": meter.used}
 
     def via_wbar(truncated, wb):
         meter = Meter("sset maps", 10**7)
-        return sum(1 for _ in enumerate_simplicial_maps(truncated, wb.sset, meter=meter)), meter.used
+        maps = sum(1 for _ in enumerate_simplicial_maps(truncated, wb.sset, meter=meter))
+        return {"maps": maps, "units": meter.used}
 
     return {
         name: {
@@ -87,35 +100,119 @@ def searches():
     }
 
 
-def counts():
-    """{pair: {route: {"maps": m, "units": u}}} on the imported hpk."""
+def metered(call):
+    """``call()``'s fields plus ``units``: {meter name: units} of every ``Meter``
+    an hpk module made during the call."""
+    import hpk.budgets
+
+    made = []
+    original = hpk.budgets.Meter
+
+    class Recording(original):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    holders = [
+        module
+        for name, module in list(sys.modules.items())
+        if name.split(".")[0] == "hpk" and getattr(module, "Meter", None) is original
+    ]
+    for module in holders:
+        module.Meter = Recording
+    try:
+        fields = call()
+    finally:
+        for module in holders:
+            module.Meter = original
+    units = {}
+    for meter in made:
+        units[meter.what] = units.get(meter.what, 0) + meter.used
+    return {**fields, "units": units}
+
+
+def kernel_cases():
+    """{case: {step: kernel}}, each kernel returning its counts."""
+    from hpk.groups import GroupTable
+    from hpk.groupoids import FiniteGroupoid, SimplicialGroupoid
+    from hpk.kan import kan_report, pi_n_kan
+    from hpk.loop import wbar
+    from hpk.sset import validate_sset
+    from hpk.two_groupoids import TwoGroupoid, nerve
+
+    cases = {}
+    v4 = GroupTable.direct_product(GroupTable.cyclic(2), GroupTable.cyclic(2, prefix="h"))
+    for k in (1, 2, 3):
+        gpd2 = TwoGroupoid.from_groupoid(FiniteGroupoid.chaotic([f"o{i}" for i in range(k)], v4))
+        built = nerve(gpd2, 3)
+        cases[f"nerve chaotic V4 x{k}, depth 3"] = {
+            "build": lambda g=gpd2: metered(lambda: {"level_sizes": nerve(g, 3).level_sizes()}),
+            "validate": lambda s=built: metered(lambda: {"problems": len(validate_sset(s))}),
+        }
+    for n in range(2, 7):
+        gpd = FiniteGroupoid.from_group(GroupTable.cyclic(n))
+        wb = wbar(SimplicialGroupoid.constant(gpd, 3), 3).sset
+        cases[f"kan_report on wbar Z/{n} to level 3"] = {
+            "kan_report": lambda s=wb: metered(
+                lambda: {"level_sizes": s.level_sizes(), "problems": len(kan_report(s, 3))}
+            ),
+        }
+    n4 = nerve(TwoGroupoid.one_object_with_pi2(GroupTable.cyclic(3)), 4)
+    cases["pi_3 of the pi_2 = Z/3 nerve at depth 4"] = {
+        "pi_n_kan": lambda: metered(
+            lambda: {"level_sizes": n4.level_sizes(), "order": pi_n_kan(n4, "*", 3).order}
+        ),
+    }
+    return cases
+
+
+# section -> (the field naming a case, what the section measures, its cases)
+SECTIONS = {
+    "pairs": (
+        "pair",
+        "loop/W-bar adjunction hom-set searches of the invariant_queries mix",
+        pair_cases,
+    ),
+    "kernels": (
+        "case",
+        "nerve, validate_sset, kan_report and pi_n_kan face-table kernels",
+        kernel_cases,
+    ),
+}
+
+
+def counts(section):
+    """{case: {step: fields}} of a section on the imported hpk."""
     return {
-        name: {route: dict(zip(("maps", "units"), search())) for route, search in routes.items()}
-        for name, routes in searches().items()
+        name: {step: run() for step, run in steps.items()}
+        for name, steps in SECTIONS[section][2]().items()
     }
 
 
-def one_repeat():
-    """Counts plus one timed run of every search, after an untimed pass."""
-    table = searches()
-    for routes in table.values():
-        for search in routes.values():
-            search()
+def one_repeat(sections):
+    """Fields plus one timed run of every step, after an untimed pass."""
     out = {}
-    for name, routes in table.items():
-        out[name] = {}
-        for route, search in routes.items():
-            start = perf_counter()
-            maps, units = search()
-            ms = (perf_counter() - start) * 1e3
-            out[name][route] = {"maps": maps, "units": units, "ms": ms}
+    for section in sections:
+        table = SECTIONS[section][2]()
+        for steps in table.values():
+            for run in steps.values():
+                run()
+        out[section] = {}
+        for name, steps in table.items():
+            out[section][name] = {}
+            for step, run in steps.items():
+                start = perf_counter()
+                fields = run()
+                fields["ms"] = (perf_counter() - start) * 1e3
+                out[section][name][step] = fields
     return out
 
 
-def run_side(checkout):
+def run_side(checkout, sections):
     """One repeat in a fresh process that imports hpk from ``checkout``."""
     proc = subprocess.run(
-        [sys.executable, os.path.abspath(__file__), "--repeat-in", checkout],
+        [sys.executable, os.path.abspath(__file__), "--repeat-in", checkout]
+        + [arg for section in sections for arg in ("--section", section)],
         check=True,
         capture_output=True,
         text=True,
@@ -141,66 +238,74 @@ def machine():
     }
 
 
-def record(parent):
+def without_times(fields):
+    return {key: value for key, value in fields.items() if key not in ("ms", "best_ms")}
+
+
+def record(parent, sections):
     sides = {"parent": parent, "change": ROOT}
     runs = {side: [] for side in sides}
     for k in range(REPEATS):
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
         for side in order:
-            runs[side].append(run_side(sides[side]))
-    pairs = []
-    for name in runs["change"][0]:
-        entry = {"pair": name}
-        for route in ROUTES:
-            found = {
-                (run[name][route]["maps"], run[name][route]["units"])
-                for side_runs in runs.values()
-                for run in side_runs
-            }
-            if len(found) != 1:
-                raise SystemExit(f"{name} {route}: the sides disagree on (maps, units): {found}")
-            (maps, units), = found
-            entry[route] = {
-                "maps": maps,
-                "units": units,
-                "best_ms": {
-                    side: round(min(run[name][route]["ms"] for run in runs[side]), 3)
-                    for side in sides
-                },
-            }
-        pairs.append(entry)
-    totals = {
-        route: {
-            side: round(sum(entry[route]["best_ms"][side] for entry in pairs), 3)
-            for side in sides
-        }
-        for route in ROUTES
-    }
-    return {
-        "what": "loop/W-bar adjunction hom-set searches of the invariant_queries mix",
+            runs[side].append(run_side(sides[side], sections))
+    data = {
+        "what": "; ".join(SECTIONS[section][1] for section in sections),
         "machine": machine(),
         "method": (
             f"best of {REPEATS} repeats per side, one process per repeat, "
-            "sides alternating, each search timed after an untimed pass"
+            "sides alternating, each step timed after an untimed pass"
         ),
-        "pairs": pairs,
-        "total_best_ms": totals,
     }
+    totals = {}
+    for section in sections:
+        key = SECTIONS[section][0]
+        entries = []
+        for name, steps in runs["change"][0][section].items():
+            entry = {key: name}
+            for step in steps:
+                found = {
+                    json.dumps(without_times(run[section][name][step]), sort_keys=True)
+                    for side_runs in runs.values()
+                    for run in side_runs
+                }
+                if len(found) != 1:
+                    raise SystemExit(f"{name} {step}: the sides disagree: {sorted(found)}")
+                best = {
+                    side: round(min(run[section][name][step]["ms"] for run in runs[side]), 3)
+                    for side in sides
+                }
+                entry[step] = {**json.loads(found.pop()), "best_ms": best}
+                for side, ms in best.items():
+                    totals.setdefault(step, dict.fromkeys(sides, 0.0))[side] += ms
+            entries.append(entry)
+        data[section] = entries
+    data["total_best_ms"] = {
+        step: {side: round(ms, 3) for side, ms in by_side.items()}
+        for step, by_side in totals.items()
+    }
+    return data
 
 
 def check(path):
     with open(path) as f:
         recorded = json.load(f)
-    expected = {
-        entry["pair"]: {route: {k: entry[route][k] for k in ("maps", "units")} for route in ROUTES}
-        for entry in recorded["pairs"]
-    }
-    got = counts()
-    problems = [
-        f"{name}: recorded {expected.get(name)}, computed {got.get(name)}"
-        for name in sorted(set(expected) | set(got))
-        if expected.get(name) != got.get(name)
-    ]
+    problems = []
+    for section, (key, _, _) in SECTIONS.items():
+        if section not in recorded:
+            continue
+        expected = {
+            entry[key]: {
+                step: without_times(fields) for step, fields in entry.items() if step != key
+            }
+            for entry in recorded[section]
+        }
+        got = counts(section)
+        problems += [
+            f"{section} {name}: recorded {expected.get(name)}, computed {got.get(name)}"
+            for name in sorted(set(expected) | set(got))
+            if expected.get(name) != got.get(name)
+        ]
     for line in problems:
         print(line, file=sys.stderr)
     return 1 if problems else 0
@@ -210,20 +315,27 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     mode = parser.add_mutually_exclusive_group(required=True)
     mode.add_argument("--out", help="write a record here (needs --parent)")
-    mode.add_argument("--check", metavar="FILE", help="recompute maps and units of a record")
+    mode.add_argument("--check", metavar="FILE", help="recompute the counts of a record")
     mode.add_argument("--repeat-in", metavar="CHECKOUT", help=argparse.SUPPRESS)
     parser.add_argument("--parent", help="checkout of the parent commit, timed beside this one")
+    parser.add_argument(
+        "--section",
+        action="append",
+        choices=sorted(SECTIONS),
+        help="a section to write (repeatable; default: every section)",
+    )
     args = parser.parse_args(argv)
+    sections = args.section or list(SECTIONS)
     if args.repeat_in:
         sys.path.insert(0, os.path.join(os.path.abspath(args.repeat_in), "src"))
-        json.dump(one_repeat(), sys.stdout)
+        json.dump(one_repeat(sections), sys.stdout)
         return 0
     sys.path.insert(0, os.path.join(ROOT, "src"))
     if args.check:
         return check(args.check)
     if not args.parent:
         parser.error("--out needs --parent")
-    data = record(os.path.abspath(args.parent))
+    data = record(os.path.abspath(args.parent), sections)
     with open(args.out, "w") as f:
         json.dump(data, f, indent=2, sort_keys=True)
         f.write("\n")

@@ -131,6 +131,9 @@ class FiniteGroupoid:
 
     @classmethod
     def from_json(cls, data):
+        for field in ("comp", "identities", "inverses"):
+            if not isinstance(data[field], dict):
+                raise ValueError(f"groupoid {field} must be a JSON object")
         arrows = {a["id"]: (a["src"], a["tgt"]) for a in data["arrows"]}
         comp = {split_pair_key(key): h for key, h in data["comp"].items()}
         return cls(

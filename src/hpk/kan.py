@@ -11,7 +11,11 @@ horn: the empty horn, every partial assignment of faces that satisfies the
 simplicial identities among the faces chosen so far, and every complete
 horn.  Candidates are drawn from a face index, so faces that cannot match
 are never visited, but the units charged are exactly those of a scan over
-the whole level.
+the whole level.  The search is breadth-first and charges each partial horn
+with its siblings, in one call per parent, so the total is the same but a
+search over budget stops at most one face bucket past the limit.  The
+homotopy scans of ``pi_n_kan`` charge one unit per (n+1)-simplex per scan,
+one whole level at a time.
 """
 
 from .budgets import DEFAULT_FILLER_BUDGET, Meter, env_budget
@@ -44,7 +48,11 @@ def enumerate_horns(sset, m, k, meter):
 
 
 def kan_report(sset, max_level, budget=None):
-    """Unfillable horns up to ``max_level``; empty iff Kan there."""
+    """Unfillable horns up to ``max_level``; empty iff Kan there.
+
+    A horn is keyed by its tuple of faces in increasing position, which is
+    exactly the tuple ``compatible_tuples`` returns for it.
+    """
     if max_level > sset.depth:
         raise InsufficientDepth(
             f"Kan check to level {max_level} needs depth {max_level}, have {sset.depth}"
@@ -53,15 +61,14 @@ def kan_report(sset, max_level, budget=None):
     meter = Meter("horn enumeration", budget)
     failures = []
     for m in range(1, max_level + 1):
+        level = sset.levels[m]
+        tables = [sset.faces[(m, i)] for i in range(m + 1)]
+        lower = [sset.faces[(m - 1, i)] for i in range(m)] if m > 1 else ()
         for k in range(m + 1):
-            fillable = set()
-            for z in sset.levels[m]:
-                key = tuple(sset.face(m, i, z) for i in range(m + 1) if i != k)
-                fillable.add(key)
-            for horn in enumerate_horns(sset, m, k, meter):
-                key = tuple(horn[i] for i in sorted(horn))
-                if key not in fillable:
-                    failures.append((m, k, key))
+            positions = [i for i in range(m + 1) if i != k]
+            fillable = set(zip(*(map(tables[i].__getitem__, level) for i in positions)))
+            horns = compatible_tuples(sset.levels[m - 1], lower, positions, meter)
+            failures.extend((m, k, key) for key in horns if key not in fillable)
     return failures
 
 
@@ -89,22 +96,24 @@ def pi_n_kan(sset, base, n, budget=None):
 
     base_low = sset.basepoint_at(base, n - 1)
     base_n = sset.basepoint_at(base, n)
-    spheres = [
-        x
-        for x in sset.levels[n]
-        if all(sset.face(n, i, x) == base_low for i in range(n + 1))
-    ]
+    level = sset.levels[n]
+    boundaries = zip(*(map(sset.faces[(n, i)].__getitem__, level) for i in range(n + 1)))
+    sphere_boundary = (base_low,) * (n + 1)
+    spheres = [x for x, faces in zip(level, boundaries) if faces == sphere_boundary]
     sphere_set = set(spheres)
 
+    # the faces of every (n+1)-simplex, one row per simplex
+    above = sset.levels[n + 1]
+    rows = list(zip(*(map(sset.faces[(n + 1, i)].__getitem__, above) for i in range(n + 2))))
     meter = Meter("homotopy enumeration", budget)
     uf = _UnionFind()
     for x in spheres:
         uf.add(x)
-    for h in sset.levels[n + 1]:
-        meter.tick()
-        if all(sset.face(n + 1, i, h) == base_n for i in range(n)):
-            a = sset.face(n + 1, n, h)
-            b = sset.face(n + 1, n + 1, h)
+    meter.tick(len(rows))
+    homotopy_head = (base_n,) * n
+    for row in rows:
+        if row[:n] == homotopy_head:
+            a, b = row[n:]
             if a in sphere_set and b in sphere_set:
                 uf.union(a, b)
     classes = uf.classes()
@@ -116,13 +125,12 @@ def pi_n_kan(sset, base, n, budget=None):
     reps = sorted(set(rep_of.values()))
 
     mult = {}
-    for h in sset.levels[n + 1]:
-        meter.tick()
-        if any(sset.face(n + 1, i, h) != base_n for i in range(n - 1)):
+    meter.tick(len(rows))
+    product_head = homotopy_head[1:]
+    for row in rows:
+        if row[: n - 1] != product_head:
             continue
-        a = sset.face(n + 1, n - 1, h)
-        p = sset.face(n + 1, n, h)
-        b = sset.face(n + 1, n + 1, h)
+        a, p, b = row[n - 1 :]
         if a in sphere_set and b in sphere_set and p in sphere_set:
             key = (rep_of[a], rep_of[b])
             value = rep_of[p]

@@ -15,6 +15,11 @@ class InsufficientDepth(ValueError):
     """An operation was asked to work beyond the stored truncation depth."""
 
 
+def _column(table, xs):
+    """``[table[x] for x in xs]``: one face, degeneracy or map applied to a whole level."""
+    return list(map(table.__getitem__, xs))
+
+
 class TruncatedSimplicialSet:
     def __init__(self, depth, levels, faces, degeneracies):
         if not isinstance(depth, int) or isinstance(depth, bool) or depth < 0:
@@ -59,23 +64,23 @@ class TruncatedSimplicialSet:
     def _check_tables(self):
         problems = []
         for n in range(1, self.depth + 1):
+            level, target = set(self.levels[n]), set(self.levels[n - 1])
             for i in range(n + 1):
                 table = self.faces.get((n, i))
                 if table is None:
                     problems.append(f"missing face table d_{i} at level {n}")
                     continue
-                level, target = set(self.levels[n]), set(self.levels[n - 1])
                 if set(table) != level:
                     problems.append(f"face table d_{i} at level {n} not total")
                 elif not set(table.values()) <= target:
                     problems.append(f"face table d_{i} at level {n} escapes level {n - 1}")
         for n in range(0, self.depth):
+            level, target = set(self.levels[n]), set(self.levels[n + 1])
             for i in range(n + 1):
                 table = self.degeneracies.get((n, i))
                 if table is None:
                     problems.append(f"missing degeneracy table s_{i} at level {n}")
                     continue
-                level, target = set(self.levels[n]), set(self.levels[n + 1])
                 if set(table) != level:
                     problems.append(f"degeneracy table s_{i} at level {n} not total")
                 elif not set(table.values()) <= target:
@@ -83,47 +88,73 @@ class TruncatedSimplicialSet:
         return problems
 
     def _check_identities(self):
+        """Each identity family compares two composed tables over a whole level.
+
+        ``dcol[n][i]`` and ``scol[n][i]`` list d_i and s_i of the level-n
+        simplices in level order, so each side of an identity is one more
+        column lookup; the simplices are named only where the sides differ.
+        """
         problems = []
-        d, s = self.face, self.degeneracy
+        levels, faces, degens = self.levels, self.faces, self.degeneracies
+        dcol = {
+            n: [_column(faces[(n, i)], levels[n]) for i in range(n + 1)]
+            for n in range(1, self.depth + 1)
+        }
+        scol = {
+            n: [_column(degens[(n, i)], levels[n]) for i in range(n + 1)]
+            for n in range(self.depth)
+        }
         for n in range(2, self.depth + 1):
             for j in range(n + 1):
                 for i in range(j):
-                    for x in self.levels[n]:
-                        if d(n - 1, i, d(n, j, x)) != d(n - 1, j - 1, d(n, i, x)):
-                            problems.append(
-                                f"d_{i} d_{j} != d_{j - 1} d_{i} at level {n} on {x}"
-                            )
+                    left = _column(faces[(n - 1, i)], dcol[n][j])
+                    right = _column(faces[(n - 1, j - 1)], dcol[n][i])
+                    if left != right:
+                        problems.extend(
+                            f"d_{i} d_{j} != d_{j - 1} d_{i} at level {n} on {x}"
+                            for x, a, b in zip(levels[n], left, right)
+                            if a != b
+                        )
         for n in range(0, self.depth):
+            level = list(levels[n])
             for j in range(n + 1):
-                for x in self.levels[n]:
-                    y = s(n, j, x)
-                    if d(n + 1, j, y) != x:
-                        problems.append(f"d_{j} s_{j} != id at level {n} on {x}")
-                    if d(n + 1, j + 1, y) != x:
-                        problems.append(f"d_{j + 1} s_{j} != id at level {n} on {x}")
+                low = _column(faces[(n + 1, j)], scol[n][j])
+                high = _column(faces[(n + 1, j + 1)], scol[n][j])
+                if low != level or high != level:
+                    for x, a, b in zip(level, low, high):
+                        if a != x:
+                            problems.append(f"d_{j} s_{j} != id at level {n} on {x}")
+                        if b != x:
+                            problems.append(f"d_{j + 1} s_{j} != id at level {n} on {x}")
         for n in range(1, self.depth):
             for j in range(n + 1):
                 for i in range(n + 2):
-                    for x in self.levels[n]:
-                        y = s(n, j, x)
-                        if i < j:
-                            if d(n + 1, i, y) != s(n - 1, j - 1, d(n, i, x)):
-                                problems.append(
-                                    f"d_{i} s_{j} != s_{j - 1} d_{i} at level {n} on {x}"
-                                )
-                        elif i > j + 1:
-                            if d(n + 1, i, y) != s(n - 1, j, d(n, i - 1, x)):
-                                problems.append(
-                                    f"d_{i} s_{j} != s_{j} d_{i - 1} at level {n} on {x}"
-                                )
+                    if i < j:
+                        right = _column(degens[(n - 1, j - 1)], dcol[n][i])
+                        text = f"d_{i} s_{j} != s_{j - 1} d_{i}"
+                    elif i > j + 1:
+                        right = _column(degens[(n - 1, j)], dcol[n][i - 1])
+                        text = f"d_{i} s_{j} != s_{j} d_{i - 1}"
+                    else:
+                        continue
+                    left = _column(faces[(n + 1, i)], scol[n][j])
+                    if left != right:
+                        problems.extend(
+                            f"{text} at level {n} on {x}"
+                            for x, a, b in zip(levels[n], left, right)
+                            if a != b
+                        )
         for n in range(0, self.depth - 1):
             for j in range(n + 1):
                 for i in range(j + 1):
-                    for x in self.levels[n]:
-                        if s(n + 1, i, s(n, j, x)) != s(n + 1, j + 1, s(n, i, x)):
-                            problems.append(
-                                f"s_{i} s_{j} != s_{j + 1} s_{i} at level {n} on {x}"
-                            )
+                    left = _column(degens[(n + 1, i)], scol[n][j])
+                    right = _column(degens[(n + 1, j + 1)], scol[n][i])
+                    if left != right:
+                        problems.extend(
+                            f"s_{i} s_{j} != s_{j + 1} s_{i} at level {n} on {x}"
+                            for x, a, b in zip(levels[n], left, right)
+                            if a != b
+                        )
         return problems
 
     # -- degeneracy structure ----------------------------------------------
@@ -253,20 +284,28 @@ class SimplicialMap:
             if not set(mapping.values()) <= set(self.target.levels[n]):
                 problems.append(f"level {n} map escapes target")
                 return problems
-        for n in range(1, self.source.depth + 1):
+        source, target, maps = self.source, self.target, self.level_maps
+        images = [_column(m, level) for m, level in zip(maps, source.levels)]
+        for n in range(1, source.depth + 1):
             for i in range(n + 1):
-                for x in self.source.levels[n]:
-                    left = self.level_maps[n - 1][self.source.face(n, i, x)]
-                    right = self.target.face(n, i, self.level_maps[n][x])
-                    if left != right:
-                        problems.append(f"does not commute with d_{i} at level {n} on {x}")
-        for n in range(0, self.source.depth):
+                left = _column(maps[n - 1], _column(source.faces[(n, i)], source.levels[n]))
+                right = _column(target.faces[(n, i)], images[n])
+                if left != right:
+                    problems.extend(
+                        f"does not commute with d_{i} at level {n} on {x}"
+                        for x, a, b in zip(source.levels[n], left, right)
+                        if a != b
+                    )
+        for n in range(0, source.depth):
             for i in range(n + 1):
-                for x in self.source.levels[n]:
-                    left = self.level_maps[n + 1][self.source.degeneracy(n, i, x)]
-                    right = self.target.degeneracy(n, i, self.level_maps[n][x])
-                    if left != right:
-                        problems.append(f"does not commute with s_{i} at level {n} on {x}")
+                left = _column(maps[n + 1], _column(source.degeneracies[(n, i)], source.levels[n]))
+                right = _column(target.degeneracies[(n, i)], images[n])
+                if left != right:
+                    problems.extend(
+                        f"does not commute with s_{i} at level {n} on {x}"
+                        for x, a, b in zip(source.levels[n], left, right)
+                        if a != b
+                    )
         return problems
 
     @classmethod
@@ -304,48 +343,57 @@ def compatible_tuples(simplices, face_tables, positions, meter=None):
 
     This is the matching-tuple search shared by the nerve's higher levels
     and by horn enumeration.  ``face_tables[i]`` maps each simplex to its
-    i-th face and ``positions`` is increasing.  The first position ranges
-    over ``simplices``; each later position p takes its candidates from one
-    bucket index {d_(p0) x: [x, ...]}, looked up at d_(p-1) x_(p0), and the
-    relations with the other chosen positions are checked against the face
-    tables.  Buckets keep the order of ``simplices``, so the tuples come out
-    in the lexicographic order of a plain nested scan.  ``meter.tick()`` is
-    charged once per consistent partial tuple, the empty one and the
-    complete ones included.
+    i-th face and ``positions`` is increasing.
+
+    The search is breadth-first: a layer holds the consistent partial tuples
+    of one length, and the whole layer is extended by one position at a
+    time.  Position t draws its candidates from an index of ``simplices``
+    keyed by their faces d_(p_0), ..., d_(p_(t-1)); a partial tuple's
+    children are the entry at the key d_(p_t - 1) of its own entries, so
+    every relation with the earlier positions is checked by one lookup.
+    Index entries keep the order of ``simplices`` and a layer is built parent
+    by parent, so the tuples come out in the lexicographic order of a plain
+    nested scan.
+
+    ``meter`` is charged one unit per consistent partial tuple, the empty
+    one and the complete ones included, as a depth-first search charging
+    each tuple it visits would be.  The units are charged per parent, for
+    all of its children at once, and the first layer bucket by bucket (a
+    bucket is the set of simplices with one d_(p_0) face, and no parent has
+    more children than its bucket holds).  So a search that runs out of
+    budget stops having charged at most one bucket beyond it; with a single
+    position there are no buckets and ``simplices`` is charged at once.
     """
     positions = tuple(positions)
-    width = len(positions)
-    out = []
-    buckets = {}
-    if width > 1:
-        first = face_tables[positions[0]]
-        for x in simplices:
-            buckets.setdefault(first[x], []).append(x)
-
-    def extend(chosen):
-        if meter is not None:
-            meter.tick()
-        t = len(chosen)
-        if t == width:
-            out.append(tuple(chosen))
-            return
-        if t == 0:
-            candidates, checks = simplices, ()
-        else:
-            below = face_tables[positions[t] - 1]
-            candidates = buckets.get(below[chosen[0]], ())
-            checks = [(face_tables[positions[s]], below[chosen[s]]) for s in range(1, t)]
-        for x in candidates:
-            for face, want in checks:
-                if face[x] != want:
-                    break
-            else:
-                chosen.append(x)
-                extend(chosen)
-                chosen.pop()
-
-    extend([])
-    return out
+    tick = meter.tick if meter is not None else None
+    if tick:
+        tick()
+    if not positions:
+        return [()]
+    singles = [(x,) for x in simplices]
+    if len(positions) == 1:
+        if tick:
+            tick(len(singles))
+        return singles
+    layer = singles
+    for t in range(1, len(positions)):
+        keys = zip(*(map(face_tables[p].__getitem__, simplices) for p in positions[:t]))
+        index = {}
+        for key, single in zip(keys, singles):
+            index.setdefault(key, []).append(single)
+        if t == 1 and tick:
+            for bucket in index.values():
+                tick(len(bucket))
+        below = face_tables[positions[t] - 1].__getitem__
+        extended = []
+        for chosen in layer:
+            children = index.get(tuple(map(below, chosen)))
+            if children:
+                if tick:
+                    tick(len(children))
+                extended += map(chosen.__add__, children)
+        layer = extended
+    return layer
 
 
 def _tuple_id(t):

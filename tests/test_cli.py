@@ -843,3 +843,22 @@ def test_site_commands_agree_on_a_malformed_table_key(tmp_path, capsys, command)
     code, out, err = run_on(tmp_path, capsys, "site", document, command)
     assert (code, out) == (2, "")
     assert err == "input error: table key 'id|id|id' is not two ids joined by '|'\n"
+
+
+@pytest.mark.parametrize("field", ["comp", "identities", "inverses"])
+@pytest.mark.parametrize("command", [["validate"], ["pi0"]])
+def test_groupoid_tables_must_be_json_objects(tmp_path, capsys, field, command):
+    # a list of pairs used to be read as the object form by dict(...)
+    data = _gpd_z2().to_json()
+    data[field] = [[key, value] for key, value in data[field].items()]
+    code, out, err = run_on(tmp_path, capsys, "pairs", data, command)
+    assert (code, out) == (2, "")
+    assert err == f"input error: groupoid {field} must be a JSON object\n"
+
+
+def test_a_level_of_a_simplicial_groupoid_must_have_object_tables(tmp_path, capsys):
+    data = SimplicialGroupoid.constant(_gpd_z2(), 1).to_json()
+    data["levels"][0]["identities"] = [["*", "g0"]]
+    code, out, err = run_on(tmp_path, capsys, "level", data, ["validate"])
+    assert (code, out) == (2, "")
+    assert err == "input error: groupoid identities must be a JSON object\n"

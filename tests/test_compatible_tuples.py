@@ -6,14 +6,15 @@ search must return the same tuples in the same order and charge the same
 work units: one per consistent partial tuple.
 """
 
+from collections import Counter
 from itertools import product
 
 import pytest
 
-from hpk.budgets import Meter
+from hpk.budgets import BudgetExceeded, Meter
 from hpk.groupoids import FiniteGroupoid, SimplicialGroupoid
 from hpk.groups import GroupTable
-from hpk.kan import enumerate_horns
+from hpk.kan import enumerate_horns, kan_report
 from hpk.loop import wbar
 from hpk.sset import compatible_tuples
 from hpk.two_groupoids import TwoGroupoid, nerve
@@ -110,3 +111,59 @@ def test_horns_match_brute_force(name):
             expected, partial = brute_force_tuples(sset.levels[m - 1], faces, positions)
             assert horns == [dict(zip(positions, tup)) for tup in expected], (name, m, k)
             assert meter.used == partial, (name, m, k)
+
+
+# -- budgets ------------------------------------------------------------------------
+
+BUDGET_FIXTURES = dict(HORNS)
+BUDGET_FIXTURES["pi2 Z/3 depth 4"] = lambda: nerve(pi2_2gpd(3), 4)
+
+
+def horn_units(sset):
+    """Work units of every horn search up to the top level, as ``kan_report`` charges them."""
+    meter = Meter("horns", 10**9)
+    for m in range(1, sset.depth + 1):
+        for k in range(m + 1):
+            enumerate_horns(sset, m, k, meter)
+    return meter.used
+
+
+def test_horn_units_of_the_pi2_z3_nerve_are_pinned():
+    # recorded on the depth-first search that the breadth-first one replaced
+    assert horn_units(BUDGET_FIXTURES["pi2 Z/3 depth 4"]()) == 8818
+
+
+@pytest.mark.parametrize("name", list(BUDGET_FIXTURES))
+def test_kan_report_needs_exactly_its_work_units(name):
+    sset = BUDGET_FIXTURES[name]()
+    units = horn_units(sset)
+    with pytest.raises(BudgetExceeded) as exc:
+        kan_report(sset, sset.depth, budget=units - 1)
+    assert str(exc.value) == f"horn enumeration: enumeration budget of {units - 1} exceeded"
+    assert isinstance(kan_report(sset, sset.depth, budget=units), list)
+
+
+def largest_bucket(simplices, face_tables, positions):
+    """The most simplices sharing a d_(p_0) face; the whole level for one position."""
+    if len(positions) == 1:
+        return len(simplices)
+    sizes = Counter(face_tables[positions[0]][x] for x in simplices)
+    return max(sizes.values(), default=0)
+
+
+@pytest.mark.parametrize("name", list(BUDGET_FIXTURES))
+def test_a_search_over_budget_stops_within_one_bucket(name):
+    sset = BUDGET_FIXTURES[name]()
+    m = sset.depth
+    faces = [sset.faces[(m - 1, i)] for i in range(m)]
+    for k in range(m + 1):
+        positions = [i for i in range(m + 1) if i != k]
+        meter = Meter("horns", 10**9)
+        compatible_tuples(sset.levels[m - 1], faces, positions, meter)
+        units = meter.used
+        bucket = largest_bucket(sset.levels[m - 1], faces, positions)
+        for budget in sorted({0, 1, units // 3, units // 2, units - 2, units - 1}):
+            meter = Meter("horns", budget)
+            with pytest.raises(BudgetExceeded):
+                compatible_tuples(sset.levels[m - 1], faces, positions, meter)
+            assert budget < meter.used <= budget + bucket, (name, k, budget)

@@ -245,3 +245,168 @@ def test_sphere_two_levels_match_orbit_oracle():
             if set(t) == {0, 1, 2}
         ]
         assert len(s2.levels[n]) == len(surjective) + 1
+
+
+# -- the whole-table identity checks against the per-simplex ones --------------
+
+
+def reference_identities(sset):
+    """The simplicial identities checked one simplex at a time, through ``face``."""
+    problems = []
+    d, s = sset.face, sset.degeneracy
+    for n in range(2, sset.depth + 1):
+        for j in range(n + 1):
+            for i in range(j):
+                for x in sset.levels[n]:
+                    if d(n - 1, i, d(n, j, x)) != d(n - 1, j - 1, d(n, i, x)):
+                        problems.append(f"d_{i} d_{j} != d_{j - 1} d_{i} at level {n} on {x}")
+    for n in range(0, sset.depth):
+        for j in range(n + 1):
+            for x in sset.levels[n]:
+                y = s(n, j, x)
+                if d(n + 1, j, y) != x:
+                    problems.append(f"d_{j} s_{j} != id at level {n} on {x}")
+                if d(n + 1, j + 1, y) != x:
+                    problems.append(f"d_{j + 1} s_{j} != id at level {n} on {x}")
+    for n in range(1, sset.depth):
+        for j in range(n + 1):
+            for i in range(n + 2):
+                for x in sset.levels[n]:
+                    y = s(n, j, x)
+                    if i < j:
+                        if d(n + 1, i, y) != s(n - 1, j - 1, d(n, i, x)):
+                            problems.append(
+                                f"d_{i} s_{j} != s_{j - 1} d_{i} at level {n} on {x}"
+                            )
+                    elif i > j + 1:
+                        if d(n + 1, i, y) != s(n - 1, j, d(n, i - 1, x)):
+                            problems.append(
+                                f"d_{i} s_{j} != s_{j} d_{i - 1} at level {n} on {x}"
+                            )
+    for n in range(0, sset.depth - 1):
+        for j in range(n + 1):
+            for i in range(j + 1):
+                for x in sset.levels[n]:
+                    if s(n + 1, i, s(n, j, x)) != s(n + 1, j + 1, s(n, i, x)):
+                        problems.append(f"s_{i} s_{j} != s_{j + 1} s_{i} at level {n} on {x}")
+    return problems
+
+
+def reference_map_problems(smap):
+    """``SimplicialMap.validate`` one simplex at a time, through ``face``."""
+    problems = []
+    source, target = smap.source, smap.target
+    for n in range(source.depth + 1):
+        mapping = smap.level_maps[n]
+        if set(mapping) != set(source.levels[n]):
+            return [f"level {n} map not total"]
+        if not set(mapping.values()) <= set(target.levels[n]):
+            return [f"level {n} map escapes target"]
+    for n in range(1, source.depth + 1):
+        for i in range(n + 1):
+            for x in source.levels[n]:
+                left = smap.level_maps[n - 1][source.face(n, i, x)]
+                right = target.face(n, i, smap.level_maps[n][x])
+                if left != right:
+                    problems.append(f"does not commute with d_{i} at level {n} on {x}")
+    for n in range(0, source.depth):
+        for i in range(n + 1):
+            for x in source.levels[n]:
+                left = smap.level_maps[n + 1][source.degeneracy(n, i, x)]
+                right = target.degeneracy(n, i, smap.level_maps[n][x])
+                if left != right:
+                    problems.append(f"does not commute with s_{i} at level {n} on {x}")
+    return problems
+
+
+def identity_fixtures():
+    from hpk.abelian import AbelianHom, ChainFixture, FiniteAbelianGroup
+    from hpk.groupoids import FiniteGroupoid, SimplicialGroupoid, dold_kan
+    from hpk.groups import GroupTable
+    from hpk.loop import wbar
+    from hpk.two_groupoids import TwoGroupoid, nerve
+
+    z4, z2 = FiniteAbelianGroup([4]), FiniteAbelianGroup([2])
+    chain = ChainFixture([z2, z4], [AbelianHom(z4, z2, [(1,)])])
+    z3 = SimplicialGroupoid.constant(FiniteGroupoid.from_group(GroupTable.cyclic(3)), 3)
+    return {
+        "Delta2": lambda: standard_complex("Delta", 2, depth=3),
+        "horn21": lambda: standard_complex("horn", 2, k=1, depth=3),
+        "sphere2": lambda: standard_complex("sphere", 2, depth=3),
+        "nerve pi2 Z/2": lambda: nerve(TwoGroupoid.one_object_with_pi2(GroupTable.cyclic(2)), 3),
+        "nerve chaotic Z/2": lambda: nerve(
+            TwoGroupoid.from_groupoid(FiniteGroupoid.chaotic(["x", "y"], GroupTable.cyclic(2))), 3
+        ),
+        "wbar Z/3": lambda: wbar(z3, 3).sset,
+        "wbar dold_kan": lambda: wbar(dold_kan(chain, 2), 3).sset,
+    }
+
+
+IDENTITY_FIXTURES = identity_fixtures()
+
+
+def other(level, value):
+    """The simplex after ``value`` in ``level``, cyclically; None on a one-simplex level."""
+    k = level.index(value)
+    swap = level[(k + 1) % len(level)]
+    return None if swap == value else swap
+
+
+def corrupted(table, level, target_level):
+    """Copies of ``table`` with the first, the middle or the last entry of
+    ``level`` pointed at another simplex of ``target_level``, and one copy
+    with all three moved, so that problems on several simplices are ordered."""
+    picks = sorted({0, len(level) // 2, len(level) - 1}) if level else []
+    moved = {}
+    for k in picks:
+        x = level[k]
+        swap = other(target_level, table[x])
+        if swap is not None:
+            moved[x] = swap
+            yield {**table, x: swap}
+    if len(moved) > 1:
+        yield {**table, **moved}
+
+
+def identity_cases(sset):
+    """("face" or "degeneracy", complex with one such entry corrupted), tables kept total."""
+    for (n, i), table in sorted(sset.faces.items()):
+        for broken in corrupted(table, sset.levels[n], sset.levels[n - 1]):
+            faces = {**sset.faces, (n, i): broken}
+            yield "face", TruncatedSimplicialSet(sset.depth, sset.levels, faces, sset.degeneracies)
+    for (n, i), table in sorted(sset.degeneracies.items()):
+        for broken in corrupted(table, sset.levels[n], sset.levels[n + 1]):
+            degens = {**sset.degeneracies, (n, i): broken}
+            yield "degeneracy", TruncatedSimplicialSet(sset.depth, sset.levels, sset.faces, degens)
+
+
+# a corrupted entry can still satisfy every identity (a top-level face moved
+# to a simplex with the same faces), so each case must agree with the
+# reference and each kind of corruption must be caught somewhere
+@pytest.mark.parametrize("name", sorted(IDENTITY_FIXTURES))
+def test_identity_checks_match_the_per_simplex_reference(name):
+    sset = IDENTITY_FIXTURES[name]()
+    assert sset.validate() == reference_identities(sset) == []
+    caught = {"face": 0, "degeneracy": 0}
+    for kind, broken in identity_cases(sset):
+        problems = broken.validate()
+        assert problems == reference_identities(broken), (name, kind)
+        caught[kind] += bool(problems)
+    assert all(caught.values()), (name, caught)
+
+
+@pytest.mark.parametrize("name", sorted(IDENTITY_FIXTURES))
+def test_map_checks_match_the_per_simplex_reference(name):
+    sset = IDENTITY_FIXTURES[name]()
+    ident = SimplicialMap.identity(sset)
+    assert ident.validate() == reference_map_problems(ident) == []
+    caught = 0
+    for n, level in enumerate(sset.levels):
+        for broken in corrupted(ident.level_maps[n], level, level):
+            maps = list(ident.level_maps)
+            maps[n] = broken
+            smap = SimplicialMap(sset, sset, maps)
+            problems = smap.validate()
+            assert problems == reference_map_problems(smap), (name, n)
+            caught += bool(problems)
+    assert caught, name
