@@ -2,7 +2,8 @@
 
     python3 bench/record.py --out BENCH_12.json --parent ../hpk-parent --section pairs
     python3 bench/record.py --out BENCH_13.json --parent ../hpk-parent --section kernels
-    python3 bench/record.py --check BENCH_13.json
+    python3 bench/record.py --out BENCH_14.json --parent ../hpk-parent --section emit
+    python3 bench/record.py --check BENCH_14.json
 
 A record holds one or more sections, each a list of cases:
 
@@ -21,6 +22,14 @@ A record holds one or more sections, each a list of cases:
     and ``pi_n_kan(., 3)`` on the nerve of the 2-groupoid with pi_2 = Z/3 at
     depth 4.  A step records the level sizes, the number of problems (or the
     order of the group), and the units of every ``Meter`` it made.
+``emit``
+    The heaviest outputs of the benchmark's ``cli_corpus`` mix: ``nerve`` at
+    depth 4 of the 2-groupoid with pi_2 = Z/3, ``nerve`` at depth 3 of chaotic
+    Z/3 on two objects, ``wbar``, ``wtotal``, ``doldkan`` at depth 2 and a
+    ``lift``.  Each payload is built once by running its command with
+    ``cli._emit`` captured; the step then writes it with that checkout's own
+    ``cli._emit`` into a sink and records the length and sha256 of the text.
+    Its time covers the ``_emit`` call alone, not the hashing.
 
 Every step also records its best wall time on the parent checkout and on
 this one.  Each side runs in its own process, importing hpk from that
@@ -35,6 +44,8 @@ file.  It never compares wall times, which depend on the machine.
 """
 
 import argparse
+import contextlib
+import hashlib
 import json
 import os
 import platform
@@ -166,6 +177,74 @@ def kernel_cases():
     return cases
 
 
+class _Sink:
+    """A stdout that keeps the last text written to it."""
+
+    def write(self, text):
+        self.text = text
+
+
+def emit_once(cli, payload, args):
+    """Length, sha256 and time of what ``cli._emit(payload, args)`` writes."""
+    sink = _Sink()
+    with contextlib.redirect_stdout(sink):
+        start = perf_counter()
+        cli._emit(payload, args)
+        ms = (perf_counter() - start) * 1e3
+    data = sink.text.encode()
+    return {"bytes": len(data), "sha256": hashlib.sha256(data).hexdigest(), "ms": ms}
+
+
+def emit_cases():
+    """{command: {"emit": step}}, each step writing one CLI payload."""
+    import tempfile
+
+    from hpk import cli
+    from hpk.groups import GroupTable
+    from hpk.groupoids import FiniteGroupoid, SimplicialGroupoid
+    from hpk.jsonio import smap_to_json
+    from hpk.sset import SimplicialMap, standard_complex
+    from hpk.two_groupoids import TwoGroupoid
+
+    z3 = GroupTable.cyclic(3)
+    v4 = GroupTable.direct_product(GroupTable.cyclic(2), GroupTable.cyclic(2, prefix="h"))
+    chaotic = FiniteGroupoid.chaotic(["x", "y"], z3)
+    horn, d2 = standard_complex("horn", 2, k=1, depth=2), standard_complex("Delta", 2)
+    into = SimplicialMap(horn, d2, [{s: s for s in level} for level in horn.levels])
+    ident = smap_to_json(SimplicialMap.identity(d2))
+    commands = [
+        ("nerve --depth 4, pi_2 = Z/3", ["nerve", "--depth", "4"],
+         TwoGroupoid.one_object_with_pi2(z3).to_json()),
+        ("nerve --depth 3, chaotic Z/3 on two objects", ["nerve", "--depth", "3"],
+         TwoGroupoid.from_groupoid(chaotic).to_json()),
+        ("wbar --depth 2, constant chaotic Z/3 on two objects", ["wbar", "--depth", "2"],
+         SimplicialGroupoid.constant(chaotic, 2).to_json()),
+        ("wtotal --depth 2, constant V4", ["wtotal", "--depth", "2"],
+         SimplicialGroupoid.constant(FiniteGroupoid.from_group(v4), 2).to_json()),
+        ("doldkan --depth 2, Z/2+Z/2 -> Z/4", ["doldkan", "--depth", "2"],
+         {"groups": [[4], [2, 2]], "boundaries": [[[2], [0]]]}),
+        ("lift, horn into simplex", ["lift"],
+         {"single": True, "i": smap_to_json(into), "top": smap_to_json(into),
+          "p": ident, "bottom": ident}),
+    ]
+    cases = {}
+    original = cli._emit
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        for name, (command, *options), document in commands:
+            with open(path, "w") as f:
+                json.dump(document, f)
+            captured = []
+            cli._emit = lambda payload, args: captured.append((payload, args))
+            try:
+                cli.main([command, path, *options])
+            finally:
+                cli._emit = original
+            (payload, args), = captured
+            cases[name] = {"emit": lambda p=payload, a=args: emit_once(cli, p, a)}
+    return cases
+
+
 # section -> (the field naming a case, what the section measures, its cases)
 SECTIONS = {
     "pairs": (
@@ -178,13 +257,18 @@ SECTIONS = {
         "nerve, validate_sset, kan_report and pi_n_kan face-table kernels",
         kernel_cases,
     ),
+    "emit": (
+        "command",
+        "CLI output of the heaviest cli_corpus payloads, written by cli._emit",
+        emit_cases,
+    ),
 }
 
 
 def counts(section):
     """{case: {step: fields}} of a section on the imported hpk."""
     return {
-        name: {step: run() for step, run in steps.items()}
+        name: {step: without_times(run()) for step, run in steps.items()}
         for name, steps in SECTIONS[section][2]().items()
     }
 
@@ -203,7 +287,8 @@ def one_repeat(sections):
             for step, run in steps.items():
                 start = perf_counter()
                 fields = run()
-                fields["ms"] = (perf_counter() - start) * 1e3
+                # a step that times itself has already set its own ms
+                fields.setdefault("ms", (perf_counter() - start) * 1e3)
                 out[section][name][step] = fields
     return out
 

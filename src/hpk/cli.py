@@ -47,7 +47,7 @@ def _emit(payload, args):
     if getattr(args, "format", "json") == "text":
         out = _render_text(payload)
     else:
-        out = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        out = jsonio.dumps(payload)
     if getattr(args, "output", None):
         with open(args.output, "w") as handle:
             handle.write(out)
@@ -242,7 +242,7 @@ def cmd_transpose(args):
     from .sset import SimplicialMap
 
     data = _read(args.file)
-    sset = jsonio.checked(jsonio.TruncatedSimplicialSet.from_json(data["complex"]))
+    sset = jsonio.checked(jsonio.sset_from_json(data["complex"]))
     sgpd = jsonio.checked(jsonio.SimplicialGroupoid.from_json(data["groupoid"]))
     depth = data["depth"]
     gx = loop_groupoid(sset, depth)

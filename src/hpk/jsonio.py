@@ -9,7 +9,12 @@ reader here runs ``validate()`` on each object it builds, parts before the
 objects built from them, and rejects the first invalid one with
 ``ValueError("invalid <what>: ...")``.  Chain documents are the exception:
 ``AbelianHom`` and ``ChainFixture`` check themselves on construction.
+
+It is also where hpk writes its output: ``dumps`` gives the text the ``json``
+module writes with ``sort_keys=True`` and ``indent=2``, plus a newline.
 """
+
+from json.encoder import encode_basestring_ascii
 
 from .abelian import AbelianHom, ChainFixture, FiniteAbelianGroup
 from .groups import GroupTable
@@ -164,6 +169,52 @@ def chain_to_json(chain):
     }
 
 
+# -- simplicial sets --------------------------------------------------------------------
+
+
+# the JSON name of each type a parsed document holds, for messages
+_JSON_TYPES = {
+    type(None): "null",
+    bool: "a boolean",
+    int: "a number",
+    float: "a number",
+    str: "a string",
+    list: "an array",
+    dict: "an object",
+}
+
+
+def _string_ids(value, what):
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be an array of string ids, got {_JSON_TYPES[type(value)]}")
+    for x in value:
+        if not isinstance(x, str):
+            raise ValueError(f"{what} holds {_JSON_TYPES[type(x)]} where a string id belongs")
+
+
+def sset_from_json(data):
+    """A simplicial set whose levels are arrays of string ids and whose face and
+    degeneracy tables map string ids to string ids; the laws are not checked."""
+    if not isinstance(data, dict):
+        raise ValueError(f"a simplicial set must be an object, got {_JSON_TYPES[type(data)]}")
+    levels = data["levels"]
+    if not isinstance(levels, list):
+        raise ValueError(f"levels must be an array of levels, got {_JSON_TYPES[type(levels)]}")
+    for n, level in enumerate(levels):
+        _string_ids(level, f"level {n}")
+    for name in ("faces", "degeneracies"):
+        tables = data[name]
+        if not isinstance(tables, dict):
+            raise ValueError(f"{name} must be an object of tables, got {_JSON_TYPES[type(tables)]}")
+        for key, table in tables.items():
+            if not isinstance(table, dict):
+                raise ValueError(
+                    f"{name} table {key} must be an object, got {_JSON_TYPES[type(table)]}"
+                )
+            _string_ids(list(table.values()), f"{name} table {key}")
+    return TruncatedSimplicialSet.from_json(data)
+
+
 # -- maps of single structures ------------------------------------------------------
 
 
@@ -177,8 +228,8 @@ def smap_to_json(smap):
 
 
 def smap_from_json(data):
-    source = TruncatedSimplicialSet.from_json(data["source"])
-    target = TruncatedSimplicialSet.from_json(data["target"])
+    source = sset_from_json(data["source"])
+    target = sset_from_json(data["target"])
     return checked(SimplicialMap(source, target, data["levels"]))
 
 
@@ -240,7 +291,7 @@ def _value_from_json(domain, data):
     if domain == "group":
         return GroupTable.from_json(data)
     if domain == "sset":
-        return TruncatedSimplicialSet.from_json(data)
+        return sset_from_json(data)
     if domain == "sgpd":
         return SimplicialGroupoid.from_json(data)
     if domain == "2gpd":
@@ -362,7 +413,7 @@ def nat_from_json(data):
 LOADERS = {
     "site": FiniteSite.from_json,
     "2gpd": TwoGroupoid.from_json,
-    "sset": TruncatedSimplicialSet.from_json,
+    "sset": sset_from_json,
     "sgpd": SimplicialGroupoid.from_json,
     "groupoid": FiniteGroupoid.from_json,
     "free_groupoid": FreeGroupoid.from_json,
@@ -370,3 +421,121 @@ LOADERS = {
     "chain": chain_from_json,
     "group": GroupTable.from_json,
 }
+
+
+# -- output ---------------------------------------------------------------------------
+#
+# ``indent`` makes ``json`` fall back to its pure-Python encoder.  The nerve ids
+# repeat across levels, faces and degeneracies, so ``dumps`` escapes each distinct
+# string once per call through ``memo`` and appends every chunk to one list.  The
+# recursion is plain module functions, not a closure, so a call leaves no reference
+# cycle keeping ``memo`` and the chunks alive until the next cyclic collection.
+# Payloads are trees built by hpk: cycles are not detected.
+
+_INF = float("inf")
+
+
+def dumps(payload):
+    """The text ``json`` writes for ``payload`` with ``sort_keys=True`` and
+    ``indent=2``, plus a newline; a value it cannot write raises ``json``'s TypeError."""
+    chunks = []
+    _value(payload, "\n", {}, chunks.append)
+    chunks.append("\n")
+    return "".join(chunks)
+
+
+def _float(o):
+    if o != o:
+        return "NaN"
+    if o == _INF:
+        return "Infinity"
+    if o == -_INF:
+        return "-Infinity"
+    return float.__repr__(o)
+
+
+def _atom(o):
+    """The text of a value that is not a string, list, tuple or dict."""
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return _float(o)
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+def _key(o):
+    """A dict key as the string ``json`` writes for it."""
+    if isinstance(o, str):
+        return o
+    if isinstance(o, float):
+        return _float(o)
+    if isinstance(o, bool) or o is None:
+        return _atom(o)
+    if isinstance(o, int):
+        return int.__repr__(o)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {o.__class__.__name__}")
+
+
+def _value(o, indent, memo, append):
+    if isinstance(o, str):
+        text = memo.get(o)
+        if text is None:
+            text = memo[o] = encode_basestring_ascii(o)
+        append(text)
+    elif isinstance(o, (list, tuple)):
+        _list(o, indent, memo, append)
+    elif isinstance(o, dict):
+        _dict(o, indent, memo, append)
+    else:
+        append(_atom(o))
+
+
+def _list(items, indent, memo, append):
+    if not items:
+        append("[]")
+        return
+    inner = indent + "  "
+    comma, sep = "," + inner, "[" + inner
+    for o in items:
+        append(sep)
+        sep = comma
+        if type(o) is str:
+            text = memo.get(o)
+            if text is None:
+                text = memo[o] = encode_basestring_ascii(o)
+            append(text)
+        else:
+            _value(o, inner, memo, append)
+    append(indent + "]")
+
+
+def _dict(table, indent, memo, append):
+    if not table:
+        append("{}")
+        return
+    inner = indent + "  "
+    comma, sep = "," + inner, "{" + inner
+    for key, o in sorted(table.items()):
+        append(sep)
+        sep = comma
+        if type(key) is not str:
+            key = _key(key)
+        text = memo.get(key)
+        if text is None:
+            text = memo[key] = encode_basestring_ascii(key)
+        append(text)
+        append(": ")
+        if type(o) is str:
+            text = memo.get(o)
+            if text is None:
+                text = memo[o] = encode_basestring_ascii(o)
+            append(text)
+        else:
+            _value(o, inner, memo, append)
+    append(indent + "}")

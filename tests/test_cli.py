@@ -420,6 +420,20 @@ def test_output_file_option(tmp_path, capsys):
     code = main(["validate", path, "--output", str(out_path)])
     assert code == 0
     assert json.loads(out_path.read_text())["reports"][0]["violations"] == []
+    # a file gets the bytes stdout gets, on the largest nerve the suite writes
+    from hpk.two_groupoids import TwoGroupoid
+
+    k = write(tmp_path, "k.json", TwoGroupoid.one_object_with_pi2(GroupTable.cyclic(3)).to_json())
+    nerve_path = tmp_path / "nerve.json"
+    assert main(["nerve", k, "--depth", "4", "--output", str(nerve_path)]) == 0
+    assert capsys.readouterr().out == ""
+    code, out = run(capsys, "nerve", k, "--depth", "4")
+    assert code == 0 and out.isascii()
+    assert nerve_path.read_bytes() == out.encode()
+    assert run(capsys, "nerve", k, "--depth", "4", "--format", "text") == (
+        0,
+        "degeneracies: (10 entries)\ndepth: 4\nfaces: (14 entries)\nlevels: (5 entries)\n",
+    )
 
 
 def test_help_documents_depth_requirements(capsys):
@@ -576,6 +590,17 @@ def _bad_sset():
     data = standard_complex("Delta", 2).to_json()
     data["faces"]["2,0"]["0.1.2"] = "0.1"
     return data
+
+
+def _delta1(change):
+    """The Delta^1 document with one malformed part."""
+
+    def build():
+        data = standard_complex("Delta", 1).to_json()
+        change(data)
+        return data
+
+    return build
 
 
 def _bad_sgpd():
@@ -742,6 +767,14 @@ INVALID_DOCUMENTS = {
              "invalid lifting problem: square does not commute at *, level 0"),
     "transpose": (_bad_transpose, ["transpose"], 2,
                   "invalid simplicial map: level 1 map escapes target"),
+    # malformed rather than invalid: each once ended in a traceback or was read
+    # with a meaning nobody intended
+    "sset_number_id": (_delta1(lambda d: d["levels"][0].__setitem__(0, 0)), ["validate"], 2,
+                       "level 0 holds a number where a string id belongs"),
+    "sset_null_face_table": (_delta1(lambda d: d["faces"].__setitem__("1,0", None)),
+                             ["validate"], 2, "faces table 1,0 must be an object, got null"),
+    "sset_string_levels": (_delta1(lambda d: d.__setitem__("levels", "ab")), ["validate"], 2,
+                           "levels must be an array of levels, got a string"),
 }
 
 
@@ -762,6 +795,34 @@ def test_boundary_rejects_invalid_documents(tmp_path, capsys, name):
         assert err == "" and json.loads(out)["reports"][0]["violations"]
     else:
         assert (out, err) == ("", f"input error: {reason}\n")
+
+
+@pytest.mark.parametrize(
+    "change, reason",
+    [
+        (lambda d: d["levels"].__setitem__(0, None), "level 0 must be an array of string ids, got null"),
+        (lambda d: d["levels"][1].__setitem__(0, ["0"]), "level 1 holds an array where a string id belongs"),
+        (lambda d: d.__setitem__("faces", []), "faces must be an object of tables, got an array"),
+        (lambda d: d["faces"]["1,0"].__setitem__("0.1", ["1"]),
+         "faces table 1,0 holds an array where a string id belongs"),
+        (lambda d: d["degeneracies"].__setitem__("0,0", 5), "degeneracies table 0,0 must be an object, got a number"),
+    ],
+)
+def test_sset_documents_of_the_wrong_shape_are_input_errors(tmp_path, capsys, change, reason):
+    got, out, err = run_on(tmp_path, capsys, "shape", _delta1(change)(), ["validate"])
+    assert (got, out, err) == (2, "", f"input error: {reason}\n")
+    # the same check guards a simplicial set nested in another document
+    ident = jsonio.smap_to_json(SimplicialMap.identity(standard_complex("Delta", 1)))
+    ident["source"] = _delta1(change)()
+    got, out, err = run_on(tmp_path, capsys, "smap", ident, ["pushout"])
+    assert (got, out, err) == (2, "", f"input error: {reason}\n")
+
+
+def test_sset_document_that_is_not_an_object_is_an_input_error(tmp_path, capsys):
+    ident = jsonio.smap_to_json(SimplicialMap.identity(standard_complex("Delta", 1)))
+    ident["target"] = []
+    got, out, err = run_on(tmp_path, capsys, "smap", ident, ["pushout"])
+    assert (got, out, err) == (2, "", "input error: a simplicial set must be an object, got an array\n")
 
 
 @pytest.mark.parametrize(
