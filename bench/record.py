@@ -3,7 +3,8 @@
     python3 bench/record.py --out BENCH_12.json --parent ../hpk-parent --section pairs
     python3 bench/record.py --out BENCH_13.json --parent ../hpk-parent --section kernels
     python3 bench/record.py --out BENCH_14.json --parent ../hpk-parent --section emit
-    python3 bench/record.py --check BENCH_14.json
+    python3 bench/record.py --out BENCH_15.json --parent ../hpk-parent --section weq
+    python3 bench/record.py --check BENCH_15.json
 
 A record holds one or more sections, each a list of cases:
 
@@ -30,17 +31,30 @@ A record holds one or more sections, each a list of cases:
     ``cli._emit`` captured; the step then writes it with that checkout's own
     ``cli._emit`` into a sink and records the length and sha256 of the text.
     Its time covers the ``_emit`` call alone, not the hashing.
+``weq``
+    ``presheaves.is_weak_equivalence(nat, kind, 2)`` on the three
+    right-properness pullback squares of the benchmark's ``invariant_queries``
+    mix, its planted pi_1-killing map, and three maps of constant 2-groupoid
+    presheaves on the two-object site (the identity of pi_2 = Z/3, that
+    2-groupoid collapsed to the point, and pi_1 = Z/2 on two objects collapsed
+    to the chaotic trivial groupoid).  A step records the verdict, the
+    witnesses, and in ``invariant_calls`` how often each section invariant
+    was computed (``hom_simplicial_group``, ``pi1_with_classes``,
+    ``pi_2gpd``).  These counts are recorded per side, since a change may
+    compute fewer invariants for the same answer; the step's time is a
+    second call with nothing counted.
 
 Every step also records its best wall time on the parent checkout and on
 this one.  Each side runs in its own process, importing hpk from that
 checkout's ``src/``.  The five repeats alternate which side runs first; a
 repeat times every step once after one untimed pass, and a recorded time is
 the best of the five.  Writing fails if the two sides disagree on any field
-other than the times.
+other than the times and the per-side fields (``SIDE_FIELDS``), or if the
+repeats of one side disagree on a per-side field.
 
 ``--check`` recomputes the fields other than the times of whichever sections
 the file holds, on this checkout, and exits 1 on any difference from the
-file.  It never compares wall times, which depend on the machine.
+file (for a per-side field, from its ``change`` value).  It never compares wall times, which depend on the machine.
 """
 
 import argparse
@@ -245,6 +259,116 @@ def emit_cases():
     return cases
 
 
+def weq_fixtures():
+    """{name: (natural transformation, kind)} of the ``weq`` section."""
+    from hpk.groups import GroupTable
+    from hpk.groupoids import FiniteGroupoid, GroupoidHom, SimplicialGroupoid, SimplicialGroupoidMap
+    from hpk.model_checks import pullback_sgpd
+    from hpk.presheaves import NaturalTransformation, constant_presheaf
+    from hpk.sites import FiniteSite
+    from hpk.two_groupoids import TwoFunctor, TwoGroupoid
+
+    site = FiniteSite.two_object_site()
+    z2 = GroupTable.cyclic(2)
+
+    def constant_nat(component, kind):
+        x = constant_presheaf(site, kind, component.source)
+        y = constant_presheaf(site, kind, component.target)
+        return NaturalTransformation(x, y, {v: component for v in site.objects}), kind
+
+    def sgpd_map(src, tgt, obj_map, arrow_map):
+        hom = GroupoidHom(src, tgt, obj_map, arrow_map)
+        return SimplicialGroupoidMap(
+            SimplicialGroupoid.constant(src, 3), SimplicialGroupoid.constant(tgt, 3),
+            obj_map, [hom] * 4,
+        )
+
+    def square(p_map, g_map):
+        total, to_y, _ = pullback_sgpd(p_map, g_map)
+        x = constant_presheaf(site, "sgpd", total)
+        y = constant_presheaf(site, "sgpd", p_map.source)
+        return NaturalTransformation(x, y, {v: to_y for v in site.objects}), "sgpd"
+
+    small = FiniteGroupoid.from_group(z2, obj="x")
+    fat = FiniteGroupoid.chaotic(["x", "y"], z2)
+    fat_incl = sgpd_map(small, fat, {"x": "x"}, {g: f"x>x:{g}" for g in ("g0", "g1")})
+    chaotic_z2 = FiniteGroupoid.chaotic(["0", "1"], z2)
+    chaotic_triv = FiniteGroupoid.chaotic(["0", "1"])
+    collapse = sgpd_map(
+        chaotic_z2, chaotic_triv, {"0": "0", "1": "1"},
+        {f: f"{s}>{t}:e" for f, (s, t) in chaotic_z2.arrows.items()},
+    )
+    point = FiniteGroupoid.trivial("0")
+    point_incl = sgpd_map(point, chaotic_triv, {"0": "0"}, {"e": "0>0:e"})
+    z2_proj = sgpd_map(FiniteGroupoid.from_group(z2, obj="0"), point, {"0": "0"},
+                       {"g0": "e", "g1": "e"})
+    interval = FiniteGroupoid.interval()
+    interval_collapse = sgpd_map(interval, point, {"0": "0", "1": "0"},
+                                 {f: "e" for f in interval.arrows})
+    kill = sgpd_map(FiniteGroupoid.from_group(z2), FiniteGroupoid.trivial(), {"*": "*"},
+                    {"g0": "e", "g1": "e"})
+
+    k = TwoGroupoid.one_object_with_pi2(GroupTable.cyclic(3))
+    triv = TwoGroupoid.from_groupoid(FiniteGroupoid.trivial())
+    crush = TwoFunctor(k, triv, {"*": "*"}, {f: "e" for f in k.cells1},
+                       {a: "i[e]" for a in k.cells2})
+    loops = TwoGroupoid.from_groupoid(fat)
+    flat = TwoGroupoid.from_groupoid(FiniteGroupoid.chaotic(["x", "y"]))
+    map1 = {f: f"{s}>{t}:e" for f, (s, t) in loops.cells1.items()}
+    kill1 = TwoFunctor(loops, flat, {"x": "x", "y": "y"}, map1,
+                       {f"i[{f}]": f"i[{g}]" for f, g in map1.items()})
+    fat_identity = SimplicialGroupoidMap.identity(fat_incl.target)
+    return {
+        "square: identity of fat": square(fat_identity, fat_incl),
+        "square: collapse": square(collapse, point_incl),
+        "square: Z/2 projection": square(z2_proj, interval_collapse),
+        "planted pi_1-killing map": constant_nat(kill, "sgpd"),
+        "2gpd: identity of pi_2 = Z/3": constant_nat(TwoFunctor.identity(k), "2gpd"),
+        "2gpd: pi_2 = Z/3 to the point": constant_nat(crush, "2gpd"),
+        "2gpd: pi_1 = Z/2 on two objects, collapsed": constant_nat(kill1, "2gpd"),
+    }
+
+
+# the section invariants the ``weq`` steps count, as ``hpk.presheaves`` names them
+INVARIANTS = ("hom_simplicial_group", "pi1_with_classes", "pi_2gpd")
+
+
+def weq_once(nat, kind):
+    """Verdict, witnesses and invariant counts of one counted call, and the time
+    of a second call with nothing counted."""
+    import hpk.presheaves as presheaves
+
+    calls = dict.fromkeys(INVARIANTS, 0)
+    originals = {name: getattr(presheaves, name) for name in INVARIANTS}
+
+    def counting(name):
+        def call(*args):
+            calls[name] += 1
+            return originals[name](*args)
+
+        return call
+
+    for name in INVARIANTS:
+        setattr(presheaves, name, counting(name))
+    try:
+        verdict, witnesses = presheaves.is_weak_equivalence(nat, kind, 2)
+    finally:
+        for name, function in originals.items():
+            setattr(presheaves, name, function)
+    start = perf_counter()
+    presheaves.is_weak_equivalence(nat, kind, 2)
+    ms = (perf_counter() - start) * 1e3
+    return {"verdict": verdict, "witnesses": witnesses, "invariant_calls": calls, "ms": ms}
+
+
+def weq_cases():
+    """{fixture: {"weq": step}}, each step deciding one weak equivalence."""
+    return {
+        name: {"weq": lambda nat=nat, kind=kind: weq_once(nat, kind)}
+        for name, (nat, kind) in weq_fixtures().items()
+    }
+
+
 # section -> (the field naming a case, what the section measures, its cases)
 SECTIONS = {
     "pairs": (
@@ -262,7 +386,15 @@ SECTIONS = {
         "CLI output of the heaviest cli_corpus payloads, written by cli._emit",
         emit_cases,
     ),
+    "weq": (
+        "fixture",
+        "is_weak_equivalence verdicts, witnesses and section-invariant counts",
+        weq_cases,
+    ),
 }
+
+# fields a step records once per side: the change may alter them on purpose
+SIDE_FIELDS = ("invariant_calls",)
 
 
 def counts(section):
@@ -327,6 +459,20 @@ def without_times(fields):
     return {key: value for key, value in fields.items() if key not in ("ms", "best_ms")}
 
 
+def shared(fields):
+    """The fields both sides must agree on."""
+    return {key: value for key, value in without_times(fields).items() if key not in SIDE_FIELDS}
+
+
+def this_side(fields):
+    """A recorded step's fields as ``counts`` computes them on the change."""
+    out = without_times(fields)
+    for key in SIDE_FIELDS:
+        if key in out:
+            out[key] = out[key]["change"]
+    return out
+
+
 def record(parent, sections):
     sides = {"parent": parent, "change": ROOT}
     runs = {side: [] for side in sides}
@@ -350,17 +496,30 @@ def record(parent, sections):
             entry = {key: name}
             for step in steps:
                 found = {
-                    json.dumps(without_times(run[section][name][step]), sort_keys=True)
+                    json.dumps(shared(run[section][name][step]), sort_keys=True)
                     for side_runs in runs.values()
                     for run in side_runs
                 }
                 if len(found) != 1:
                     raise SystemExit(f"{name} {step}: the sides disagree: {sorted(found)}")
+                per_side = {}
+                for field in SIDE_FIELDS:
+                    if field not in steps[step]:
+                        continue
+                    per_side[field] = {}
+                    for side in sides:
+                        values = {
+                            json.dumps(run[section][name][step][field], sort_keys=True)
+                            for run in runs[side]
+                        }
+                        if len(values) != 1:
+                            raise SystemExit(f"{name} {step}: {side} repeats disagree on {field}")
+                        per_side[field][side] = json.loads(values.pop())
                 best = {
                     side: round(min(run[section][name][step]["ms"] for run in runs[side]), 3)
                     for side in sides
                 }
-                entry[step] = {**json.loads(found.pop()), "best_ms": best}
+                entry[step] = {**json.loads(found.pop()), **per_side, "best_ms": best}
                 for side, ms in best.items():
                     totals.setdefault(step, dict.fromkeys(sides, 0.0))[side] += ms
             entries.append(entry)
@@ -381,7 +540,7 @@ def check(path):
             continue
         expected = {
             entry[key]: {
-                step: without_times(fields) for step, fields in entry.items() if step != key
+                step: this_side(fields) for step, fields in entry.items() if step != key
             }
             for entry in recorded[section]
         }

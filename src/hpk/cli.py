@@ -243,7 +243,7 @@ def cmd_transpose(args):
 
     data = _read(args.file)
     sset = jsonio.checked(jsonio.sset_from_json(data["complex"]))
-    sgpd = jsonio.checked(jsonio.SimplicialGroupoid.from_json(data["groupoid"]))
+    sgpd = jsonio.checked(jsonio.sgpd_from_json(data["groupoid"]))
     depth = data["depth"]
     gx = loop_groupoid(sset, depth)
     wb = wbar(sgpd, depth + 1)
@@ -470,17 +470,12 @@ def cmd_sheafify(args):
 
 
 def cmd_hsheaf(args):
-    from .presheaves import homotopy_sheaf, homotopy_sheaf_2gpd
+    from .presheaves import homotopy_sheaf
 
     kind, presheaf = jsonio.load_object(_read(args.file))
     if kind != "presheaf":
         raise ValueError("hsheaf needs a presheaf")
-    if presheaf.domain == "sgpd":
-        sheaf = homotopy_sheaf(presheaf, args.object, args.base, None, args.n)
-    elif presheaf.domain == "2gpd":
-        sheaf = homotopy_sheaf_2gpd(presheaf, args.object, args.base, args.n)
-    else:
-        raise ValueError("hsheaf needs simplicial groupoid or 2-groupoid values")
+    sheaf = homotopy_sheaf(presheaf, args.object, args.base, args.n)
     _emit(jsonio.presheaf_to_json(sheaf), args)
     return 0
 

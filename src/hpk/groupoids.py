@@ -131,9 +131,6 @@ class FiniteGroupoid:
 
     @classmethod
     def from_json(cls, data):
-        for field in ("comp", "identities", "inverses"):
-            if not isinstance(data[field], dict):
-                raise ValueError(f"groupoid {field} must be a JSON object")
         arrows = {a["id"]: (a["src"], a["tgt"]) for a in data["arrows"]}
         comp = {split_pair_key(key): h for key, h in data["comp"].items()}
         return cls(
@@ -399,7 +396,7 @@ class GroupoidHom:
             arrow_map = {a: a for a in gpd.arrows}
         return cls(gpd, gpd, obj_map, arrow_map)
 
-    def compose_with(self, other):
+    def compose(self, other):
         """self after other."""
         obj_map = {o: self.obj_map[v] for o, v in other.obj_map.items()}
         if other.source.is_free:
@@ -603,13 +600,13 @@ class SimplicialGroupoidMap:
             [GroupoidHom.identity(level) for level in sgpd.levels],
         )
 
-    def compose_with(self, other):
+    def compose(self, other):
         return SimplicialGroupoidMap(
             other.source,
             self.target,
             {o: self.obj_map[v] for o, v in other.obj_map.items()},
             [
-                self.level_homs[n].compose_with(other.level_homs[n])
+                self.level_homs[n].compose(other.level_homs[n])
                 for n in range(other.source.depth + 1)
             ],
         )

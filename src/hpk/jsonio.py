@@ -112,7 +112,8 @@ def detect_kind(data):
     if "cells2" in data:
         return "2gpd"
     if "faces" in data and "depth" in data and "levels" in data:
-        if data["levels"] and isinstance(data["levels"][0], dict):
+        levels = data["levels"]
+        if isinstance(levels, list) and levels and isinstance(levels[0], dict):
             return "sgpd"
         return "sset"
     if "levels" in data and "objects" in data and "depth" in data:
@@ -215,6 +216,101 @@ def sset_from_json(data):
     return TruncatedSimplicialSet.from_json(data)
 
 
+# -- groupoids and 2-groupoids --------------------------------------------------------
+
+
+# the JSON type of each top-level field of a document, by what it holds; a pair
+# (outer, inner) is an array or object whose every entry has the type inner
+_SHAPES = {
+    "groupoid": {
+        "objects": list,
+        "arrows": (list, dict),
+        "comp": dict,
+        "identities": dict,
+        "inverses": dict,
+    },
+    "free groupoid": {"objects": list, "generators": (list, dict)},
+    "2-groupoid": {
+        "objects": list,
+        "cells1": (list, dict),
+        "comp1": dict,
+        "id1": dict,
+        "inv1": dict,
+        "cells2": (list, dict),
+        "vcomp": dict,
+        "hcomp": dict,
+        "id2": dict,
+        "vinv": dict,
+    },
+    "simplicial groupoid": {
+        "objects": list,
+        "levels": (list, dict),
+        "faces": (dict, dict),
+        "degeneracies": (dict, dict),
+    },
+}
+
+
+def _check_shape(data, what):
+    """Reject a ``what`` document whose fields do not have their JSON types."""
+    if not isinstance(data, dict):
+        raise ValueError(f"a {what} must be an object, got {_JSON_TYPES[type(data)]}")
+    for field, shape in _SHAPES[what].items():
+        outer, inner = shape if isinstance(shape, tuple) else (shape, None)
+        value = data[field]
+        if not isinstance(value, outer):
+            raise ValueError(
+                f"{what} {field} must be {_JSON_TYPES[outer]}, got {_JSON_TYPES[type(value)]}"
+            )
+        if inner is not None:
+            for entry in value.values() if outer is dict else value:
+                if not isinstance(entry, inner):
+                    raise ValueError(
+                        f"{what} {field} holds {_JSON_TYPES[type(entry)]} "
+                        f"where {_JSON_TYPES[inner]} belongs"
+                    )
+
+
+def groupoid_from_json(data):
+    _check_shape(data, "groupoid")
+    return FiniteGroupoid.from_json(data)
+
+
+def free_groupoid_from_json(data):
+    _check_shape(data, "free groupoid")
+    return FreeGroupoid.from_json(data)
+
+
+def twogpd_from_json(data):
+    _check_shape(data, "2-groupoid")
+    return TwoGroupoid.from_json(data)
+
+
+def sgpd_from_json(data):
+    """A simplicial groupoid whose ``depth`` is its number of levels less one
+    and whose operator tables are keyed within that depth."""
+    _check_shape(data, "simplicial groupoid")
+    depth, levels = data["depth"], data["levels"]
+    if type(depth) is not int:
+        raise ValueError(
+            f"simplicial groupoid depth must be an integer, got {_JSON_TYPES[type(depth)]}"
+        )
+    if depth != len(levels) - 1:
+        raise ValueError(
+            f"simplicial groupoid depth {depth} does not match its {len(levels)} levels"
+        )
+    for level in levels:
+        _check_shape(level, "free groupoid" if level.get("free") else "groupoid")
+    for name, low, high in (("faces", 1, depth), ("degeneracies", 0, depth - 1)):
+        for key in data[name]:
+            n, i = (int(v) for v in key.split(","))
+            if not (low <= n <= high and 0 <= i <= n):
+                raise ValueError(
+                    f"simplicial groupoid {name} table {key} is outside depth {depth}"
+                )
+    return SimplicialGroupoid.from_json(data)
+
+
 # -- maps of single structures ------------------------------------------------------
 
 
@@ -265,8 +361,8 @@ def functor2_to_json(func):
 def functor2_from_json(data):
     return checked(
         TwoFunctor(
-            TwoGroupoid.from_json(data["source"]),
-            TwoGroupoid.from_json(data["target"]),
+            twogpd_from_json(data["source"]),
+            twogpd_from_json(data["target"]),
             data["objects"],
             data["map1"],
             data["map2"],
@@ -293,9 +389,9 @@ def _value_from_json(domain, data):
     if domain == "sset":
         return sset_from_json(data)
     if domain == "sgpd":
-        return SimplicialGroupoid.from_json(data)
+        return sgpd_from_json(data)
     if domain == "2gpd":
-        return TwoGroupoid.from_json(data)
+        return twogpd_from_json(data)
     raise ValueError(f"unknown domain {domain!r}")
 
 
@@ -412,11 +508,11 @@ def nat_from_json(data):
 # the parser of each kind, for load_object_unchecked (chains check themselves)
 LOADERS = {
     "site": FiniteSite.from_json,
-    "2gpd": TwoGroupoid.from_json,
+    "2gpd": twogpd_from_json,
     "sset": sset_from_json,
-    "sgpd": SimplicialGroupoid.from_json,
-    "groupoid": FiniteGroupoid.from_json,
-    "free_groupoid": FreeGroupoid.from_json,
+    "sgpd": sgpd_from_json,
+    "groupoid": groupoid_from_json,
+    "free_groupoid": free_groupoid_from_json,
     "presheaf": _presheaf,
     "chain": chain_from_json,
     "group": GroupTable.from_json,

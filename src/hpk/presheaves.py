@@ -57,16 +57,12 @@ class _SetOps:
         return m1 == m2
 
 
-class _GroupOps:
+class _GroupOps(_SetOps):
     name = "group"
 
     @staticmethod
     def elements(value):
         return list(value.elements)
-
-    @staticmethod
-    def apply(morphism, element):
-        return morphism[element]
 
     @staticmethod
     def validate_morphism(m, src, tgt):
@@ -88,69 +84,26 @@ class _GroupOps:
     def identity(value):
         return {x: x for x in value.elements}
 
-    @staticmethod
-    def compose(m2, m1):
-        return {x: m2[y] for x, y in m1.items()}
 
-    @staticmethod
-    def equal(m1, m2):
-        return m1 == m2
+class _MapOps:
+    """Values are complexes, morphisms are map objects: every map class a
+    presheaf may hold agrees on ``identity``, ``compose``, ``equals`` and
+    ``validate``."""
 
-
-class _SSetOps:
-    name = "sset"
+    def __init__(self, name, map_class):
+        self.name = name
+        self.map_class = map_class
 
     @staticmethod
     def validate_morphism(m, src, tgt):
         return m.validate()
 
-    @staticmethod
-    def identity(value):
-        return SimplicialMap.identity(value)
+    def identity(self, value):
+        return self.map_class.identity(value)
 
     @staticmethod
     def compose(m2, m1):
         return m2.compose(m1)
-
-    @staticmethod
-    def equal(m1, m2):
-        return m1.equals(m2)
-
-
-class _SGpdOps:
-    name = "sgpd"
-
-    @staticmethod
-    def validate_morphism(m, src, tgt):
-        return m.validate()
-
-    @staticmethod
-    def identity(value):
-        return SimplicialGroupoidMap.identity(value)
-
-    @staticmethod
-    def compose(m2, m1):
-        return m2.compose_with(m1)
-
-    @staticmethod
-    def equal(m1, m2):
-        return m1.equals(m2)
-
-
-class _TwoGpdOps:
-    name = "2gpd"
-
-    @staticmethod
-    def validate_morphism(m, src, tgt):
-        return m.validate()
-
-    @staticmethod
-    def identity(value):
-        return TwoFunctor.identity(value)
-
-    @staticmethod
-    def compose(m2, m1):
-        return m2.compose_with(m1)
 
     @staticmethod
     def equal(m1, m2):
@@ -171,6 +124,16 @@ class Presented2Map:
         self.obj_map = dict(obj_map)
         self.map1 = {g: tuple(w) for g, w in map1.items()}
         self.map2 = dict(map2)
+
+    @classmethod
+    def identity(cls, value):
+        return cls(
+            value,
+            value,
+            {o: o for o in value.objects},
+            {g: ((g, 1),) for g in value.gens1},
+            {a: a for a in value.gens2},
+        )
 
     def word_image(self, word):
         out = []
@@ -207,7 +170,8 @@ class Presented2Map:
                     problems.append(f"image of 2-generator {a} has wrong frame")
         return problems
 
-    def compose_with(self, other):
+    def compose(self, other):
+        """self after other."""
         map1 = {g: self.word_image(w) for g, w in other.map1.items()}
         map2 = {
             a: (None if im is None else self.map2[im]) for a, im in other.map2.items()
@@ -228,35 +192,16 @@ class Presented2Map:
         )
 
 
-class _Presented2Ops:
-    name = "presented2"
-
-    @staticmethod
-    def validate_morphism(m, src, tgt):
-        return m.validate()
-
-    @staticmethod
-    def identity(value):
-        return Presented2Map(
-            value,
-            value,
-            {o: o for o in value.objects},
-            {g: ((g, 1),) for g in value.gens1},
-            {a: a for a in value.gens2},
-        )
-
-    @staticmethod
-    def compose(m2, m1):
-        return m2.compose_with(m1)
-
-    @staticmethod
-    def equal(m1, m2):
-        return m1.equals(m2)
-
-
 DOMAINS = {
     ops.name: ops
-    for ops in (_SetOps, _GroupOps, _SSetOps, _SGpdOps, _TwoGpdOps, _Presented2Ops)
+    for ops in (
+        _SetOps,
+        _GroupOps,
+        _MapOps("sset", SimplicialMap),
+        _MapOps("sgpd", SimplicialGroupoidMap),
+        _MapOps("2gpd", TwoFunctor),
+        _MapOps("presented2", Presented2Map),
+    )
 }
 
 
@@ -634,8 +579,7 @@ def pi0_presheaf(x):
     for a, (v, u) in site.arrows.items():
         table = {}
         for rep in values[u]:
-            image = _component_image(x, a, rep)
-            table[rep] = reps[v][image]
+            table[rep] = reps[v][_component_image(x.domain, x.restrictions[a], rep)]
         restrictions[a] = table
     return Presheaf(site, "set", values, restrictions)
 
@@ -658,93 +602,102 @@ def _components_of_value(x, v):
             rep_of[m] = rep
     return rep_of
 
-def _component_image(x, arrow, point):
-    morphism = x.restrictions[arrow]
-    if x.domain == "sgpd":
-        return morphism.obj_map[point]
-    if x.domain == "2gpd":
-        return morphism.obj_map[point]
-    if x.domain == "sset":
+
+def _component_image(domain, morphism, point):
+    """The image of a point of a section (a vertex or an object) under a map."""
+    if domain == "sset":
         return morphism(0, point)
-    raise ValueError(f"pi0 presheaf undefined for domain {x.domain}")
+    if domain in ("sgpd", "2gpd"):
+        return morphism.obj_map[point]
+    raise ValueError(f"pi0 presheaf undefined for domain {domain}")
 
 
-def homotopy_presheaf(x, u, basepoint, loop_vertex, n):
-    """The presheaf of simplicial homotopy groups of x restricted under u.
+# -- pointed invariants of a section -------------------------------------------
+#
+# A degree of a pointed invariant is a pair (classes, image):
+# ``classes(value, point)`` is (group table, classify), where ``classify`` sends
+# each representative ``image`` can produce to its class, and
+# ``image(morphism, cls)`` maps the representative ``cls`` of a class along a
+# map of sections.
 
-    ``x`` is a presheaf of simplicial groupoids with finite levels;
-    ``basepoint`` is an object of x(u); ``loop_vertex`` is a level-0 loop at
-    the basepoint (carried as metadata; the Moore computation is based at the
-    identity).  Values live on the comma site over u.
+
+def _moore_degree(n):
+    """Moore pi_n of the loop simplicial group at the point."""
+
+    def classes(value, point):
+        return moore_pi_n_with_classes(hom_simplicial_group(value, point), n)
+
+    def image(morphism, cls):
+        return morphism.level(n)(cls)
+
+    return classes, image
+
+
+def _two_groupoid_degree(i):
+    """pi_1 or pi_2 of a 2-groupoid at the point."""
+    if i == 1:
+        return pi1_with_classes, lambda functor, cls: functor.map1[cls]
+    if i == 2:
+
+        def classes(value, point):
+            table = pi_2gpd(value, point, 2)
+            return table, {c: c for c in table.elements}
+
+        return classes, lambda functor, cls: functor.map2[cls]
+    raise ValueError("i must be 1 or 2")
+
+
+# domain -> (degree n -> its (classes, image), n_max -> the (witness label,
+# degree) pairs the weak-equivalence criterion checks).  For simplicial
+# groupoids n = 0 is the pointed hom-components sheaf: pi_0 of the loop
+# simplicial group, i.e. pi_1 of the classifying complex.  Omitting it would
+# let maps that kill fundamental groups pass.
+_POINTED_INVARIANTS = {
+    "sgpd": (
+        _moore_degree,
+        lambda n_max: [("pi0(hom)" if n == 0 else f"pi{n}(hom)", n) for n in range(n_max + 1)],
+    ),
+    "2gpd": (_two_groupoid_degree, lambda n_max: [("pi1", 1), ("pi2", 2)]),
+}
+
+
+def homotopy_presheaf(x, u, basepoint, n):
+    """The comma-site presheaf of the degree-n pointed invariant of x under u.
+
+    For simplicial-groupoid values (with finite levels) that is Moore pi_n of
+    the loop simplicial group at the image of ``basepoint``; for 2-groupoid
+    values it is pi_n, n = 1 or 2.  ``basepoint`` is an object of x(u).
     """
-    site = x.site
-    comma = comma_site(site, u)
+    if x.domain not in _POINTED_INVARIANTS:
+        raise ValueError("hsheaf needs simplicial groupoid or 2-groupoid values")
     if basepoint not in x.values[u].objects:
         raise ValueError(f"basepoint {basepoint!r} is not an object of the section")
-    loops_value = {}
-    pi_tables = {}
-    classifiers = {}
-    base_at = {}
-    for phi in comma.objects:
-        v = site.src(phi)
-        x_v = x.restrictions[phi].obj_map[basepoint]
-        base_at[phi] = x_v
-        loops = hom_simplicial_group(x.values[v], x_v)
-        table, classify = moore_pi_n_with_classes(loops, n)
-        loops_value[phi] = loops
-        pi_tables[phi] = table
-        classifiers[phi] = classify
-    restrictions = {}
-    for name, h, psi, phi in comma_arrows(site, u):
-        hom = x.restrictions[h]
-        table = {}
-        for cls in pi_tables[phi].elements:
-            table[cls] = classifiers[psi][hom.level(n)(cls)]
-        restrictions[name] = table
-    return Presheaf(comma, "group", pi_tables, restrictions)
+    degree = _POINTED_INVARIANTS[x.domain][0](n)
+    return _homotopy_presheaf(x, u, basepoint, degree)[0]
 
 
-def homotopy_sheaf(x, u, basepoint, loop_vertex, n):
-    presheaf = homotopy_presheaf(x, u, basepoint, loop_vertex, n)
-    sheaf, _ = sheafify(presheaf)
-    return sheaf
-
-
-def homotopy_presheaf_2gpd(x, u, basepoint, i):
-    """The comma-site presheaf of pi_i (i = 1, 2) of a 2-groupoid presheaf."""
+def _homotopy_presheaf(x, u, basepoint, degree):
+    """homotopy_presheaf of one degree, and the classifier of each of its values."""
+    classes, image = degree
     site = x.site
     comma = comma_site(site, u)
-    if basepoint not in x.values[u].objects:
-        raise ValueError(f"basepoint {basepoint!r} is not an object of the section")
     tables = {}
     classifiers = {}
     for phi in comma.objects:
-        v = site.src(phi)
-        x_v = x.restrictions[phi].obj_map[basepoint]
-        k = x.values[v]
-        if i == 1:
-            table, rep_of = pi1_with_classes(k, x_v)
-            tables[phi] = table
-            classifiers[phi] = rep_of
-        elif i == 2:
-            table = pi_2gpd(k, x_v, 2)
-            tables[phi] = table
-            classifiers[phi] = {c: c for c in table.elements}
-        else:
-            raise ValueError("i must be 1 or 2")
+        point = x.restrictions[phi].obj_map[basepoint]
+        tables[phi], classifiers[phi] = classes(x.values[site.src(phi)], point)
     restrictions = {}
     for name, h, psi, phi in comma_arrows(site, u):
-        func = x.restrictions[h]
-        table = {}
-        for cls in tables[phi].elements:
-            image = func.map1[cls] if i == 1 else func.map2[cls]
-            table[cls] = classifiers[psi][image]
-        restrictions[name] = table
-    return Presheaf(comma, "group", tables, restrictions)
+        morphism = x.restrictions[h]
+        classify = classifiers[psi]
+        restrictions[name] = {
+            cls: classify[image(morphism, cls)] for cls in tables[phi].elements
+        }
+    return Presheaf(comma, "group", tables, restrictions), classifiers
 
 
-def homotopy_sheaf_2gpd(x, u, basepoint, i):
-    sheaf, _ = sheafify(homotopy_presheaf_2gpd(x, u, basepoint, i))
+def homotopy_sheaf(x, u, basepoint, n):
+    sheaf, _ = sheafify(homotopy_presheaf(x, u, basepoint, n))
     return sheaf
 
 
@@ -770,9 +723,18 @@ def is_weak_equivalence(nat, kind, n_max=2):
     """The sheaf-isomorphism criterion, checked exactly on finite data.
 
     Returns (verdict, witnesses): the pi_0 sheaf map and all pointed homotopy
-    sheaf maps up to n_max must be isomorphisms of sheaves.
+    sheaf maps must be isomorphisms of sheaves; ``kind`` names the values of
+    both presheaves.  Simplicial-groupoid values are checked in Moore degrees
+    0 to n_max, 2-groupoid values at pi_1 and pi_2.
     """
     x, y = nat.source, nat.target
+    if kind not in _POINTED_INVARIANTS:
+        raise ValueError("kind must be 'sgpd' or '2gpd'")
+    if (x.domain, y.domain) != (kind, kind):
+        raise ValueError(
+            f"kind {kind!r} does not match the values of the transformation "
+            f"({x.domain!r} to {y.domain!r})"
+        )
     site = x.site
     witnesses = []
 
@@ -781,108 +743,39 @@ def is_weak_equivalence(nat, kind, n_max=2):
     components = {}
     for v in site.objects:
         reps_y = _components_of_value(y, v)
-        table = {}
-        for rep in pi0_x.values[v]:
-            image = _point_image(nat, v, rep, kind)
-            table[rep] = reps_y[image]
-        components[v] = table
-    bad = _induced_sheaf_iso(pi0_x, pi0_y, components)
-    for obj in bad:
+        components[v] = {
+            rep: reps_y[_component_image(kind, nat.components[v], rep)]
+            for rep in pi0_x.values[v]
+        }
+    for obj in _induced_sheaf_iso(pi0_x, pi0_y, components):
         witnesses.append({"sheaf": "pi0", "object": obj})
 
-    if kind == "sgpd":
-        witnesses.extend(_sgpd_pointed_witnesses(nat, n_max))
-    elif kind == "2gpd":
-        witnesses.extend(_2gpd_pointed_witnesses(nat))
-    else:
-        raise ValueError("kind must be 'sgpd' or '2gpd'")
+    invariant, degrees = _POINTED_INVARIANTS[kind]
+    for u in site.objects:
+        for basepoint in x.values[u].objects:
+            fx = nat.components[u].obj_map[basepoint]
+            for label, n in degrees(n_max):
+                degree = invariant(n)
+                px, _ = _homotopy_presheaf(x, u, basepoint, degree)
+                py, classifiers = _homotopy_presheaf(y, u, fx, degree)
+                image = degree[1]
+                components = {
+                    phi: {
+                        cls: classifiers[phi][image(nat.components[site.src(phi)], cls)]
+                        for cls in px.values[phi].elements
+                    }
+                    for phi in px.site.objects
+                }
+                for obj in _induced_sheaf_iso(px, py, components):
+                    witnesses.append(
+                        {
+                            "sheaf": label,
+                            "section": u,
+                            "basepoint": basepoint,
+                            "comma_object": obj,
+                        }
+                    )
     return (not witnesses), witnesses
-
-
-def _point_image(nat, v, point, kind):
-    comp = nat.components[v]
-    if kind == "sgpd":
-        return comp.obj_map[point]
-    return comp.obj_map[point]
-
-
-def _sgpd_pointed_witnesses(nat, n_max):
-    # n = 0 is the pointed hom-components sheaf: pi_0 of the loop simplicial
-    # group, i.e. pi_1 of the classifying complex.  Omitting it would let
-    # maps that kill fundamental groups pass.
-    x, y = nat.source, nat.target
-    site = x.site
-    witnesses = []
-    for u in site.objects:
-        for basepoint in x.values[u].objects:
-            fx = nat.components[u].obj_map[basepoint]
-            for n in range(0, n_max + 1):
-                px = homotopy_presheaf(x, u, basepoint, None, n)
-                py = homotopy_presheaf(y, u, fx, None, n)
-                components = {}
-                for phi in px.site.objects:
-                    v = site.src(phi)
-                    hom = nat.components[v]
-                    # classify images of Moore representatives in the target
-                    x_v = x.restrictions[phi].obj_map[basepoint]
-                    y_v = y.restrictions[phi].obj_map[fx]
-                    loops = hom_simplicial_group(y.values[v], y_v)
-                    _, classify = moore_pi_n_with_classes(loops, n)
-                    table = {}
-                    for cls in px.values[phi].elements:
-                        table[cls] = classify[hom.level(n)(cls)]
-                    components[phi] = table
-                bad = _induced_sheaf_iso(px, py, components)
-                for obj in bad:
-                    witnesses.append(
-                        {
-                            "sheaf": "pi0(hom)" if n == 0 else f"pi{n}(hom)",
-                            "section": u,
-                            "basepoint": basepoint,
-                            "comma_object": obj,
-                        }
-                    )
-    return witnesses
-
-
-def _2gpd_pointed_witnesses(nat):
-    x, y = nat.source, nat.target
-    site = x.site
-    witnesses = []
-    for u in site.objects:
-        for basepoint in x.values[u].objects:
-            fx = nat.components[u].obj_map[basepoint]
-            for i in (1, 2):
-                px = homotopy_presheaf_2gpd(x, u, basepoint, i)
-                py = homotopy_presheaf_2gpd(y, u, fx, i)
-                components = {}
-                for phi in px.site.objects:
-                    v = site.src(phi)
-                    func = nat.components[v]
-                    y_v = y.restrictions[phi].obj_map[fx]
-                    if i == 1:
-                        _, classify = pi1_with_classes(y.values[v], y_v)
-                    else:
-                        classify = {
-                            c: c
-                            for c in pi_2gpd(y.values[v], y_v, 2).elements
-                        }
-                    table = {}
-                    for cls in px.values[phi].elements:
-                        image = func.map1[cls] if i == 1 else func.map2[cls]
-                        table[cls] = classify[image]
-                    components[phi] = table
-                bad = _induced_sheaf_iso(px, py, components)
-                for obj in bad:
-                    witnesses.append(
-                        {
-                            "sheaf": f"pi{i}",
-                            "section": u,
-                            "basepoint": basepoint,
-                            "comma_object": obj,
-                        }
-                    )
-    return witnesses
 
 
 # -- pointwise functors -------------------------------------------------------------

@@ -85,6 +85,13 @@ class TruncatedSimplicialSet:
                     problems.append(f"degeneracy table s_{i} at level {n} not total")
                 elif not set(table.values()) <= target:
                     problems.append(f"degeneracy s_{i} at level {n} escapes level {n + 1}")
+        depth = self.depth
+        for (n, i) in sorted(self.faces):
+            if not (1 <= n <= depth and 0 <= i <= n):
+                problems.append(f"face table d_{i} at level {n} lies outside depth {depth}")
+        for (n, i) in sorted(self.degeneracies):
+            if not (0 <= n < depth and 0 <= i <= n):
+                problems.append(f"degeneracy table s_{i} at level {n} lies outside depth {depth}")
         return problems
 
     def _check_identities(self):

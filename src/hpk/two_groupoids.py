@@ -402,7 +402,7 @@ class TwoFunctor:
             {a: a for a in k.cells2},
         )
 
-    def compose_with(self, other):
+    def compose(self, other):
         """self after other."""
         return TwoFunctor(
             other.source,

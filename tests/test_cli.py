@@ -727,6 +727,31 @@ def _bad_transpose():
     }
 
 
+def _identity_nat(value):
+    """The identity transformation of a constant presheaf on the two-object site."""
+    from hpk.presheaves import DOMAINS, NaturalTransformation, constant_presheaf
+
+    def build():
+        domain, x = value()
+        presheaf = constant_presheaf(FiniteSite.two_object_site(), domain, x)
+        ident = DOMAINS[domain].identity(x)
+        return jsonio.nat_to_json(
+            NaturalTransformation(presheaf, presheaf, {u: ident for u in presheaf.site.objects})
+        )
+
+    return build
+
+
+def _z2_sgpd():
+    return "sgpd", SimplicialGroupoid.constant(_gpd_z2(), 2)
+
+
+def _pi2_z2():
+    from hpk.two_groupoids import TwoGroupoid
+
+    return "2gpd", TwoGroupoid.one_object_with_pi2(GroupTable.cyclic(2))
+
+
 # one invalid document per kind the CLI reads: its builder, the command that
 # reads it, the exit code and the stderr recorded before constructors stopped
 # validating (None: the command reports the violations on stdout instead)
@@ -761,6 +786,12 @@ INVALID_DOCUMENTS = {
              "does not commute with d_1 at level 1 on 0.1"),
     "nat": (_bad_nat, ["weq", "--kind", "sgpd"], 2,
             "invalid natural transformation: naturality fails at f"),
+    "nat_sgpd_as_2gpd": (_identity_nat(_z2_sgpd), ["weq", "--kind", "2gpd"], 2,
+                         "kind '2gpd' does not match the values of the transformation "
+                         "('sgpd' to 'sgpd')"),
+    "nat_2gpd_as_sgpd": (_identity_nat(_pi2_z2), ["weq", "--kind", "sgpd"], 2,
+                         "kind 'sgpd' does not match the values of the transformation "
+                         "('2gpd' to '2gpd')"),
     "2functor": (_bad_2functor, ["msweq"], 2,
                  "invalid 2-functor: vertical composition not preserved"),
     "lift": (_bad_lift, ["lift"], 2,
@@ -914,7 +945,7 @@ def test_groupoid_tables_must_be_json_objects(tmp_path, capsys, field, command):
     data[field] = [[key, value] for key, value in data[field].items()]
     code, out, err = run_on(tmp_path, capsys, "pairs", data, command)
     assert (code, out) == (2, "")
-    assert err == f"input error: groupoid {field} must be a JSON object\n"
+    assert err == f"input error: groupoid {field} must be an object, got an array\n"
 
 
 def test_a_level_of_a_simplicial_groupoid_must_have_object_tables(tmp_path, capsys):
@@ -922,4 +953,96 @@ def test_a_level_of_a_simplicial_groupoid_must_have_object_tables(tmp_path, caps
     data["levels"][0]["identities"] = [["*", "g0"]]
     code, out, err = run_on(tmp_path, capsys, "level", data, ["validate"])
     assert (code, out) == (2, "")
-    assert err == "input error: groupoid identities must be a JSON object\n"
+    assert err == "input error: groupoid identities must be an object, got an array\n"
+
+
+def _with(build, field, value):
+    def change():
+        data = build()
+        data[field] = value
+        return data
+
+    return change
+
+
+TWO_GROUPOID_FIELDS = ["objects", "cells1", "comp1", "id1", "inv1",
+                       "cells2", "vcomp", "hcomp", "id2", "vinv"]
+
+
+@pytest.mark.parametrize("field", TWO_GROUPOID_FIELDS)
+def test_a_null_2_groupoid_field_is_an_input_error(tmp_path, capsys, field):
+    document = _with(lambda: _pi2_z2()[1].to_json(), field, None)()
+    code, out, err = run_on(tmp_path, capsys, "k", document, ["nerve", "--depth", "2"])
+    kind = "an array" if field in ("objects", "cells1", "cells2") else "an object"
+    reason = f"2-groupoid {field} must be {kind}, got null"
+    assert (code, out, err) == (2, "", f"input error: {reason}\n")
+
+
+@pytest.mark.parametrize("field, kind", [("objects", "an array"), ("arrows", "an array"),
+                                         ("comp", "an object")])
+def test_a_null_groupoid_field_is_an_input_error(tmp_path, capsys, field, kind):
+    document = _with(lambda: _gpd_z2().to_json(), field, None)()
+    code, out, err = run_on(tmp_path, capsys, "g", document, ["pi0"])
+    assert (code, out, err) == (2, "", f"input error: groupoid {field} must be {kind}, got null\n")
+
+
+def _z2_sgpd_depth1():
+    return SimplicialGroupoid.constant(_gpd_z2(), 1).to_json()
+
+
+@pytest.mark.parametrize(
+    "field, value, reason",
+    [
+        ("depth", 5, "simplicial groupoid depth 5 does not match its 2 levels"),
+        ("depth", None, "simplicial groupoid depth must be an integer, got null"),
+        ("depth", "x", "simplicial groupoid depth must be an integer, got a string"),
+        ("depth", True, "simplicial groupoid depth must be an integer, got a boolean"),
+        ("objects", None, "simplicial groupoid objects must be an array, got null"),
+        ("faces", 3, "simplicial groupoid faces must be an object, got a number"),
+        ("degeneracies", None, "simplicial groupoid degeneracies must be an object, got null"),
+    ],
+)
+def test_a_malformed_simplicial_groupoid_is_an_input_error(tmp_path, capsys, field, value, reason):
+    document = _with(_z2_sgpd_depth1, field, value)()
+    code, out, err = run_on(tmp_path, capsys, "a", document, ["wbar", "--depth", "1"])
+    assert (code, out, err) == (2, "", f"input error: {reason}\n")
+
+
+@pytest.mark.parametrize(
+    "change, reason",
+    [
+        (lambda level: None, "simplicial groupoid levels holds null where an object belongs"),
+        (lambda level: {**level, "arrows": None}, "groupoid arrows must be an array, got null"),
+    ],
+)
+def test_a_malformed_level_of_a_simplicial_groupoid_is_an_input_error(
+    tmp_path, capsys, change, reason
+):
+    document = _z2_sgpd_depth1()
+    document["levels"][1] = change(document["levels"][1])
+    code, out, err = run_on(tmp_path, capsys, "a", document, ["wbar", "--depth", "1"])
+    assert (code, out, err) == (2, "", f"input error: {reason}\n")
+
+
+@pytest.mark.parametrize("name, key", [("faces", "7,0"), ("degeneracies", "1,0")])
+def test_simplicial_groupoid_tables_outside_the_depth_are_input_errors(tmp_path, capsys, name, key):
+    document = _z2_sgpd_depth1()
+    document[name][key] = {}
+    code, out, err = run_on(tmp_path, capsys, "a", document, ["wbar", "--depth", "1"])
+    assert (code, out) == (2, "")
+    assert err == f"input error: simplicial groupoid {name} table {key} is outside depth 1\n"
+
+
+@pytest.mark.parametrize(
+    "name, key, violation",
+    [
+        ("faces", "7,0", "face table d_0 at level 7 lies outside depth 1"),
+        ("faces", "1,2", "face table d_2 at level 1 lies outside depth 1"),
+        ("degeneracies", "1,0", "degeneracy table s_0 at level 1 lies outside depth 1"),
+    ],
+)
+def test_validate_reports_sset_tables_outside_the_depth(tmp_path, capsys, name, key, violation):
+    document = _delta1(lambda d: d[name].__setitem__(key, {}))()
+    code, out, err = run_on(tmp_path, capsys, "d1", document, ["validate"])
+    assert (code, err) == (1, "")
+    assert json.loads(out)["reports"][0]["violations"] == [violation]

@@ -37,9 +37,7 @@ from hpk.presheaves import (
     apply_pointwise,
     constant_presheaf,
     homotopy_presheaf,
-    homotopy_presheaf_2gpd,
     homotopy_sheaf,
-    homotopy_sheaf_2gpd,
     pi0_sheaf,
     plus,
     pointwise_unit,
@@ -220,10 +218,10 @@ def homotopy_sheaves():
     x = constant_presheaf(site, "sgpd", SimplicialGroupoid.constant(z2_gpd(), 2))
     k = constant_presheaf(site, "2gpd", TwoGroupoid.one_object_with_pi2(GroupTable.cyclic(3)))
     return [
-        *presheaf_parts(homotopy_presheaf(x, "U", "*", None, 0)),
-        *presheaf_parts(homotopy_sheaf(x, "U", "*", None, 0)),
-        *presheaf_parts(homotopy_presheaf_2gpd(k, "U", "*", 2)),
-        *presheaf_parts(homotopy_sheaf_2gpd(k, "U", "*", 2)),
+        *presheaf_parts(homotopy_presheaf(x, "U", "*", 0)),
+        *presheaf_parts(homotopy_sheaf(x, "U", "*", 0)),
+        *presheaf_parts(homotopy_presheaf(k, "U", "*", 2)),
+        *presheaf_parts(homotopy_sheaf(k, "U", "*", 2)),
     ]
 
 

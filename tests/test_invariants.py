@@ -57,7 +57,7 @@ def test_weak_equivalence_two_out_of_three_on_composable_triples():
         constant(fat, depth), constant(fatter, depth), {"x": "x", "y": "y"},
         [g_hom] * (depth + 1),
     )
-    gf = g_map.compose_with(f_map)
+    gf = g_map.compose(f_map)
 
     x = constant_presheaf(site, "sgpd", constant(small, depth))
     y = constant_presheaf(site, "sgpd", constant(fat, depth))

@@ -6,7 +6,6 @@ from hpk.presheaves import (
     apply_pointwise,
     constant_presheaf,
     homotopy_presheaf,
-    homotopy_presheaf_2gpd,
     homotopy_sheaf,
     is_sheaf,
     is_weak_equivalence,
@@ -150,12 +149,12 @@ def constant_sgpd_presheaf(site, gpd, depth):
 def test_homotopy_presheaf_of_constant_z2():
     site = FiniteSite.two_object_site()
     x = constant_sgpd_presheaf(site, FiniteGroupoid.from_group(GroupTable.cyclic(2)), 2)
-    hp = homotopy_presheaf(x, "U", "*", None, 1)
+    hp = homotopy_presheaf(x, "U", "*", 1)
     assert hp.validate() == []
     # pi_1 of a constant simplicial group is trivial; pi_0-level groups live
     # in the n = 0 Moore computation instead
     assert all(hp.values[phi].order == 1 for phi in hp.site.objects)
-    hp0 = homotopy_presheaf(x, "U", "*", None, 0)
+    hp0 = homotopy_presheaf(x, "U", "*", 0)
     assert all(hp0.values[phi].order == 2 for phi in hp0.site.objects)
 
 
@@ -179,11 +178,11 @@ def test_homotopy_presheaf_mixed_sections():
             "f": collapse,
         },
     )
-    hp0 = homotopy_presheaf(x, "U", "*", None, 0)
+    hp0 = homotopy_presheaf(x, "U", "*", 0)
     sizes = {phi: hp0.values[phi].order for phi in hp0.site.objects}
     assert sizes == {"idU": 2, "f": 1}
     # sheafification over the covered site collapses the U-value
-    sheaf = homotopy_sheaf(x, "U", "*", None, 0)
+    sheaf = homotopy_sheaf(x, "U", "*", 0)
     assert sheaf.values["idU"].order == 1
 
 
@@ -274,7 +273,7 @@ def test_homotopy_presheaf_2gpd_values():
     site = FiniteSite.two_object_site()
     k = TwoGroupoid.one_object_with_pi2(GroupTable.cyclic(3))
     x = constant_presheaf(site, "2gpd", k)
-    hp = homotopy_presheaf_2gpd(x, "U", "*", 2)
+    hp = homotopy_presheaf(x, "U", "*", 2)
     assert hp.validate() == []
     assert all(hp.values[phi].iso_to(GroupTable.cyclic(3)) for phi in hp.site.objects)
 
@@ -377,12 +376,10 @@ def test_apply_pointwise_whitehead():
 
 
 def test_homotopy_sheaf_2gpd_constant_z3():
-    from hpk.presheaves import homotopy_sheaf_2gpd
-
     site = FiniteSite.two_object_site()
     k = TwoGroupoid.one_object_with_pi2(GroupTable.cyclic(3))
     x = constant_presheaf(site, "2gpd", k)
-    sheaf = homotopy_sheaf_2gpd(x, "U", "*", 2)
+    sheaf = homotopy_sheaf(x, "U", "*", 2)
     for phi in sheaf.site.objects:
         assert sheaf.values[phi].iso_to(GroupTable.cyclic(3)) is not None
 
