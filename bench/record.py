@@ -4,7 +4,8 @@
     python3 bench/record.py --out BENCH_13.json --parent ../hpk-parent --section kernels
     python3 bench/record.py --out BENCH_14.json --parent ../hpk-parent --section emit
     python3 bench/record.py --out BENCH_15.json --parent ../hpk-parent --section weq
-    python3 bench/record.py --check BENCH_15.json
+    python3 bench/record.py --out BENCH_17.json --parent ../hpk-parent --section laws
+    python3 bench/record.py --check BENCH_17.json
 
 A record holds one or more sections, each a list of cases:
 
@@ -43,6 +44,17 @@ A record holds one or more sections, each a list of cases:
     ``pi_2gpd``).  These counts are recorded per side, since a change may
     compute fewer invariants for the same answer; the step's time is a
     second call with nothing counted.
+``laws``
+    The law checks on the construction classes of the benchmark's
+    ``build_validate`` mix: ``TwoGroupoid.validate`` on its ten 2-groupoids,
+    ``SimplicialGroupoid.validate`` on its eight Dold-Kan simplicial groupoids
+    (chains drawn from fixed seeds) and ``FiniteGroupoid.validate`` on their
+    levels, ``SimplicialGroupoid.validate`` on its eight loop groupoids (horn
+    index 0), and ``FiniteSite.validate`` on the two-object and point sites.
+    A step records the number of problems and of the cells it checked.  The
+    record also holds ``mutants``: the problem count of every mutant of the
+    corpus of ``tests/test_laws.py``, computed on this checkout alone, since
+    the parent's checks crash on some of them.
 
 Every step also records its best wall time on the parent checkout and on
 this one.  Each side runs in its own process, importing hpk from that
@@ -369,6 +381,63 @@ def weq_cases():
     }
 
 
+def law_cases():
+    """{fixture: {step: check}}, each check returning its problem and cell counts."""
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    import workloads
+
+    H = workloads.import_hpk()
+
+    def step(validate, cells):
+        return lambda: {"problems": len(validate()), "cells": cells}
+
+    cases = {}
+    for kind, arg in workloads.TWO_GPD_CLASSES:
+        if kind == "gpd":
+            k = H.two_groupoids.TwoGroupoid.from_groupoid(workloads._groupoid(H, arg))
+        else:
+            k = H.two_groupoids.TwoGroupoid.one_object_with_pi2(H.groups.GroupTable.cyclic(arg))
+        cases[f"2-groupoid {kind} {arg}"] = {
+            "validate": step(k.validate, len(k.cells1) + len(k.cells2))
+        }
+    for i, (c0, c1, depth) in enumerate(workloads.DOLD_KAN_CLASSES):
+        rng = workloads._rng("laws", 0, i)
+        sgpd = H.groupoids.dold_kan(workloads._random_chain(H, rng, [c0, c1]), depth)
+        arrows = sum(len(level.arrows) for level in sgpd.levels)
+        cases[f"dold_kan {c0} <- {c1}, depth {depth}"] = {
+            "validate": step(sgpd.validate, arrows),
+            "levels": step(lambda s=sgpd: [p for g in s.levels for p in g.validate()], arrows),
+        }
+    for kind, n, depth in workloads.LOOP_CLASSES:
+        x = H.sset.standard_complex(kind, n, k=0 if kind == "horn" else None, depth=depth)
+        g = H.loop.loop_groupoid(x, depth - 1)
+        cases[f"loop_groupoid {kind}{n}, depth {depth}"] = {
+            "validate": step(g.validate, sum(len(level.generators) for level in g.levels))
+        }
+    site = H.sites.FiniteSite
+    for name, s in (("two-object site", site.two_object_site()), ("point site", site.point_site())):
+        cases[name] = {"validate": step(s.validate, len(s.arrows))}
+    return cases
+
+
+def mutant_counts():
+    """{mutant: problem count} over the mutation corpus of ``tests/test_laws.py``."""
+    sys.path.insert(0, os.path.join(ROOT, "tests"))
+    import test_laws
+
+    counts = {}
+    for corpus in (
+        test_laws.groupoid_mutants,
+        test_laws.site_mutants,
+        test_laws.two_groupoid_mutants,
+        test_laws.sgpd_mutants,
+        test_laws.sgpd_map_mutants,
+    ):
+        for label, x in corpus():
+            counts[f"{corpus.__name__}: {label}"] = len(x.validate())
+    return counts
+
+
 # section -> (the field naming a case, what the section measures, its cases)
 SECTIONS = {
     "pairs": (
@@ -390,6 +459,11 @@ SECTIONS = {
         "fixture",
         "is_weak_equivalence verdicts, witnesses and section-invariant counts",
         weq_cases,
+    ),
+    "laws": (
+        "fixture",
+        "law checks of the build_validate constructions, and the problem counts of mutants",
+        law_cases,
     ),
 }
 
@@ -524,6 +598,8 @@ def record(parent, sections):
                     totals.setdefault(step, dict.fromkeys(sides, 0.0))[side] += ms
             entries.append(entry)
         data[section] = entries
+    if "laws" in sections:
+        data["mutants"] = mutant_counts()
     data["total_best_ms"] = {
         step: {side: round(ms, 3) for side, ms in by_side.items()}
         for step, by_side in totals.items()
@@ -549,6 +625,13 @@ def check(path):
             f"{section} {name}: recorded {expected.get(name)}, computed {got.get(name)}"
             for name in sorted(set(expected) | set(got))
             if expected.get(name) != got.get(name)
+        ]
+    if "mutants" in recorded:
+        got = mutant_counts()
+        problems += [
+            f"mutant {name}: recorded {recorded['mutants'].get(name)}, computed {got.get(name)}"
+            for name in sorted(set(recorded["mutants"]) | set(got))
+            if recorded["mutants"].get(name) != got.get(name)
         ]
     for line in problems:
         print(line, file=sys.stderr)

@@ -15,6 +15,7 @@ from math import prod
 from typing import NamedTuple
 
 from .groups import GroupTable
+from .laws import category_problems, commutation_problems, simplicial_identity_problems
 from .sset import InsufficientDepth, TruncatedSimplicialSet, _UnionFind, split_pair_key
 
 
@@ -60,58 +61,9 @@ class FiniteGroupoid:
         return tuple(sorted(a for a, (s, t) in self.arrows.items() if s == x and t == y))
 
     def validate(self):
-        problems = []
-        objs = set(self.objects)
-        for a, (s, t) in self.arrows.items():
-            if s not in objs or t not in objs:
-                problems.append(f"arrow {a} has endpoints outside the object set")
-        if set(self.identities) != objs:
-            problems.append("identities not assigned exactly on objects")
-            return problems
-        for x, e in self.identities.items():
-            if e not in self.arrows or self.arrows[e] != (x, x):
-                problems.append(f"identity of {x} is not a loop at {x}")
-                return problems
-        composable = {
-            (f, g)
-            for f in self.arrows
-            for g in self.arrows
-            if self.src(f) == self.tgt(g)
-        }
-        if set(self.comp) != composable:
-            problems.append("composition table domain is not the composable pairs")
-            return problems
-        for (f, g), h in self.comp.items():
-            if h not in self.arrows:
-                problems.append(f"composite {f}o{g} is not an arrow")
-                return problems
-            if self.arrows[h] != (self.arrows[g][0], self.arrows[f][1]):
-                problems.append(f"composite {f}o{g} has wrong endpoints")
-        for f in self.arrows:
-            if self.comp[(f, self.identities[self.src(f)])] != f:
-                problems.append(f"right identity law fails at {f}")
-            if self.comp[(self.identities[self.tgt(f)], f)] != f:
-                problems.append(f"left identity law fails at {f}")
-        if set(self.inverses) != set(self.arrows):
-            problems.append("inverses not assigned exactly on arrows")
-            return problems
-        for f, g in self.inverses.items():
-            if self.arrows[g] != (self.arrows[f][1], self.arrows[f][0]):
-                problems.append(f"inverse of {f} has wrong endpoints")
-                continue
-            if self.comp[(f, g)] != self.identities[self.tgt(f)]:
-                problems.append(f"f o f^-1 != id at {f}")
-            if self.comp[(g, f)] != self.identities[self.src(f)]:
-                problems.append(f"f^-1 o f != id at {f}")
-        for (f, g) in composable:
-            for h in self.arrows:
-                if self.src(g) == self.tgt(h):
-                    left = self.comp[(self.comp[(f, g)], h)]
-                    right = self.comp[(f, self.comp[(g, h)])]
-                    if left != right:
-                        problems.append(f"associativity fails at ({f},{g},{h})")
-                        return problems
-        return problems
+        return category_problems(
+            self.objects, self.arrows, self.comp, self.identities, self.inverses
+        )
 
     def vertex_group(self, x):
         loops = self.arrows_between(x, x)
@@ -325,6 +277,14 @@ def arrow_from_json(gpd, data):
     return data
 
 
+def _probe_arrows(gpd):
+    """Arrows on which maps out of ``gpd`` are tested: the generators of a free
+    groupoid, every arrow of a finite one."""
+    if gpd.is_free:
+        return [gpd.gen(g) for g in sorted(gpd.generators)]
+    return list(gpd.arrow_ids())
+
+
 class GroupoidHom:
     """A functor between groupoids, given on arrows (finite) or generators (free)."""
 
@@ -407,9 +367,7 @@ class GroupoidHom:
 
     def probe_arrows(self):
         """Arrows on which equality of maps out of the source may be tested."""
-        if self.source.is_free:
-            return [self.source.gen(g) for g in sorted(self.source.generators)]
-        return [a for a in self.source.arrow_ids()]
+        return _probe_arrows(self.source)
 
     def equals(self, other):
         if self.obj_map != other.obj_map:
@@ -451,52 +409,13 @@ class SimplicialGroupoid:
                 problems.append(f"operator ({n},{i}) moves objects")
         if problems:
             return problems
-        probe = {}
-        for n, gpd in enumerate(self.levels):
-            if gpd.is_free:
-                probe[n] = [gpd.gen(g) for g in sorted(gpd.generators)]
-            else:
-                probe[n] = list(gpd.arrow_ids())
-        d = lambda n, i: self.faces[(n, i)]
-        s = lambda n, i: self.degeneracies[(n, i)]
-        for n in range(2, self.depth + 1):
-            for j in range(n + 1):
-                for i in range(j):
-                    for a in probe[n]:
-                        if d(n - 1, i)(d(n, j)(a)) != d(n - 1, j - 1)(d(n, i)(a)):
-                            problems.append(
-                                f"d_{i} d_{j} != d_{j-1} d_{i} at level {n}"
-                            )
-        for n in range(0, self.depth):
-            for j in range(n + 1):
-                for a in probe[n]:
-                    y = s(n, j)(a)
-                    if d(n + 1, j)(y) != a or d(n + 1, j + 1)(y) != a:
-                        problems.append(f"d s != id at level {n}, s_{j}")
-        for n in range(1, self.depth):
-            for j in range(n + 1):
-                for i in range(n + 2):
-                    for a in probe[n]:
-                        y = s(n, j)(a)
-                        if i < j:
-                            if d(n + 1, i)(y) != s(n - 1, j - 1)(d(n, i)(a)):
-                                problems.append(
-                                    f"d_{i} s_{j} != s_{j-1} d_{i} at level {n}"
-                                )
-                        elif i > j + 1:
-                            if d(n + 1, i)(y) != s(n - 1, j)(d(n, i - 1)(a)):
-                                problems.append(
-                                    f"d_{i} s_{j} != s_{j} d_{i-1} at level {n}"
-                                )
-        for n in range(0, self.depth - 1):
-            for j in range(n + 1):
-                for i in range(j + 1):
-                    for a in probe[n]:
-                        if s(n + 1, i)(s(n, j)(a)) != s(n + 1, j + 1)(s(n, i)(a)):
-                            problems.append(
-                                f"s_{i} s_{j} != s_{j+1} s_{i} at level {n}"
-                            )
-        return problems
+        return simplicial_identity_problems(
+            self.depth,
+            [_probe_arrows(gpd) for gpd in self.levels],
+            self.face,
+            self.degeneracy,
+            lambda n, a: self.levels[n].arrow_id(a),
+        )
 
     @classmethod
     def constant(cls, gpd, depth):
@@ -575,21 +494,15 @@ class SimplicialGroupoidMap:
             problems.extend(f"level {n}: {p}" for p in hom.validate())
         if problems:
             return problems
-        for n in range(1, self.source.depth + 1):
-            for i in range(n + 1):
-                for a in self.level_homs[n].probe_arrows():
-                    left = self.level_homs[n - 1](self.source.face(n, i)(a))
-                    right = self.target.face(n, i)(self.level_homs[n](a))
-                    if left != right:
-                        problems.append(f"does not commute with d_{i} at level {n}")
-        for n in range(0, self.source.depth):
-            for i in range(n + 1):
-                for a in self.level_homs[n].probe_arrows():
-                    left = self.level_homs[n + 1](self.source.degeneracy(n, i)(a))
-                    right = self.target.degeneracy(n, i)(self.level_homs[n](a))
-                    if left != right:
-                        problems.append(f"does not commute with s_{i} at level {n}")
-        return problems
+        homs = self.level_homs
+        return commutation_problems(
+            self.source.depth,
+            [hom.probe_arrows() for hom in homs],
+            homs,
+            (self.source.face, self.source.degeneracy),
+            (self.target.face, self.target.degeneracy),
+            lambda n, a: homs[n].source.arrow_id(a),
+        )
 
     @classmethod
     def identity(cls, sgpd):
@@ -768,6 +681,8 @@ def moore_pi_n(sgpd, n):
 
 
 def _moore(sgpd, n):
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        raise ValueError(f"Moore homotopy degree must be a non-negative integer, got {n!r}")
     if len(sgpd.objects) != 1:
         raise ValueError("Moore homotopy needs a one-object simplicial groupoid")
     if sgpd.depth < n + 1:

@@ -219,34 +219,43 @@ def sset_from_json(data):
 # -- groupoids and 2-groupoids --------------------------------------------------------
 
 
-# the JSON type of each top-level field of a document, by what it holds; a pair
-# (outer, inner) is an array or object whose every entry has the type inner
+# the JSON type of each top-level field of a document, by what it holds: a type,
+# or a pair (outer, inner), an array or object whose every entry has the type
+# inner or, where inner is a dict, is an object whose fields have those types
+_CELLS = {"id": str, "src": str, "tgt": str}
 _SHAPES = {
     "groupoid": {
-        "objects": list,
-        "arrows": (list, dict),
-        "comp": dict,
-        "identities": dict,
-        "inverses": dict,
+        "objects": (list, str),
+        "arrows": (list, _CELLS),
+        "comp": (dict, str),
+        "identities": (dict, str),
+        "inverses": (dict, str),
     },
-    "free groupoid": {"objects": list, "generators": (list, dict)},
+    "free groupoid": {"objects": (list, str), "generators": (list, _CELLS)},
     "2-groupoid": {
-        "objects": list,
-        "cells1": (list, dict),
-        "comp1": dict,
-        "id1": dict,
-        "inv1": dict,
-        "cells2": (list, dict),
-        "vcomp": dict,
-        "hcomp": dict,
-        "id2": dict,
-        "vinv": dict,
+        "objects": (list, str),
+        "cells1": (list, _CELLS),
+        "comp1": (dict, str),
+        "id1": (dict, str),
+        "inv1": (dict, str),
+        "cells2": (list, _CELLS),
+        "vcomp": (dict, str),
+        "hcomp": (dict, str),
+        "id2": (dict, str),
+        "vinv": (dict, str),
     },
     "simplicial groupoid": {
-        "objects": list,
+        "objects": (list, str),
         "levels": (list, dict),
         "faces": (dict, dict),
         "degeneracies": (dict, dict),
+    },
+    "presheaf": {"site": dict, "domain": str, "values": dict, "restrictions": dict},
+    "natural transformation": {
+        "domain": str,
+        "source": dict,
+        "target": dict,
+        "components": dict,
     },
 }
 
@@ -255,20 +264,30 @@ def _check_shape(data, what):
     """Reject a ``what`` document whose fields do not have their JSON types."""
     if not isinstance(data, dict):
         raise ValueError(f"a {what} must be an object, got {_JSON_TYPES[type(data)]}")
-    for field, shape in _SHAPES[what].items():
+    _check_fields(data, _SHAPES[what], what)
+
+
+def _check_fields(data, shapes, where):
+    """Check each field of the object ``data`` against its shape in ``shapes``."""
+    for field, shape in shapes.items():
         outer, inner = shape if isinstance(shape, tuple) else (shape, None)
         value = data[field]
         if not isinstance(value, outer):
             raise ValueError(
-                f"{what} {field} must be {_JSON_TYPES[outer]}, got {_JSON_TYPES[type(value)]}"
+                f"{where} {field} must be {_JSON_TYPES[outer]}, got {_JSON_TYPES[type(value)]}"
             )
-        if inner is not None:
-            for entry in value.values() if outer is dict else value:
-                if not isinstance(entry, inner):
-                    raise ValueError(
-                        f"{what} {field} holds {_JSON_TYPES[type(entry)]} "
-                        f"where {_JSON_TYPES[inner]} belongs"
-                    )
+        if inner is None:
+            continue
+        fields = inner if isinstance(inner, dict) else None
+        kind = dict if fields else inner
+        for entry in value.values() if outer is dict else value:
+            if not isinstance(entry, kind):
+                raise ValueError(
+                    f"{where} {field} holds {_JSON_TYPES[type(entry)]} "
+                    f"where {_JSON_TYPES[kind]} belongs"
+                )
+            if fields:
+                _check_fields(entry, fields, f"{where} {field}")
 
 
 def groupoid_from_json(data):
@@ -465,6 +484,7 @@ def presheaf_to_json(presheaf):
 
 
 def _presheaf(data):
+    _check_shape(data, "presheaf")
     site = FiniteSite.from_json(data["site"])
     domain = data["domain"]
     values = {u: _value_from_json(domain, v) for u, v in data["values"].items()}
@@ -494,8 +514,15 @@ def nat_to_json(nat):
 
 
 def nat_from_json(data):
+    _check_shape(data, "natural transformation")
     source = _presheaf(data["source"])
     target = _presheaf(data["target"])
+    for side, presheaf in (("source", source), ("target", target)):
+        if presheaf.domain != data["domain"]:
+            raise ValueError(
+                f"natural transformation domain {data['domain']!r} does not match "
+                f"the domain {presheaf.domain!r} of its {side}"
+            )
     components = {
         u: _morphism_from_json(
             data["domain"], m, source.values[u], target.values[u]

@@ -10,6 +10,7 @@ not run it.
 
 from itertools import combinations
 
+from .laws import category_problems
 from .sset import split_pair_key
 
 
@@ -93,49 +94,10 @@ class FiniteSite:
     # -- validation -------------------------------------------------------------
 
     def validate(self):
-        problems = []
-        problems.extend(self._check_category())
+        problems = category_problems(self.objects, self.arrows, self.comp, self.identities)
         if problems:
             return problems
-        problems.extend(self._check_coverage())
-        return problems
-
-    def _check_category(self):
-        problems = []
-        objs = set(self.objects)
-        for a, (s, t) in self.arrows.items():
-            if s not in objs or t not in objs:
-                problems.append(f"arrow {a} has endpoints outside the object set")
-        for x in objs:
-            e = self.identities.get(x)
-            if e is None or self.arrows.get(e) != (x, x):
-                problems.append(f"missing identity at {x}")
-                return problems
-        composable = {
-            (f, g)
-            for f in self.arrows
-            for g in self.arrows
-            if self.src(f) == self.tgt(g)
-        }
-        if set(self.comp) != composable:
-            problems.append("composition table domain mismatch")
-            return problems
-        for (f, g), h in self.comp.items():
-            if h not in self.arrows or self.arrows[h] != (self.src(g), self.tgt(f)):
-                problems.append(f"composite {f}o{g} ill-typed")
-                return problems
-        for f, (s, t) in self.arrows.items():
-            if self.comp[(f, self.identities[s])] != f:
-                problems.append(f"right identity law fails at {f}")
-            if self.comp[(self.identities[t], f)] != f:
-                problems.append(f"left identity law fails at {f}")
-        for (f, g) in composable:
-            for h in self.arrows:
-                if self.src(g) == self.tgt(h):
-                    if self.comp[(self.comp[(f, g)], h)] != self.comp[(f, self.comp[(g, h)])]:
-                        problems.append("associativity fails")
-                        return problems
-        return problems
+        return self._check_coverage()
 
     def _check_coverage(self):
         problems = []

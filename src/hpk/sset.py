@@ -10,14 +10,19 @@ raises :class:`InsufficientDepth` rather than approximating.
 
 from itertools import combinations_with_replacement
 
+from .laws import commutation_problems, simplicial_identity_problems
+
 
 class InsufficientDepth(ValueError):
     """An operation was asked to work beyond the stored truncation depth."""
 
 
-def _column(table, xs):
-    """``[table[x] for x in xs]``: one face, degeneracy or map applied to a whole level."""
-    return list(map(table.__getitem__, xs))
+def _operators(sset):
+    """(face, degeneracy) of a simplicial set as the law checks take them."""
+    return (
+        lambda n, i: sset.faces[(n, i)].__getitem__,
+        lambda n, i: sset.degeneracies[(n, i)].__getitem__,
+    )
 
 
 class TruncatedSimplicialSet:
@@ -58,7 +63,7 @@ class TruncatedSimplicialSet:
         problems.extend(self._check_tables())
         if problems:
             return problems
-        problems.extend(self._check_identities())
+        problems.extend(simplicial_identity_problems(self.depth, self.levels, *_operators(self)))
         return problems
 
     def _check_tables(self):
@@ -92,76 +97,6 @@ class TruncatedSimplicialSet:
         for (n, i) in sorted(self.degeneracies):
             if not (0 <= n < depth and 0 <= i <= n):
                 problems.append(f"degeneracy table s_{i} at level {n} lies outside depth {depth}")
-        return problems
-
-    def _check_identities(self):
-        """Each identity family compares two composed tables over a whole level.
-
-        ``dcol[n][i]`` and ``scol[n][i]`` list d_i and s_i of the level-n
-        simplices in level order, so each side of an identity is one more
-        column lookup; the simplices are named only where the sides differ.
-        """
-        problems = []
-        levels, faces, degens = self.levels, self.faces, self.degeneracies
-        dcol = {
-            n: [_column(faces[(n, i)], levels[n]) for i in range(n + 1)]
-            for n in range(1, self.depth + 1)
-        }
-        scol = {
-            n: [_column(degens[(n, i)], levels[n]) for i in range(n + 1)]
-            for n in range(self.depth)
-        }
-        for n in range(2, self.depth + 1):
-            for j in range(n + 1):
-                for i in range(j):
-                    left = _column(faces[(n - 1, i)], dcol[n][j])
-                    right = _column(faces[(n - 1, j - 1)], dcol[n][i])
-                    if left != right:
-                        problems.extend(
-                            f"d_{i} d_{j} != d_{j - 1} d_{i} at level {n} on {x}"
-                            for x, a, b in zip(levels[n], left, right)
-                            if a != b
-                        )
-        for n in range(0, self.depth):
-            level = list(levels[n])
-            for j in range(n + 1):
-                low = _column(faces[(n + 1, j)], scol[n][j])
-                high = _column(faces[(n + 1, j + 1)], scol[n][j])
-                if low != level or high != level:
-                    for x, a, b in zip(level, low, high):
-                        if a != x:
-                            problems.append(f"d_{j} s_{j} != id at level {n} on {x}")
-                        if b != x:
-                            problems.append(f"d_{j + 1} s_{j} != id at level {n} on {x}")
-        for n in range(1, self.depth):
-            for j in range(n + 1):
-                for i in range(n + 2):
-                    if i < j:
-                        right = _column(degens[(n - 1, j - 1)], dcol[n][i])
-                        text = f"d_{i} s_{j} != s_{j - 1} d_{i}"
-                    elif i > j + 1:
-                        right = _column(degens[(n - 1, j)], dcol[n][i - 1])
-                        text = f"d_{i} s_{j} != s_{j} d_{i - 1}"
-                    else:
-                        continue
-                    left = _column(faces[(n + 1, i)], scol[n][j])
-                    if left != right:
-                        problems.extend(
-                            f"{text} at level {n} on {x}"
-                            for x, a, b in zip(levels[n], left, right)
-                            if a != b
-                        )
-        for n in range(0, self.depth - 1):
-            for j in range(n + 1):
-                for i in range(j + 1):
-                    left = _column(degens[(n + 1, i)], scol[n][j])
-                    right = _column(degens[(n + 1, j + 1)], scol[n][i])
-                    if left != right:
-                        problems.extend(
-                            f"s_{i} s_{j} != s_{j + 1} s_{i} at level {n} on {x}"
-                            for x, a, b in zip(levels[n], left, right)
-                            if a != b
-                        )
         return problems
 
     # -- degeneracy structure ----------------------------------------------
@@ -291,29 +226,13 @@ class SimplicialMap:
             if not set(mapping.values()) <= set(self.target.levels[n]):
                 problems.append(f"level {n} map escapes target")
                 return problems
-        source, target, maps = self.source, self.target, self.level_maps
-        images = [_column(m, level) for m, level in zip(maps, source.levels)]
-        for n in range(1, source.depth + 1):
-            for i in range(n + 1):
-                left = _column(maps[n - 1], _column(source.faces[(n, i)], source.levels[n]))
-                right = _column(target.faces[(n, i)], images[n])
-                if left != right:
-                    problems.extend(
-                        f"does not commute with d_{i} at level {n} on {x}"
-                        for x, a, b in zip(source.levels[n], left, right)
-                        if a != b
-                    )
-        for n in range(0, source.depth):
-            for i in range(n + 1):
-                left = _column(maps[n + 1], _column(source.degeneracies[(n, i)], source.levels[n]))
-                right = _column(target.degeneracies[(n, i)], images[n])
-                if left != right:
-                    problems.extend(
-                        f"does not commute with s_{i} at level {n} on {x}"
-                        for x, a, b in zip(source.levels[n], left, right)
-                        if a != b
-                    )
-        return problems
+        return commutation_problems(
+            self.source.depth,
+            self.source.levels,
+            [m.__getitem__ for m in self.level_maps],
+            _operators(self.source),
+            _operators(self.target),
+        )
 
     @classmethod
     def identity(cls, sset):

@@ -9,6 +9,7 @@ and b framed over y -> z, giving a 2-cell over x -> z.
 from collections.abc import Hashable
 
 from .groups import GroupTable
+from .laws import category_problems
 from .sset import TruncatedSimplicialSet, _UnionFind, compatible_tuples, split_pair_key
 
 
@@ -63,97 +64,22 @@ class TwoGroupoid:
     # -- validation ----------------------------------------------------------
 
     def validate(self):
-        problems = []
-        problems.extend(self._check_one_skeleton())
+        problems = category_problems(
+            self.objects, self.cells1, self.comp1, self.id1, self.inv1, "1-cells: "
+        )
         if problems:
             return problems
-        problems.extend(self._check_two_cells())
+        problems = [
+            f"2-cell {a} is not between parallel 1-cells"
+            for a, (f, g) in self.cells2.items()
+            if f in self.cells1 and g in self.cells1 and self.cells1[f] != self.cells1[g]
+        ]
+        problems += category_problems(
+            self.cells1, self.cells2, self.vcomp, self.id2, self.vinv, "2-cells: "
+        )
         if problems:
             return problems
-        problems.extend(self._check_horizontal())
-        return problems
-
-    def _check_one_skeleton(self):
-        problems = []
-        objs = set(self.objects)
-        for f, (s, t) in self.cells1.items():
-            if s not in objs or t not in objs:
-                problems.append(f"1-cell {f} has bad endpoints")
-        composable = {
-            (f, g)
-            for f in self.cells1
-            for g in self.cells1
-            if self.src1(f) == self.tgt1(g)
-        }
-        if set(self.comp1) != composable:
-            problems.append("1-cell composition domain mismatch")
-            return problems
-        for (f, g), h in self.comp1.items():
-            if self.cells1[h] != (self.src1(g), self.tgt1(f)):
-                problems.append(f"composite {f}o{g} has wrong endpoints")
-        for x in objs:
-            e = self.id1.get(x)
-            if e is None or self.cells1.get(e) != (x, x):
-                problems.append(f"missing identity 1-cell at {x}")
-                return problems
-        for f, (s, t) in self.cells1.items():
-            if self.comp1[(f, self.id1[s])] != f or self.comp1[(self.id1[t], f)] != f:
-                problems.append(f"identity law fails at 1-cell {f}")
-            g = self.inv1.get(f)
-            if g is None or self.comp1[(g, f)] != self.id1[s] or self.comp1[(f, g)] != self.id1[t]:
-                problems.append(f"1-cell {f} lacks a strict inverse")
-        for (f, g) in composable:
-            for h in self.cells1:
-                if self.src1(g) == self.tgt1(h):
-                    if self.comp1[(self.comp1[(f, g)], h)] != self.comp1[(f, self.comp1[(g, h)])]:
-                        problems.append("1-cell associativity fails")
-                        return problems
-        return problems
-
-    def _check_two_cells(self):
-        problems = []
-        for a, (f, g) in self.cells2.items():
-            if f not in self.cells1 or g not in self.cells1:
-                problems.append(f"2-cell {a} has unknown frame")
-                return problems
-            if self.cells1[f] != self.cells1[g]:
-                problems.append(f"2-cell {a} is not between parallel 1-cells")
-        vcomposable = {
-            (b, a)
-            for a in self.cells2
-            for b in self.cells2
-            if self.tgt2(a) == self.src2(b)
-        }
-        if set(self.vcomp) != vcomposable:
-            problems.append("vertical composition domain mismatch")
-            return problems
-        for (b, a), c in self.vcomp.items():
-            if self.cells2[c] != (self.src2(a), self.tgt2(b)):
-                problems.append(f"vertical composite {b}.{a} has wrong frame")
-        for f in self.cells1:
-            e = self.id2.get(f)
-            if e is None or self.cells2.get(e) != (f, f):
-                problems.append(f"missing identity 2-cell at {f}")
-                return problems
-        for a, (f, g) in self.cells2.items():
-            if self.vcomp[(a, self.id2[f])] != a or self.vcomp[(self.id2[g], a)] != a:
-                problems.append(f"vertical identity law fails at {a}")
-            b = self.vinv.get(a)
-            if (
-                b is None
-                or self.vcomp[(b, a)] != self.id2[f]
-                or self.vcomp[(a, b)] != self.id2[g]
-            ):
-                problems.append(f"2-cell {a} lacks a vertical inverse")
-        for (b, a) in vcomposable:
-            for c in self.cells2:
-                if self.tgt2(c) == self.src2(a):
-                    left = self.vcomp[(self.vcomp[(b, a)], c)]
-                    right = self.vcomp[(b, self.vcomp[(a, c)])]
-                    if left != right:
-                        problems.append("vertical associativity fails")
-                        return problems
-        return problems
+        return self._check_horizontal()
 
     def _check_horizontal(self):
         problems = []
@@ -172,7 +98,7 @@ class TwoGroupoid:
                 self.comp1[(self.src2(b), self.src2(a))],
                 self.comp1[(self.tgt2(b), self.tgt2(a))],
             )
-            if self.cells2[c] != want:
+            if self.cells2.get(c) != want:
                 problems.append(f"horizontal composite {b}*{a} has wrong frame")
                 return problems
         # identity 2-cells are multiplicative for horizontal composition

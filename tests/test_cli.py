@@ -752,6 +752,40 @@ def _pi2_z2():
     return "2gpd", TwoGroupoid.one_object_with_pi2(GroupTable.cyclic(2))
 
 
+def _with(build, field, value):
+    def change():
+        data = build()
+        data[field] = value
+        return data
+
+    return change
+
+
+def _unknown_id(value, field):
+    """A document whose ``field`` table names the unknown id ``zz`` at its first key."""
+
+    def build():
+        data = value()[1].to_json()
+        data[field][next(iter(data[field]))] = "zz"
+        return data
+
+    return build
+
+
+def _sgpd_presheaf():
+    from hpk.presheaves import constant_presheaf
+
+    return jsonio.presheaf_to_json(
+        constant_presheaf(FiniteSite.two_object_site(), "sgpd", _z2_sgpd()[1])
+    )
+
+
+def _sgpd_to_2gpd_nat():
+    data = _identity_nat(_z2_sgpd)()
+    data["target"] = _identity_nat(_pi2_z2)()["target"]
+    return data
+
+
 # one invalid document per kind the CLI reads: its builder, the command that
 # reads it, the exit code and the stderr recorded before constructors stopped
 # validating (None: the command reports the violations on stdout instead)
@@ -760,7 +794,8 @@ INVALID_DOCUMENTS = {
              "d_0 d_1 != d_0 d_0 at level 2 on 0.1.2; d_0 d_2 != d_1 d_0 at level 2 on 0.1.2"),
     "sset_validate": (_bad_sset, ["validate"], 1, None),
     "sgpd": (_bad_sgpd, ["moore", "-n", "0"], 2,
-             "invalid simplicial groupoid: d s != id at level 0, s_0"),
+             "invalid simplicial groupoid: "
+             "d_0 s_0 != id at level 0 on g1; d_1 s_0 != id at level 0 on g1"),
     "sgpd_level": (_bad_sgpd_level, ["wbar", "--depth", "1"], 2,
                    "invalid groupoid: f o f^-1 != id at g1; f^-1 o f != id at g1"),
     "groupoid": (_bad_groupoid, ["pi0"], 2,
@@ -806,6 +841,28 @@ INVALID_DOCUMENTS = {
                              ["validate"], 2, "faces table 1,0 must be an object, got null"),
     "sset_string_levels": (_delta1(lambda d: d.__setitem__("levels", "ab")), ["validate"], 2,
                            "levels must be an array of levels, got a string"),
+    "groupoid_list_src": (_with(lambda: _gpd_z2().to_json(), "arrows",
+                                [{"id": "g0", "src": ["x"], "tgt": "*"}]), ["pi0"], 2,
+                          "groupoid arrows src must be a string, got an array"),
+    "groupoid_list_object": (_with(lambda: _gpd_z2().to_json(), "objects", [["*"]]), ["pi0"], 2,
+                             "groupoid objects holds an array where a string belongs"),
+    "presheaf_null_values": (_with(_sgpd_presheaf, "values", None), ["sheafify"], 2,
+                             "presheaf values must be an object, got null"),
+    "sgpd_negative_degree": (lambda: _z2_sgpd()[1].to_json(), ["moore", "-n", "-1"], 2,
+                             "Moore homotopy degree must be a non-negative integer, got -1"),
+    "presheaf_negative_degree": (_sgpd_presheaf,
+                                 ["hsheaf", "--object", "U", "--base", "*", "-n", "-1"], 2,
+                                 "Moore homotopy degree must be a non-negative integer, got -1"),
+    "nat_sgpd_to_2gpd": (_sgpd_to_2gpd_nat, ["weq", "--kind", "sgpd"], 2,
+                         "natural transformation domain 'sgpd' does not match "
+                         "the domain '2gpd' of its target"),
+    # an unknown id in a table is a named violation, not a lookup error
+    "groupoid_unknown_inverse": (_unknown_id(lambda: ("groupoid", _gpd_z2()), "inverses"),
+                                 ["validate"], 1, None),
+    **{
+        f"2gpd_unknown_{field}": (_unknown_id(_pi2_z2, field), ["validate"], 1, None)
+        for field in ("comp1", "vcomp", "hcomp", "inv1", "vinv")
+    },
 }
 
 
@@ -954,15 +1011,6 @@ def test_a_level_of_a_simplicial_groupoid_must_have_object_tables(tmp_path, caps
     code, out, err = run_on(tmp_path, capsys, "level", data, ["validate"])
     assert (code, out) == (2, "")
     assert err == "input error: groupoid identities must be an object, got an array\n"
-
-
-def _with(build, field, value):
-    def change():
-        data = build()
-        data[field] = value
-        return data
-
-    return change
 
 
 TWO_GROUPOID_FIELDS = ["objects", "cells1", "comp1", "id1", "inv1",
