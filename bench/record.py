@@ -5,7 +5,8 @@
     python3 bench/record.py --out BENCH_14.json --parent ../hpk-parent --section emit
     python3 bench/record.py --out BENCH_15.json --parent ../hpk-parent --section weq
     python3 bench/record.py --out BENCH_17.json --parent ../hpk-parent --section laws
-    python3 bench/record.py --check BENCH_17.json
+    python3 bench/record.py --out BENCH_20.json --parent ../hpk-parent --section functors
+    python3 bench/record.py --check BENCH_20.json
 
 A record holds one or more sections, each a list of cases:
 
@@ -55,6 +56,15 @@ A record holds one or more sections, each a list of cases:
     record also holds ``mutants``: the problem count of every mutant of the
     corpus of ``tests/test_laws.py``, computed on this checkout alone, since
     the parent's checks crash on some of them.
+``functors``
+    The functor checks: ``TwoGroupoid.validate`` (whose horizontal layer is
+    checked as a category with functors) and ``TwoFunctor.identity(k).validate``
+    on the ten 2-groupoids of the ``build_validate`` mix, and
+    ``GroupoidHom.validate`` on every face and degeneracy map of its eight
+    Dold-Kan simplicial groupoids.  A step records the number of problems and
+    of the cells it checked.  The record also holds ``functor_mutants``: the
+    problem count of every mutant of the functor corpora of
+    ``tests/test_laws.py``, computed on this checkout alone.
 
 Every step also records its best wall time on the parent checkout and on
 this one.  Each side runs in its own process, importing hpk from that
@@ -381,60 +391,111 @@ def weq_cases():
     }
 
 
-def law_cases():
-    """{fixture: {step: check}}, each check returning its problem and cell counts."""
+def build_validate_mix():
+    """(hpk, the workloads module, {name: 2-groupoid}, {name: Dold-Kan simplicial
+    groupoid}) of the benchmark's ``build_validate`` mix, chains from fixed seeds."""
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     import workloads
 
     H = workloads.import_hpk()
-
-    def step(validate, cells):
-        return lambda: {"problems": len(validate()), "cells": cells}
-
-    cases = {}
+    two_groupoids = {}
     for kind, arg in workloads.TWO_GPD_CLASSES:
         if kind == "gpd":
             k = H.two_groupoids.TwoGroupoid.from_groupoid(workloads._groupoid(H, arg))
         else:
             k = H.two_groupoids.TwoGroupoid.one_object_with_pi2(H.groups.GroupTable.cyclic(arg))
-        cases[f"2-groupoid {kind} {arg}"] = {
-            "validate": step(k.validate, len(k.cells1) + len(k.cells2))
-        }
+        two_groupoids[f"2-groupoid {kind} {arg}"] = k
+    dold_kan = {}
     for i, (c0, c1, depth) in enumerate(workloads.DOLD_KAN_CLASSES):
         rng = workloads._rng("laws", 0, i)
-        sgpd = H.groupoids.dold_kan(workloads._random_chain(H, rng, [c0, c1]), depth)
+        chain = workloads._random_chain(H, rng, [c0, c1])
+        dold_kan[f"dold_kan {c0} <- {c1}, depth {depth}"] = H.groupoids.dold_kan(chain, depth)
+    return H, workloads, two_groupoids, dold_kan
+
+
+def problem_step(validate, cells):
+    """A step that records the problem count of ``validate()`` and ``cells``."""
+    return lambda: {"problems": len(validate()), "cells": cells}
+
+
+def law_cases():
+    """{fixture: {step: check}}, each check returning its problem and cell counts."""
+    H, workloads, two_groupoids, dold_kan = build_validate_mix()
+    cases = {
+        name: {"validate": problem_step(k.validate, len(k.cells1) + len(k.cells2))}
+        for name, k in two_groupoids.items()
+    }
+    for name, sgpd in dold_kan.items():
         arrows = sum(len(level.arrows) for level in sgpd.levels)
-        cases[f"dold_kan {c0} <- {c1}, depth {depth}"] = {
-            "validate": step(sgpd.validate, arrows),
-            "levels": step(lambda s=sgpd: [p for g in s.levels for p in g.validate()], arrows),
+        cases[name] = {
+            "validate": problem_step(sgpd.validate, arrows),
+            "levels": problem_step(
+                lambda s=sgpd: [p for g in s.levels for p in g.validate()], arrows
+            ),
         }
     for kind, n, depth in workloads.LOOP_CLASSES:
         x = H.sset.standard_complex(kind, n, k=0 if kind == "horn" else None, depth=depth)
         g = H.loop.loop_groupoid(x, depth - 1)
         cases[f"loop_groupoid {kind}{n}, depth {depth}"] = {
-            "validate": step(g.validate, sum(len(level.generators) for level in g.levels))
+            "validate": problem_step(g.validate, sum(len(level.generators) for level in g.levels))
         }
     site = H.sites.FiniteSite
     for name, s in (("two-object site", site.two_object_site()), ("point site", site.point_site())):
-        cases[name] = {"validate": step(s.validate, len(s.arrows))}
+        cases[name] = {"validate": problem_step(s.validate, len(s.arrows))}
     return cases
 
 
-def mutant_counts():
-    """{mutant: problem count} over the mutation corpus of ``tests/test_laws.py``."""
+def functor_cases():
+    """{fixture: {step: check}} of the functor checks, as ``law_cases`` makes them."""
+    H, _, two_groupoids, dold_kan = build_validate_mix()
+    identity = H.two_groupoids.TwoFunctor.identity
+    cases = {}
+    for name, k in two_groupoids.items():
+        cells = len(k.cells1) + len(k.cells2)
+        cases[name] = {
+            "validate": problem_step(k.validate, cells),
+            "identity functor": problem_step(identity(k).validate, cells),
+        }
+    for name, sgpd in dold_kan.items():
+        homs = [*sgpd.faces.values(), *sgpd.degeneracies.values()]
+        cases[name] = {
+            "operators": problem_step(
+                lambda homs=homs: [p for hom in homs for p in hom.validate()],
+                sum(len(hom.arrow_map) for hom in homs),
+            )
+        }
+    return cases
+
+
+# the corpora of ``tests/test_laws.py`` whose problem counts a section records,
+# by section: the record's field and the corpora
+MUTANTS = {
+    "laws": (
+        "mutants",
+        (
+            "groupoid_mutants",
+            "site_mutants",
+            "two_groupoid_mutants",
+            "sgpd_mutants",
+            "sgpd_map_mutants",
+        ),
+    ),
+    "functors": (
+        "functor_mutants",
+        ("groupoid_hom_mutants", "two_functor_mutants", "group_hom_mutants", "horizontal_mutants"),
+    ),
+}
+
+
+def mutant_counts(section):
+    """{mutant: problem count} over the corpora a section records."""
     sys.path.insert(0, os.path.join(ROOT, "tests"))
     import test_laws
 
     counts = {}
-    for corpus in (
-        test_laws.groupoid_mutants,
-        test_laws.site_mutants,
-        test_laws.two_groupoid_mutants,
-        test_laws.sgpd_mutants,
-        test_laws.sgpd_map_mutants,
-    ):
-        for label, x in corpus():
-            counts[f"{corpus.__name__}: {label}"] = len(x.validate())
+    for corpus in MUTANTS[section][1]:
+        for label, x in getattr(test_laws, corpus)():
+            counts[f"{corpus}: {label}"] = len(x.validate())
     return counts
 
 
@@ -464,6 +525,11 @@ SECTIONS = {
         "fixture",
         "law checks of the build_validate constructions, and the problem counts of mutants",
         law_cases,
+    ),
+    "functors": (
+        "fixture",
+        "functor checks of the build_validate constructions, and the problem counts of mutants",
+        functor_cases,
     ),
 }
 
@@ -598,8 +664,9 @@ def record(parent, sections):
                     totals.setdefault(step, dict.fromkeys(sides, 0.0))[side] += ms
             entries.append(entry)
         data[section] = entries
-    if "laws" in sections:
-        data["mutants"] = mutant_counts()
+    for section in sections:
+        if section in MUTANTS:
+            data[MUTANTS[section][0]] = mutant_counts(section)
     data["total_best_ms"] = {
         step: {side: round(ms, 3) for side, ms in by_side.items()}
         for step, by_side in totals.items()
@@ -626,12 +693,14 @@ def check(path):
             for name in sorted(set(expected) | set(got))
             if expected.get(name) != got.get(name)
         ]
-    if "mutants" in recorded:
-        got = mutant_counts()
+    for section, (field, _) in MUTANTS.items():
+        if field not in recorded:
+            continue
+        expected, got = recorded[field], mutant_counts(section)
         problems += [
-            f"mutant {name}: recorded {recorded['mutants'].get(name)}, computed {got.get(name)}"
-            for name in sorted(set(recorded["mutants"]) | set(got))
-            if recorded["mutants"].get(name) != got.get(name)
+            f"mutant {name}: recorded {expected.get(name)}, computed {got.get(name)}"
+            for name in sorted(set(expected) | set(got))
+            if expected.get(name) != got.get(name)
         ]
     for line in problems:
         print(line, file=sys.stderr)

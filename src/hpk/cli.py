@@ -420,7 +420,7 @@ def cmd_site_validate(args):
         data = _read(path)
         if jsonio.detect_kind(data) != "site":
             raise ValueError(f"{path} is not a site")
-        return {"file": path, "violations": jsonio.FiniteSite.from_json(data).validate()}
+        return {"file": path, "violations": jsonio.site_from_json(data).validate()}
 
     reports = [one(path) for path in args.files]
     _emit({"reports": reports}, args)

@@ -15,7 +15,13 @@ from math import prod
 from typing import NamedTuple
 
 from .groups import GroupTable
-from .laws import category_problems, commutation_problems, simplicial_identity_problems
+from .laws import (
+    category_problems,
+    commutation_problems,
+    functor_problems,
+    operator_table_problems,
+    simplicial_identity_problems,
+)
 from .sset import InsufficientDepth, TruncatedSimplicialSet, _UnionFind, split_pair_key
 
 
@@ -60,10 +66,12 @@ class FiniteGroupoid:
     def arrows_between(self, x, y):
         return tuple(sorted(a for a, (s, t) in self.arrows.items() if s == x and t == y))
 
+    def tables(self):
+        """(objects, arrows, comp, identities), the tables ``hpk.laws`` reads."""
+        return self.objects, self.arrows, self.comp, self.identities
+
     def validate(self):
-        return category_problems(
-            self.objects, self.arrows, self.comp, self.identities, self.inverses
-        )
+        return category_problems(*self.tables(), self.inverses)
 
     def vertex_group(self, x):
         loops = self.arrows_between(x, x)
@@ -153,6 +161,16 @@ def _reduce_letters(letters):
     return tuple(out)
 
 
+class _Lookup:
+    """A table whose entries a function computes, read as ``t[key]`` or ``t.get(key)``."""
+
+    def __init__(self, entry):
+        self.get = entry
+
+    def __getitem__(self, key):
+        return self.get(key)
+
+
 class FreeGroupoid:
     def __init__(self, objects, generators):
         self.objects = tuple(sorted(objects))
@@ -192,10 +210,12 @@ class FreeGroupoid:
         s, t = self.generators[g]
         return FreeArrow(s, t, ((g, 1),))
 
-    def identity(self, obj):
+    @staticmethod
+    def identity(obj):
         return FreeArrow(obj, obj, ())
 
-    def compose(self, f, g):
+    @staticmethod
+    def compose(f, g):
         """f o g: apply g first."""
         if g.tgt != f.src:
             raise NonComposableWord(f"cannot compose {f} o {g}")
@@ -218,6 +238,12 @@ class FreeGroupoid:
             return f"id@{f.src}"
         body = ",".join(g if e == 1 else f"{g}^-" for g, e in f.letters)
         return f"{f.src}>{body}"
+
+    def tables(self):
+        """(objects, arrows, comp, identities) with the last three computed on
+        reduced words, the lookups ``hpk.laws.functor_problems`` makes of a
+        functor's target."""
+        return (self.objects, *_WORD_TABLES)
 
     def arrows_between(self, x, y, maxlen=None):
         """Reduced words x -> y with at most ``maxlen`` letters."""
@@ -258,6 +284,13 @@ class FreeGroupoid:
         return cls(
             data["objects"], {g["id"]: (g["src"], g["tgt"]) for g in data["generators"]}
         )
+
+
+_WORD_TABLES = (
+    _Lookup(lambda a: (a.src, a.tgt) if isinstance(a, FreeArrow) else None),
+    _Lookup(lambda pair: FreeGroupoid.compose(*pair)),
+    _Lookup(FreeGroupoid.identity),
+)
 
 
 def reduce_word(groupoid, letters, at=None):
@@ -306,46 +339,14 @@ class GroupoidHom:
         return self.arrow_map[arrow]
 
     def validate(self):
-        problems = []
-        if set(self.obj_map) != set(self.source.objects):
-            problems.append("object map not total")
-            return problems
-        if not set(self.obj_map.values()) <= set(self.target.objects):
-            problems.append("object map escapes target objects")
-            return problems
-        if self.source.is_free:
-            if set(self.arrow_map) != set(self.source.generators):
-                problems.append("generator map not total")
-                return problems
-            for g, img in self.arrow_map.items():
-                s, t = self.source.generators[g]
-                if (self.target.src(img), self.target.tgt(img)) != (
-                    self.obj_map[s],
-                    self.obj_map[t],
-                ):
-                    problems.append(f"image of generator {g} has wrong endpoints")
-            return problems
-        if set(self.arrow_map) != set(self.source.arrows):
-            problems.append("arrow map not total")
-            return problems
-        for f, img in self.arrow_map.items():
-            s, t = self.source.arrows[f]
-            if (self.target.src(img), self.target.tgt(img)) != (
-                self.obj_map[s],
-                self.obj_map[t],
-            ):
-                problems.append(f"image of arrow {f} has wrong endpoints")
-                return problems
-        for x, e in self.source.identities.items():
-            if self.arrow_map[e] != self.target.identity(self.obj_map[x]):
-                problems.append(f"identity at {x} not preserved")
-        for (f, g), h in self.source.comp.items():
-            left = self.arrow_map[h]
-            right = self.target.compose(self.arrow_map[f], self.arrow_map[g])
-            if left != right:
-                problems.append(f"composition not preserved at ({f},{g})")
-                return problems
-        return problems
+        source = self.source
+        if source.is_free:
+            # a functor out of a free groupoid is a map of its generating graph
+            tables, arrow = (source.objects, source.generators, {}, {}), "generator"
+        else:
+            tables, arrow = source.tables(), "arrow"
+        names = ("object", arrow, "composition")
+        return functor_problems(tables, self.target.tables(), self.obj_map, self.arrow_map, names)
 
     @classmethod
     def identity(cls, gpd):
@@ -359,10 +360,7 @@ class GroupoidHom:
     def compose(self, other):
         """self after other."""
         obj_map = {o: self.obj_map[v] for o, v in other.obj_map.items()}
-        if other.source.is_free:
-            arrow_map = {g: self(other.arrow_map[g]) for g in other.arrow_map}
-        else:
-            arrow_map = {a: self(other.arrow_map[a]) for a in other.arrow_map}
+        arrow_map = {a: self(image) for a, image in other.arrow_map.items()}
         return GroupoidHom(other.source, self.target, obj_map, arrow_map)
 
     def probe_arrows(self):
@@ -404,8 +402,9 @@ class SimplicialGroupoid:
         for n, gpd in enumerate(self.levels):
             if tuple(gpd.objects) != self.objects:
                 problems.append(f"level {n} has a different object set")
+        problems += operator_table_problems(self.depth, self.faces, self.degeneracies)
         for (n, i), hom in list(self.faces.items()) + list(self.degeneracies.items()):
-            if any(hom.obj_map[o] != o for o in self.objects):
+            if any(hom.obj_map.get(o) != o for o in self.objects):
                 problems.append(f"operator ({n},{i}) moves objects")
         if problems:
             return problems
@@ -426,11 +425,7 @@ class SimplicialGroupoid:
 
     def to_json(self):
         def hom_json(hom):
-            src = hom.source
-            return {
-                self._arrow_key(src, a): arrow_to_json(hom.target, hom.arrow_map[a])
-                for a in sorted(hom.arrow_map)
-            }
+            return {a: arrow_to_json(hom.target, hom.arrow_map[a]) for a in sorted(hom.arrow_map)}
 
         return {
             "objects": list(self.objects),
@@ -442,10 +437,6 @@ class SimplicialGroupoid:
             },
         }
 
-    @staticmethod
-    def _arrow_key(gpd, a):
-        return a
-
     @classmethod
     def from_json(cls, data):
         levels = [
@@ -455,20 +446,14 @@ class SimplicialGroupoid:
             for g in data["levels"]
         ]
 
-        faces = {}
-        for key, table in data["faces"].items():
-            n, i = (int(v) for v in key.split(","))
-            src, tgt = levels[n], levels[n - 1]
-            arrow_map = {a: arrow_from_json(tgt, v) for a, v in table.items()}
-            faces[(n, i)] = GroupoidHom(src, tgt, {o: o for o in data["objects"]}, arrow_map)
-        degeneracies = {}
-        for key, table in data["degeneracies"].items():
-            n, i = (int(v) for v in key.split(","))
-            src, tgt = levels[n], levels[n + 1]
-            arrow_map = {a: arrow_from_json(tgt, v) for a, v in table.items()}
-            degeneracies[(n, i)] = GroupoidHom(
-                src, tgt, {o: o for o in data["objects"]}, arrow_map
-            )
+        obj_map = {o: o for o in data["objects"]}
+        faces, degeneracies = {}, {}
+        for tables, name, shift in ((faces, "faces", -1), (degeneracies, "degeneracies", 1)):
+            for key, table in data[name].items():
+                n, i = (int(v) for v in key.split(","))
+                src, tgt = levels[n], levels[n + shift]
+                arrow_map = {a: arrow_from_json(tgt, v) for a, v in table.items()}
+                tables[(n, i)] = GroupoidHom(src, tgt, obj_map, arrow_map)
         return cls(data["objects"], levels, faces, degeneracies)
 
 
@@ -549,25 +534,20 @@ def disjoint_union_sgpd(a, b, tags=("a", "b")):
     levels = []
     for n in range(a.depth + 1):
         ga, gb = rename_gpd(a.levels[n], ta), rename_gpd(b.levels[n], tb)
-        merged = FiniteGroupoid(
-            list(ga.objects) + list(gb.objects),
-            {**ga.arrows, **gb.arrows},
-            {**ga.comp, **gb.comp},
-            {**ga.identities, **gb.identities},
-            {**ga.inverses, **gb.inverses},
-        )
-        levels.append(merged)
+        tables = [(g.arrows, g.comp, g.identities, g.inverses) for g in (ga, gb)]
+        merged = ({**x, **y} for x, y in zip(*tables))
+        levels.append(FiniteGroupoid(ga.objects + gb.objects, *merged))
 
     def merge_hom(key, offset):
         table_a = (a.faces if offset == -1 else a.degeneracies)[key]
         table_b = (b.faces if offset == -1 else b.degeneracies)[key]
         n = key[0]
         src, tgt = levels[n], levels[n + offset]
-        arrow_map = {}
-        for f in table_a.arrow_map:
-            arrow_map[f"{ta}:{f}"] = f"{ta}:{table_a.arrow_map[f]}"
-        for f in table_b.arrow_map:
-            arrow_map[f"{tb}:{f}"] = f"{tb}:{table_b.arrow_map[f]}"
+        arrow_map = {
+            f"{tag}:{f}": f"{tag}:{g}"
+            for tag, table in ((ta, table_a), (tb, table_b))
+            for f, g in table.arrow_map.items()
+        }
         return GroupoidHom(src, tgt, {o: o for o in src.objects}, arrow_map)
 
     faces = {key: merge_hom(key, -1) for key in a.faces}
@@ -581,12 +561,8 @@ def pi0_groupoid(gpd):
     uf = _UnionFind()
     for o in gpd.objects:
         uf.add(o)
-    if gpd.is_free:
-        for g, (s, t) in gpd.generators.items():
-            uf.union(s, t)
-    else:
-        for f, (s, t) in gpd.arrows.items():
-            uf.union(s, t)
+    for s, t in (gpd.generators if gpd.is_free else gpd.arrows).values():
+        uf.union(s, t)
     return tuple(sorted(uf.classes().values()))
 
 

@@ -36,6 +36,11 @@ class GroupTable:
                     self.inverse[a] = b
                     break
 
+    def tables(self):
+        """The group as a one-object category, in the tables ``hpk.laws`` reads:
+        its object ``*``, its elements as arrows, ``mult`` and the identity."""
+        return ("*",), dict.fromkeys(self.elements, ("*", "*")), self.mult, {"*": self.identity}
+
     def validate(self):
         problems = []
         elems = set(self.elements)

@@ -216,14 +216,24 @@ def sset_from_json(data):
     return TruncatedSimplicialSet.from_json(data)
 
 
-# -- groupoids and 2-groupoids --------------------------------------------------------
+# -- sites, groups, groupoids and 2-groupoids -------------------------------------------
 
 
 # the JSON type of each top-level field of a document, by what it holds: a type,
 # or a pair (outer, inner), an array or object whose every entry has the type
-# inner or, where inner is a dict, is an object whose fields have those types
+# inner, is an object whose fields have the types of the dict inner, or is
+# itself of the shape of the pair inner
 _CELLS = {"id": str, "src": str, "tgt": str}
+_MAPS2 = {"objects": (dict, str), "map1": (dict, str), "map2": (dict, str)}
 _SHAPES = {
+    "site": {
+        "objects": (list, str),
+        "arrows": (list, _CELLS),
+        "comp": (dict, str),
+        "identities": (dict, str),
+        "covers": (dict, (list, (list, str))),
+    },
+    "group": {"elements": (list, str), "identity": str, "mult": (dict, str)},
     "groupoid": {
         "objects": (list, str),
         "arrows": (list, _CELLS),
@@ -250,6 +260,8 @@ _SHAPES = {
         "faces": (dict, dict),
         "degeneracies": (dict, dict),
     },
+    "2-functor": {"source": dict, "target": dict, **_MAPS2},
+    "2-groupoid map": _MAPS2,
     "presheaf": {"site": dict, "domain": str, "values": dict, "restrictions": dict},
     "natural transformation": {
         "domain": str,
@@ -276,33 +288,40 @@ def _check_fields(data, shapes, where):
             raise ValueError(
                 f"{where} {field} must be {_JSON_TYPES[outer]}, got {_JSON_TYPES[type(value)]}"
             )
-        if inner is None:
-            continue
-        fields = inner if isinstance(inner, dict) else None
-        kind = dict if fields else inner
-        for entry in value.values() if outer is dict else value:
-            if not isinstance(entry, kind):
-                raise ValueError(
-                    f"{where} {field} holds {_JSON_TYPES[type(entry)]} "
-                    f"where {_JSON_TYPES[kind]} belongs"
-                )
-            if fields:
-                _check_fields(entry, fields, f"{where} {field}")
+        if inner is not None:
+            _check_entries(value, inner, f"{where} {field}")
 
 
-def groupoid_from_json(data):
-    _check_shape(data, "groupoid")
-    return FiniteGroupoid.from_json(data)
+def _check_entries(value, inner, where):
+    """Check each entry of the array or object ``value`` against ``inner``."""
+    fields = inner if isinstance(inner, dict) else None
+    kind, nested = inner if isinstance(inner, tuple) else (dict if fields else inner, None)
+    for entry in value.values() if isinstance(value, dict) else value:
+        if not isinstance(entry, kind):
+            raise ValueError(
+                f"{where} holds {_JSON_TYPES[type(entry)]} where {_JSON_TYPES[kind]} belongs"
+            )
+        if fields:
+            _check_fields(entry, fields, where)
+        elif nested:
+            _check_entries(entry, nested, where)
 
 
-def free_groupoid_from_json(data):
-    _check_shape(data, "free groupoid")
-    return FreeGroupoid.from_json(data)
+def _shaped(what, parse):
+    """A reader that checks the shape of a ``what`` document before ``parse`` reads it."""
+
+    def read(data):
+        _check_shape(data, what)
+        return parse(data)
+
+    return read
 
 
-def twogpd_from_json(data):
-    _check_shape(data, "2-groupoid")
-    return TwoGroupoid.from_json(data)
+site_from_json = _shaped("site", FiniteSite.from_json)
+group_from_json = _shaped("group", GroupTable.from_json)
+groupoid_from_json = _shaped("groupoid", FiniteGroupoid.from_json)
+free_groupoid_from_json = _shaped("free groupoid", FreeGroupoid.from_json)
+twogpd_from_json = _shaped("2-groupoid", TwoGroupoid.from_json)
 
 
 def sgpd_from_json(data):
@@ -378,6 +397,7 @@ def functor2_to_json(func):
 
 
 def functor2_from_json(data):
+    _check_shape(data, "2-functor")
     return checked(
         TwoFunctor(
             twogpd_from_json(data["source"]),
@@ -404,7 +424,7 @@ def _value_from_json(domain, data):
     if domain == "set":
         return tuple(data)
     if domain == "group":
-        return GroupTable.from_json(data)
+        return group_from_json(data)
     if domain == "sset":
         return sset_from_json(data)
     if domain == "sgpd":
@@ -458,6 +478,7 @@ def _morphism_from_json(domain, data, source, target):
             )
         return SimplicialGroupoidMap(source, target, data["obj_map"], level_homs)
     if domain == "2gpd":
+        _check_shape(data, "2-groupoid map")
         return TwoFunctor(source, target, data["objects"], data["map1"], data["map2"])
     raise ValueError(f"unknown domain {domain!r}")
 
@@ -485,7 +506,7 @@ def presheaf_to_json(presheaf):
 
 def _presheaf(data):
     _check_shape(data, "presheaf")
-    site = FiniteSite.from_json(data["site"])
+    site = site_from_json(data["site"])
     domain = data["domain"]
     values = {u: _value_from_json(domain, v) for u, v in data["values"].items()}
     restrictions = {}
@@ -534,7 +555,7 @@ def nat_from_json(data):
 
 # the parser of each kind, for load_object_unchecked (chains check themselves)
 LOADERS = {
-    "site": FiniteSite.from_json,
+    "site": site_from_json,
     "2gpd": twogpd_from_json,
     "sset": sset_from_json,
     "sgpd": sgpd_from_json,
@@ -542,7 +563,7 @@ LOADERS = {
     "free_groupoid": free_groupoid_from_json,
     "presheaf": _presheaf,
     "chain": chain_from_json,
-    "group": GroupTable.from_json,
+    "group": group_from_json,
 }
 
 

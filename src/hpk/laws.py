@@ -1,11 +1,19 @@
 """The law checks the structures share, each written once.
 
 ``category_problems`` checks the laws of a finite category or groupoid given
-by tables: groupoids, sites and both layers of a 2-groupoid call it.
-``simplicial_identity_problems`` checks the simplicial identities of face and
-degeneracy operators given as callables, and ``commutation_problems`` checks
-that a levelwise map commutes with them: simplicial sets, simplicial
-groupoids and their maps call these.
+by tables: groupoids, sites and the three layers of a 2-groupoid call it.
+``functor_problems`` checks that an object map and an arrow map between
+two such tables form a functor: groupoid maps, group homomorphisms and the
+three layers of a 2-functor call it.  A 2-groupoid's horizontal composition
+is checked as a category over its objects (2-cells framed by their object
+endpoints), with the sources, the targets and ``id2`` checked as functors
+between it and the 1-cells; only the interchange law is its own.
+
+``operator_table_problems`` finds missing face and degeneracy tables and
+tables keyed outside the depth; ``simplicial_identity_problems`` checks the
+simplicial identities of face and degeneracy operators given as callables,
+and ``commutation_problems`` checks that a levelwise map commutes with them:
+simplicial sets, simplicial groupoids and their maps call these.
 
 Each check walks its tables in their own order, never in ``set`` order, so
 the same input reports the same problems in the same order under any hash
@@ -88,6 +96,87 @@ def _category_laws(objects, arrows, comp, identities, inverses):
             h = next(h for h, a, b in zip(hs, left, right) if a != b)
             yield f"associativity fails at ({f},{g},{h})"
             return
+
+
+def functor_problems(
+    source, target, obj_map, arrow_map, names=("object", "arrow", "composition"), layer=""
+):
+    """Where ``obj_map`` and ``arrow_map`` fail to be a functor from ``source`` to
+    ``target``, each prefixed with ``layer``.
+
+    Both sides are ``(objects, arrows, comp, identities)`` as
+    :func:`category_problems` reads them.  The target is only looked up, by
+    ``x in objects``, ``arrows.get(a)`` (None off the arrows), ``comp[(f, g)]`` and
+    ``identities[x]``, so its tables may compute their entries.  ``names`` are
+    the words for an object, an arrow and composition.  A map that is not
+    total, an image outside the target or with wrong endpoints ends the check.
+    """
+    problems = _functor_laws(source, target, obj_map, arrow_map, names)
+    return [layer + p for p in problems] if layer else problems
+
+
+def _functor_laws(source, target, obj_map, arrow_map, names):
+    objects, arrows, comp, identities = source
+    target_objects, ends, target_comp, target_identities = target
+    obj, arrow, composition = names
+    if obj_map.keys() != set(objects):
+        return [f"{obj} map not total"]
+    if arrow_map.keys() != arrows.keys():
+        return [f"{arrow} map not total"]
+    problems = []
+    known = set(target_objects)
+    for x, y in obj_map.items():
+        if y not in known:
+            problems.append(f"image {y!r} of {obj} {x} is not a target {obj}")
+    image_ends = {}
+    for a, b in arrow_map.items():
+        image_ends[a] = e = ends.get(b)
+        if e is None:
+            problems.append(f"image {b!r} of {arrow} {a} is not a target {arrow}")
+    if problems:
+        return problems
+    for a, (s, t) in arrows.items():
+        if image_ends[a] != (obj_map[s], obj_map[t]):
+            problems.append(f"image of {arrow} {a} has wrong endpoints")
+    if problems:
+        return problems
+    for x, e in identities.items():
+        if arrow_map[e] != target_identities[obj_map[x]]:
+            problems.append(f"identity at {x} not preserved")
+    for (f, g), h in comp.items():
+        if target_comp[(arrow_map[f], arrow_map[g])] != arrow_map[h]:
+            problems.append(f"{composition} not preserved at ({f},{g})")
+            break
+    return problems
+
+
+def operator_table_problems(depth, faces, degeneracies, table_problems=None):
+    """Missing face and degeneracy tables, and tables keyed outside ``depth``.
+
+    ``faces`` and ``degeneracies`` are keyed by (n, i).  ``table_problems(kind,
+    n, i, table)``, if given, lists the problems of each table present, in
+    their place among the missing ones.
+    """
+    problems = []
+    operators = (
+        ("face", "d", faces, range(1, depth + 1)),
+        ("degeneracy", "s", degeneracies, range(depth)),
+    )
+    for kind, letter, tables, levels in operators:
+        for n in levels:
+            for i in range(n + 1):
+                table = tables.get((n, i))
+                if table is None:
+                    problems.append(f"missing {kind} table {letter}_{i} at level {n}")
+                elif table_problems is not None:
+                    problems.extend(table_problems(kind, n, i, table))
+    for kind, letter, tables, levels in operators:
+        problems.extend(
+            f"{kind} table {letter}_{i} at level {n} lies outside depth {depth}"
+            for n, i in sorted(tables)
+            if not (n in levels and 0 <= i <= n)
+        )
+    return problems
 
 
 def simplicial_identity_problems(depth, levels, face, degeneracy, name=None):

@@ -19,6 +19,7 @@ from .groupoids import (
     moore_pi_n_with_classes,
     pi0_sgpd,
 )
+from .laws import functor_problems
 from .sites import comma_arrows, comma_site
 from .sset import SimplicialMap, TruncatedSimplicialSet, pi0_sset
 from .two_groupoids import TwoFunctor, pi1_with_classes, pi_2gpd
@@ -66,19 +67,8 @@ class _GroupOps(_SetOps):
 
     @staticmethod
     def validate_morphism(m, src, tgt):
-        problems = []
-        if set(m) != set(src.elements):
-            return ["map not total"]
-        if not set(m.values()) <= set(tgt.elements):
-            return ["map escapes target"]
-        if m[src.identity] != tgt.identity:
-            problems.append("identity not preserved")
-        for a in src.elements:
-            for b in src.elements:
-                if m[src.mult[(a, b)]] != tgt.mult[(m[a], m[b])]:
-                    problems.append("not a homomorphism")
-                    return problems
-        return problems
+        names = ("object", "element", "product")
+        return functor_problems(src.tables(), tgt.tables(), {"*": "*"}, m, names)
 
     @staticmethod
     def identity(value):

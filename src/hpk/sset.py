@@ -10,7 +10,7 @@ raises :class:`InsufficientDepth` rather than approximating.
 
 from itertools import combinations_with_replacement
 
-from .laws import commutation_problems, simplicial_identity_problems
+from .laws import commutation_problems, operator_table_problems, simplicial_identity_problems
 
 
 class InsufficientDepth(ValueError):
@@ -67,37 +67,17 @@ class TruncatedSimplicialSet:
         return problems
 
     def _check_tables(self):
-        problems = []
-        for n in range(1, self.depth + 1):
-            level, target = set(self.levels[n]), set(self.levels[n - 1])
-            for i in range(n + 1):
-                table = self.faces.get((n, i))
-                if table is None:
-                    problems.append(f"missing face table d_{i} at level {n}")
-                    continue
-                if set(table) != level:
-                    problems.append(f"face table d_{i} at level {n} not total")
-                elif not set(table.values()) <= target:
-                    problems.append(f"face table d_{i} at level {n} escapes level {n - 1}")
-        for n in range(0, self.depth):
-            level, target = set(self.levels[n]), set(self.levels[n + 1])
-            for i in range(n + 1):
-                table = self.degeneracies.get((n, i))
-                if table is None:
-                    problems.append(f"missing degeneracy table s_{i} at level {n}")
-                    continue
-                if set(table) != level:
-                    problems.append(f"degeneracy table s_{i} at level {n} not total")
-                elif not set(table.values()) <= target:
-                    problems.append(f"degeneracy s_{i} at level {n} escapes level {n + 1}")
-        depth = self.depth
-        for (n, i) in sorted(self.faces):
-            if not (1 <= n <= depth and 0 <= i <= n):
-                problems.append(f"face table d_{i} at level {n} lies outside depth {depth}")
-        for (n, i) in sorted(self.degeneracies):
-            if not (0 <= n < depth and 0 <= i <= n):
-                problems.append(f"degeneracy table s_{i} at level {n} lies outside depth {depth}")
-        return problems
+        levels = [set(level) for level in self.levels]
+
+        def totality(kind, n, i, table):
+            letter, m = ("d", n - 1) if kind == "face" else ("s", n + 1)
+            if set(table) != levels[n]:
+                return [f"{kind} table {letter}_{i} at level {n} not total"]
+            if not set(table.values()) <= levels[m]:
+                return [f"{kind} table {letter}_{i} at level {n} escapes level {m}"]
+            return []
+
+        return operator_table_problems(self.depth, self.faces, self.degeneracies, totality)
 
     # -- degeneracy structure ----------------------------------------------
 

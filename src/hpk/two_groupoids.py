@@ -6,10 +6,8 @@ horizontal composition ``hcomp[(b, a)]`` is b * a for a framed over x -> y
 and b framed over y -> z, giving a 2-cell over x -> z.
 """
 
-from collections.abc import Hashable
-
 from .groups import GroupTable
-from .laws import category_problems
+from .laws import category_problems, functor_problems
 from .sset import TruncatedSimplicialSet, _UnionFind, compatible_tuples, split_pair_key
 
 
@@ -61,12 +59,29 @@ class TwoGroupoid:
         """id_f * a : attach a 1-cell f after the frame of a."""
         return self.hcomp[(self.id2[f], a)]
 
+    # -- the three categories, as the tables ``hpk.laws`` reads -------------------
+
+    def one_cells(self):
+        return self.objects, self.cells1, self.comp1, self.id1
+
+    def vertical(self):
+        return self.cells1, self.cells2, self.vcomp, self.id2
+
+    def horizontal(self):
+        """The objects, each 2-cell from the source to the target object of its
+        frame, ``hcomp``, and the identity 2-cell of each identity 1-cell."""
+        cells1 = self.cells1
+        return (
+            self.objects,
+            {a: cells1[f] for a, (f, _) in self.cells2.items()},
+            self.hcomp,
+            {x: self.id2[e] for x, e in self.id1.items()},
+        )
+
     # -- validation ----------------------------------------------------------
 
     def validate(self):
-        problems = category_problems(
-            self.objects, self.cells1, self.comp1, self.id1, self.inv1, "1-cells: "
-        )
+        problems = category_problems(*self.one_cells(), self.inv1, "1-cells: ")
         if problems:
             return problems
         problems = [
@@ -74,67 +89,39 @@ class TwoGroupoid:
             for a, (f, g) in self.cells2.items()
             if f in self.cells1 and g in self.cells1 and self.cells1[f] != self.cells1[g]
         ]
-        problems += category_problems(
-            self.cells1, self.cells2, self.vcomp, self.id2, self.vinv, "2-cells: "
+        problems += category_problems(*self.vertical(), self.vinv, "2-cells: ")
+        if problems:
+            return problems
+        horizontal = self.horizontal()
+        problems = category_problems(*horizontal, layer="horizontal: ")
+        if problems:
+            return problems
+        # the sources, the targets and id2 are functors between the horizontal
+        # category and the 1-cells
+        one_cells = self.one_cells()
+        objects = {x: x for x in self.objects}
+        names = ("object", "2-cell", "horizontal composition")
+        for end, layer in ((0, "2-cell sources: "), (1, "2-cell targets: ")):
+            ends = {a: frame[end] for a, frame in self.cells2.items()}
+            problems += functor_problems(horizontal, one_cells, objects, ends, names, layer)
+        names = ("object", "1-cell", "composition")
+        problems += functor_problems(
+            one_cells, horizontal, objects, self.id2, names, "identity 2-cells: "
         )
         if problems:
             return problems
-        return self._check_horizontal()
-
-    def _check_horizontal(self):
-        problems = []
-        hcomposable = set()
-        for a in self.cells2:
-            xa, ya = self.frame(a)
-            for b in self.cells2:
-                xb, yb = self.frame(b)
-                if xb == ya:
-                    hcomposable.add((b, a))
-        if set(self.hcomp) != hcomposable:
-            problems.append("horizontal composition domain mismatch")
-            return problems
-        for (b, a), c in self.hcomp.items():
-            want = (
-                self.comp1[(self.src2(b), self.src2(a))],
-                self.comp1[(self.tgt2(b), self.tgt2(a))],
-            )
-            if self.cells2.get(c) != want:
-                problems.append(f"horizontal composite {b}*{a} has wrong frame")
-                return problems
-        # identity 2-cells are multiplicative for horizontal composition
-        for (f, g), h in self.comp1.items():
-            if self.hcomp[(self.id2[f], self.id2[g])] != self.id2[h]:
-                problems.append(f"id2 not horizontal-multiplicative at ({f},{g})")
-        # horizontal associativity
-        for (b, a) in list(self.hcomp):
-            for c in self.cells2:
-                if self.frame(c)[1] == self.frame(a)[0]:
-                    left = self.hcomp[(self.hcomp[(b, a)], c)]
-                    right = self.hcomp[(b, self.hcomp[(a, c)])]
-                    if left != right:
-                        problems.append("horizontal associativity fails")
-                        return problems
-        # interchange
-        for a in self.cells2:
-            for a2 in self.cells2:
-                if self.src2(a2) != self.tgt2(a):
-                    continue
-                for b in self.cells2:
-                    if self.frame(b)[0] != self.frame(a)[1]:
-                        continue
-                    for b2 in self.cells2:
-                        if self.src2(b2) != self.tgt2(b):
-                            continue
-                        left = self.hcomp[
-                            (self.vcomp[(b2, b)], self.vcomp[(a2, a)])
-                        ]
-                        right = self.vcomp[
-                            (self.hcomp[(b2, a2)], self.hcomp[(b, a)])
-                        ]
-                        if left != right:
-                            problems.append("interchange law fails")
-                            return problems
-        return problems
+        # interchange: (b2 . b) * (a2 . a) = (b2 * a2) . (b * a), where after[a]
+        # is {a2: a2 . a} over the 2-cells vertically composable after a
+        after = {a: {} for a in self.cells2}
+        for (a2, a), c in self.vcomp.items():
+            after[a][a2] = c
+        hcomp, vcomp = self.hcomp, self.vcomp
+        for (b, a), ba in hcomp.items():
+            for b2, b2b in after[b].items():
+                for a2, a2a in after[a].items():
+                    if hcomp[(b2b, a2a)] != vcomp[(hcomp[(b2, a2)], ba)]:
+                        return ["interchange law fails"]
+        return []
 
     # -- constructors ---------------------------------------------------------
 
@@ -142,14 +129,8 @@ class TwoGroupoid:
     def from_groupoid(cls, gpd):
         """A groupoid seen as a 2-groupoid with identity 2-cells only."""
         cells2 = {f"i[{f}]": (f, f) for f in gpd.arrows}
-        vcomp = {
-            (f"i[{f}]", f"i[{f}]"): f"i[{f}]" for f in gpd.arrows
-        }
-        hcomp = {}
-        for f in gpd.arrows:
-            for g in gpd.arrows:
-                if gpd.src(f) == gpd.tgt(g):
-                    hcomp[(f"i[{f}]", f"i[{g}]")] = f"i[{gpd.comp[(f, g)]}]"
+        vcomp = {(f"i[{f}]", f"i[{f}]"): f"i[{f}]" for f in gpd.arrows}
+        hcomp = {(f"i[{f}]", f"i[{g}]"): f"i[{h}]" for (f, g), h in gpd.comp.items()}
         return cls(
             gpd.objects,
             dict(gpd.arrows),
@@ -206,19 +187,7 @@ class TwoGroupoid:
             )
 
         pa, pb = tag_all(a, ta), tag_all(b, tb)
-        merged = [
-            list(pa[0]) + list(pb[0]),
-            {**pa[1], **pb[1]},
-            {**pa[2], **pb[2]},
-            {**pa[3], **pb[3]},
-            {**pa[4], **pb[4]},
-            {**pa[5], **pb[5]},
-            {**pa[6], **pb[6]},
-            {**pa[7], **pb[7]},
-            {**pa[8], **pb[8]},
-            {**pa[9], **pb[9]},
-        ]
-        return cls(*merged)
+        return cls(pa[0] + pb[0], *({**x, **y} for x, y in zip(pa[1:], pb[1:])))
 
     def to_json(self):
         return {
@@ -272,51 +241,20 @@ class TwoFunctor:
         self.map2 = dict(map2)
 
     def validate(self):
-        problems = []
-        k, l = self.source, self.target
-        if set(self.obj_map) != set(k.objects):
-            return ["object map not total"]
-        if set(self.map1) != set(k.cells1):
-            return ["1-cell map not total"]
-        if set(self.map2) != set(k.cells2):
-            return ["2-cell map not total"]
-        for what, mapping, known in (
-            ("object", self.obj_map, set(l.objects)),
-            ("1-cell", self.map1, l.cells1),
-            ("2-cell", self.map2, l.cells2),
+        """The functor laws on the 1-cells, the vertical 2-cells and the
+        horizontal 2-cells, stopping at the first layer that fails."""
+        horizontal = ("object", "2-cell", "horizontal composition")
+        for tables, obj_map, arrow_map, names in (
+            (TwoGroupoid.one_cells, self.obj_map, self.map1, ("object", "1-cell", "1-composition")),
+            (TwoGroupoid.vertical, self.map1, self.map2, ("1-cell", "2-cell", "vertical composition")),
+            (TwoGroupoid.horizontal, self.obj_map, self.map2, horizontal),
         ):
-            for x, image in mapping.items():
-                if not isinstance(image, Hashable) or image not in known:
-                    problems.append(f"image {image!r} of {what} {x} is not a target {what}")
-        if problems:
-            return problems
-        for f, (s, t) in k.cells1.items():
-            if l.cells1[self.map1[f]] != (self.obj_map[s], self.obj_map[t]):
-                problems.append(f"1-cell {f} image has wrong endpoints")
-        for a, (f, g) in k.cells2.items():
-            if l.cells2[self.map2[a]] != (self.map1[f], self.map1[g]):
-                problems.append(f"2-cell {a} image has wrong frame")
-        if problems:
-            return problems
-        for (f, g), h in k.comp1.items():
-            if l.comp1[(self.map1[f], self.map1[g])] != self.map1[h]:
-                problems.append("1-composition not preserved")
+            problems = functor_problems(
+                tables(self.source), tables(self.target), obj_map, arrow_map, names
+            )
+            if problems:
                 return problems
-        for x, e in k.id1.items():
-            if self.map1[e] != l.id1[self.obj_map[x]]:
-                problems.append("1-identities not preserved")
-        for (b, a), c in k.vcomp.items():
-            if l.vcomp[(self.map2[b], self.map2[a])] != self.map2[c]:
-                problems.append("vertical composition not preserved")
-                return problems
-        for (b, a), c in k.hcomp.items():
-            if l.hcomp[(self.map2[b], self.map2[a])] != self.map2[c]:
-                problems.append("horizontal composition not preserved")
-                return problems
-        for f, e in k.id2.items():
-            if self.map2[e] != l.id2[self.map1[f]]:
-                problems.append("2-identities not preserved")
-        return problems
+        return []
 
     @classmethod
     def identity(cls, k):
@@ -414,47 +352,15 @@ def nerve(k, depth):
         right = k.vcomp[(a023, k.whisker_left(f23, a012))]
         return left == right
 
-    if depth >= 3:
-        compatible = compatible_tuples(
-            levels[2], [faces[(2, i)] for i in range(3)], range(4)
-        )
-        level3 = []
-        tets = {}
-        for tup in compatible:
-            if cocycle_holds(*tup):
-                name = tuple_name(tup)
-                tets[name] = tup
-                level3.append(name)
-        level3 = sorted(level3)
-        levels.append(level3)
-        for i in range(4):
-            faces[(3, i)] = {t: tets[t][i] for t in level3}
-        for i in range(3):
-            table = {}
-            for t in levels[2]:
-                face_tuple = []
-                for j in range(4):
-                    if j < i:
-                        face_tuple.append(degeneracies[(1, i - 1)][faces[(2, j)][t]])
-                    elif j in (i, i + 1):
-                        face_tuple.append(t)
-                    else:
-                        face_tuple.append(degeneracies[(1, i)][faces[(2, j - 1)][t]])
-                table[t] = tuple_name(face_tuple)
-            degeneracies[(2, i)] = table
-
-    for n in range(4, depth + 1):
+    for n in range(3, depth + 1):
         prev = levels[n - 1]
         compatible = compatible_tuples(
             prev, [faces[(n - 1, i)] for i in range(n)], range(n + 1)
         )
-        names = {}
-        level_n = []
-        for tup in compatible:
-            name = tuple_name(tup)
-            names[name] = tup
-            level_n.append(name)
-        level_n = sorted(level_n)
+        if n == 3:
+            compatible = [tup for tup in compatible if cocycle_holds(*tup)]
+        names = {tuple_name(tup): tup for tup in compatible}
+        level_n = sorted(names)
         levels.append(level_n)
         for i in range(n + 1):
             faces[(n, i)] = {t: names[t][i] for t in level_n}

@@ -772,6 +772,29 @@ def _unknown_id(value, field):
     return build
 
 
+def _z2_sgpd_doc(change):
+    """The constant Z/2 simplicial groupoid of depth 2, changed in place by ``change``."""
+
+    def build():
+        data = _z2_sgpd()[1].to_json()
+        change(data)
+        return data
+
+    return build
+
+
+def _identity_2functor():
+    from hpk.two_groupoids import TwoFunctor
+
+    return jsonio.functor2_to_json(TwoFunctor.identity(_pi2_z2()[1]))
+
+
+def _nat_component_map2_null():
+    data = _identity_nat(_pi2_z2)()
+    data["components"]["U"]["map2"] = None
+    return data
+
+
 def _sgpd_presheaf():
     from hpk.presheaves import constant_presheaf
 
@@ -828,7 +851,8 @@ INVALID_DOCUMENTS = {
                          "kind 'sgpd' does not match the values of the transformation "
                          "('2gpd' to '2gpd')"),
     "2functor": (_bad_2functor, ["msweq"], 2,
-                 "invalid 2-functor: vertical composition not preserved"),
+                 "invalid 2-functor: identity at id_* not preserved; "
+                 "vertical composition not preserved at (g0,g0)"),
     "lift": (_bad_lift, ["lift"], 2,
              "invalid lifting problem: square does not commute at *, level 0"),
     "transpose": (_bad_transpose, ["transpose"], 2,
@@ -863,6 +887,28 @@ INVALID_DOCUMENTS = {
         f"2gpd_unknown_{field}": (_unknown_id(_pi2_z2, field), ["validate"], 1, None)
         for field in ("comp1", "vcomp", "hcomp", "inv1", "vinv")
     },
+    "sgpd_unknown_face_image": (_z2_sgpd_doc(lambda d: d["faces"]["1,0"].__setitem__("g1", "zz")),
+                                ["validate"], 2,
+                                "invalid groupoid map: image 'zz' of arrow g1 is not a target arrow"),
+    "sgpd_missing_face_table": (_z2_sgpd_doc(lambda d: d["faces"].pop("1,0")), ["validate"], 1,
+                                None),
+    # site, group and 2-functor documents are shape-checked like the others
+    "site_null_arrows": (_with(lambda: FiniteSite.two_object_site().to_json(), "arrows", None),
+                         ["comma", "--object", "U"], 2, "site arrows must be an array, got null"),
+    "site_list_in_sieve": (_with(lambda: FiniteSite.two_object_site().to_json(), "covers",
+                                 {"U": [["f", ["x"]]], "V": [["idV"]]}),
+                           ["comma", "--object", "U"], 2,
+                           "site covers holds an array where a string belongs"),
+    "group_null_mult": (_with(lambda: GroupTable.cyclic(2).to_json(), "mult", None), ["pi0"], 2,
+                        "group mult must be an object, got null"),
+    "group_null_elements": (_with(lambda: GroupTable.cyclic(2).to_json(), "elements", None),
+                            ["validate"], 2, "group elements must be an array, got null"),
+    "2functor_null_map2": (_with(_identity_2functor, "map2", None), ["msweq"], 2,
+                           "2-functor map2 must be an object, got null"),
+    "2functor_list_image": (_with(_identity_2functor, "map2", {"g0": "g0", "g1": ["g0"]}),
+                            ["msweq"], 2, "2-functor map2 holds an array where a string belongs"),
+    "nat_2gpd_null_map2": (_nat_component_map2_null, ["weq", "--kind", "2gpd"], 2,
+                           "2-groupoid map map2 must be an object, got null"),
 }
 
 
@@ -919,7 +965,6 @@ def test_sset_document_that_is_not_an_object_is_an_input_error(tmp_path, capsys)
         ("objects", "*", "zz", "image 'zz' of object * is not a target object"),
         ("map1", "id_*", "zz", "image 'zz' of 1-cell id_* is not a target 1-cell"),
         ("map2", "g1", "zz", "image 'zz' of 2-cell g1 is not a target 2-cell"),
-        ("map2", "g1", ["g0"], "image ['g0'] of 2-cell g1 is not a target 2-cell"),
     ],
 )
 def test_msweq_names_an_image_outside_the_target(tmp_path, capsys, part, cell, image, reason):
@@ -932,6 +977,13 @@ def test_msweq_names_an_image_outside_the_target(tmp_path, capsys, part, cell, i
     code, out, err = run_on(tmp_path, capsys, "unknown_image", data, ["msweq"])
     assert (code, out) == (2, "")
     assert err == f"input error: invalid 2-functor: {reason}\n"
+
+
+def test_validate_names_a_missing_face_table_of_a_simplicial_groupoid(tmp_path, capsys):
+    document = _z2_sgpd_doc(lambda d: d["faces"].pop("1,0"))()
+    code, out, err = run_on(tmp_path, capsys, "missing", document, ["validate"])
+    assert (code, err) == (1, "")
+    assert json.loads(out)["reports"][0]["violations"] == ["missing face table d_0 at level 1"]
 
 
 def test_validate_rejects_a_simplicial_groupoid_with_an_invalid_level(tmp_path, capsys):

@@ -1,11 +1,13 @@
 """The shared law checks against the per-structure checks they replaced.
 
-``hpk.laws`` holds one category-law check (groupoids, sites, both layers of a
-2-groupoid), one simplicial-identity check and one commute-with-operators
-check.  The functions named ``reference_*`` below are the checks they
-replaced, kept as they were; each is run beside the shared check on a corpus
-of mutants, every table entry of a valid structure corrupted once to another
-existing id and once to an unknown one.
+``hpk.laws`` holds one category-law check (groupoids, sites, the three layers
+of a 2-groupoid), one functor check (groupoid maps, group homomorphisms, the
+three layers of a 2-functor, and the frame maps and ``id2`` of a 2-groupoid),
+one simplicial-identity check and one commute-with-operators check.  The
+functions named ``reference_*`` below are the checks they replaced, kept as
+they were; each is run beside the shared check on a corpus of mutants, every
+table entry of a valid structure corrupted once to another existing id and
+once to an unknown one.
 """
 
 import json
@@ -13,6 +15,7 @@ import os
 import re
 import subprocess
 import sys
+from collections.abc import Hashable
 
 import pytest
 
@@ -20,16 +23,18 @@ from hpk.abelian import AbelianHom, ChainFixture, FiniteAbelianGroup
 from hpk.groups import GroupTable
 from hpk.groupoids import (
     FiniteGroupoid,
+    FreeGroupoid,
     GroupoidHom,
     SimplicialGroupoid,
     SimplicialGroupoidMap,
     dold_kan,
 )
-from hpk.laws import category_problems
+from hpk.laws import category_problems, functor_problems
 from hpk.loop import loop_groupoid
+from hpk.presheaves import DOMAINS
 from hpk.sites import FiniteSite
 from hpk.sset import standard_complex
-from hpk.two_groupoids import TwoGroupoid
+from hpk.two_groupoids import TwoFunctor, TwoGroupoid
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 UNKNOWN = "zz"
@@ -219,15 +224,181 @@ def reference_two_cell_problems(self):
     return problems
 
 
+def reference_horizontal_problems(self):
+    """``TwoGroupoid._check_horizontal`` as it was."""
+    problems = []
+    hcomposable = set()
+    for a in self.cells2:
+        xa, ya = self.frame(a)
+        for b in self.cells2:
+            xb, yb = self.frame(b)
+            if xb == ya:
+                hcomposable.add((b, a))
+    if set(self.hcomp) != hcomposable:
+        problems.append("horizontal composition domain mismatch")
+        return problems
+    for (b, a), c in self.hcomp.items():
+        want = (
+            self.comp1[(self.src2(b), self.src2(a))],
+            self.comp1[(self.tgt2(b), self.tgt2(a))],
+        )
+        if self.cells2.get(c) != want:
+            problems.append(f"horizontal composite {b}*{a} has wrong frame")
+            return problems
+    # identity 2-cells are multiplicative for horizontal composition
+    for (f, g), h in self.comp1.items():
+        if self.hcomp[(self.id2[f], self.id2[g])] != self.id2[h]:
+            problems.append(f"id2 not horizontal-multiplicative at ({f},{g})")
+    # horizontal associativity
+    for (b, a) in list(self.hcomp):
+        for c in self.cells2:
+            if self.frame(c)[1] == self.frame(a)[0]:
+                left = self.hcomp[(self.hcomp[(b, a)], c)]
+                right = self.hcomp[(b, self.hcomp[(a, c)])]
+                if left != right:
+                    problems.append("horizontal associativity fails")
+                    return problems
+    # interchange
+    for a in self.cells2:
+        for a2 in self.cells2:
+            if self.src2(a2) != self.tgt2(a):
+                continue
+            for b in self.cells2:
+                if self.frame(b)[0] != self.frame(a)[1]:
+                    continue
+                for b2 in self.cells2:
+                    if self.src2(b2) != self.tgt2(b):
+                        continue
+                    left = self.hcomp[(self.vcomp[(b2, b)], self.vcomp[(a2, a)])]
+                    right = self.vcomp[(self.hcomp[(b2, a2)], self.hcomp[(b, a)])]
+                    if left != right:
+                        problems.append("interchange law fails")
+                        return problems
+    return problems
+
+
 def reference_two_groupoid_problems(k):
-    """``TwoGroupoid.validate`` as it was, around the horizontal check it keeps."""
+    """``TwoGroupoid.validate`` as it was."""
     problems = reference_one_skeleton_problems(k)
     if problems:
         return problems
     problems = reference_two_cell_problems(k)
     if problems:
         return problems
-    return k._check_horizontal()
+    return reference_horizontal_problems(k)
+
+
+# -- the replaced functor checks ------------------------------------------------------
+
+
+def reference_groupoid_hom_problems(self):
+    """``GroupoidHom.validate`` as it was."""
+    problems = []
+    if set(self.obj_map) != set(self.source.objects):
+        problems.append("object map not total")
+        return problems
+    if not set(self.obj_map.values()) <= set(self.target.objects):
+        problems.append("object map escapes target objects")
+        return problems
+    if self.source.is_free:
+        if set(self.arrow_map) != set(self.source.generators):
+            problems.append("generator map not total")
+            return problems
+        for g, img in self.arrow_map.items():
+            s, t = self.source.generators[g]
+            if (self.target.src(img), self.target.tgt(img)) != (
+                self.obj_map[s],
+                self.obj_map[t],
+            ):
+                problems.append(f"image of generator {g} has wrong endpoints")
+        return problems
+    if set(self.arrow_map) != set(self.source.arrows):
+        problems.append("arrow map not total")
+        return problems
+    for f, img in self.arrow_map.items():
+        s, t = self.source.arrows[f]
+        if (self.target.src(img), self.target.tgt(img)) != (
+            self.obj_map[s],
+            self.obj_map[t],
+        ):
+            problems.append(f"image of arrow {f} has wrong endpoints")
+            return problems
+    for x, e in self.source.identities.items():
+        if self.arrow_map[e] != self.target.identity(self.obj_map[x]):
+            problems.append(f"identity at {x} not preserved")
+    for (f, g), h in self.source.comp.items():
+        left = self.arrow_map[h]
+        right = self.target.compose(self.arrow_map[f], self.arrow_map[g])
+        if left != right:
+            problems.append(f"composition not preserved at ({f},{g})")
+            return problems
+    return problems
+
+
+def reference_two_functor_problems(self):
+    """``TwoFunctor.validate`` as it was."""
+    problems = []
+    k, l = self.source, self.target
+    if set(self.obj_map) != set(k.objects):
+        return ["object map not total"]
+    if set(self.map1) != set(k.cells1):
+        return ["1-cell map not total"]
+    if set(self.map2) != set(k.cells2):
+        return ["2-cell map not total"]
+    for what, mapping, known in (
+        ("object", self.obj_map, set(l.objects)),
+        ("1-cell", self.map1, l.cells1),
+        ("2-cell", self.map2, l.cells2),
+    ):
+        for x, image in mapping.items():
+            if not isinstance(image, Hashable) or image not in known:
+                problems.append(f"image {image!r} of {what} {x} is not a target {what}")
+    if problems:
+        return problems
+    for f, (s, t) in k.cells1.items():
+        if l.cells1[self.map1[f]] != (self.obj_map[s], self.obj_map[t]):
+            problems.append(f"1-cell {f} image has wrong endpoints")
+    for a, (f, g) in k.cells2.items():
+        if l.cells2[self.map2[a]] != (self.map1[f], self.map1[g]):
+            problems.append(f"2-cell {a} image has wrong frame")
+    if problems:
+        return problems
+    for (f, g), h in k.comp1.items():
+        if l.comp1[(self.map1[f], self.map1[g])] != self.map1[h]:
+            problems.append("1-composition not preserved")
+            return problems
+    for x, e in k.id1.items():
+        if self.map1[e] != l.id1[self.obj_map[x]]:
+            problems.append("1-identities not preserved")
+    for (b, a), c in k.vcomp.items():
+        if l.vcomp[(self.map2[b], self.map2[a])] != self.map2[c]:
+            problems.append("vertical composition not preserved")
+            return problems
+    for (b, a), c in k.hcomp.items():
+        if l.hcomp[(self.map2[b], self.map2[a])] != self.map2[c]:
+            problems.append("horizontal composition not preserved")
+            return problems
+    for f, e in k.id2.items():
+        if self.map2[e] != l.id2[self.map1[f]]:
+            problems.append("2-identities not preserved")
+    return problems
+
+
+def reference_group_hom_problems(m, src, tgt):
+    """``_GroupOps.validate_morphism`` of the group-valued presheaves as it was."""
+    problems = []
+    if set(m) != set(src.elements):
+        return ["map not total"]
+    if not set(m.values()) <= set(tgt.elements):
+        return ["map escapes target"]
+    if m[src.identity] != tgt.identity:
+        problems.append("identity not preserved")
+    for a in src.elements:
+        for b in src.elements:
+            if m[src.mult[(a, b)]] != tgt.mult[(m[a], m[b])]:
+                problems.append("not a homomorphism")
+                return problems
+    return problems
 
 
 # -- the replaced simplicial checks ------------------------------------------------------
@@ -541,6 +712,222 @@ def test_a_category_needs_no_inverses():
         "C: left identity law fails at f",
         "C: associativity fails at (idU,f,idV)",
     ]
+
+
+# -- functors ---------------------------------------------------------------------------
+
+
+def functor_two_groupoid_fixtures():
+    """The 2-groupoids of the benchmark's ``build_validate`` mix (chaotic groupoids
+    of the trivial group, Z/2, Z/3 and V4 on one and two objects, and pi_2 = Z/2,
+    Z/3), pi_2 = Z/4, and a disjoint union."""
+    z2 = GroupTable.cyclic(2)
+    groups = {
+        "1": GroupTable.trivial(),
+        "Z/2": z2,
+        "Z/3": GroupTable.cyclic(3),
+        "V4": GroupTable.direct_product(z2, GroupTable.cyclic(2, prefix="h")),
+    }
+    fixtures = {
+        f"chaotic {name} on {n}": TwoGroupoid.from_groupoid(
+            FiniteGroupoid.chaotic([f"o{j}" for j in range(n)], group)
+        )
+        for name, group in groups.items()
+        for n in (1, 2)
+    }
+    for n in (2, 3, 4):
+        fixtures[f"pi_2 = Z/{n}"] = TwoGroupoid.one_object_with_pi2(GroupTable.cyclic(n))
+    fixtures["pi_2 = Z/2 + interval"] = TwoGroupoid.disjoint_union(
+        TwoGroupoid.one_object_with_pi2(z2), TwoGroupoid.from_groupoid(FiniteGroupoid.interval())
+    )
+    return fixtures
+
+
+def horizontal_mutants():
+    """Every ``hcomp`` entry of each 2-groupoid fixture corrupted."""
+    for name, k in functor_two_groupoid_fixtures().items():
+        for label, t in _mutants({"hcomp": k.hcomp}, {"hcomp": k.cells2}):
+            tables = [t["hcomp"] if f == "hcomp" else getattr(k, f) for f in TWO_GROUPOID_TABLES]
+            yield f"{name}: {label}", TwoGroupoid(k.objects, *tables)
+
+
+def groupoid_homs():
+    """{name: map}: the identities of the groupoid fixtures, and the face and
+    degeneracy maps of two Dold-Kan simplicial groupoids."""
+    homs = {f"identity of {name}": GroupoidHom.identity(g) for name, g in groupoid_fixtures().items()}
+    z2, z4 = FiniteAbelianGroup([2]), FiniteAbelianGroup([4])
+    chains = {
+        "Z/2 <- Z/2": ChainFixture([z2, z2], [AbelianHom(z2, z2, [(1,)])]),
+        "Z/2 <- Z/4": ChainFixture([z2, z4], [AbelianHom(z4, z2, [(1,)])]),
+    }
+    for chain_name, chain in chains.items():
+        sgpd = dold_kan(chain, 2)
+        for kind, table in (("d", sgpd.faces), ("s", sgpd.degeneracies)):
+            for (n, i), hom in sorted(table.items()):
+                homs[f"Dold-Kan {chain_name}: {kind}_{i} at level {n}"] = hom
+    return homs
+
+
+def groupoid_hom_mutants():
+    for name, hom in groupoid_homs().items():
+        tables = {"obj_map": hom.obj_map, "arrow_map": hom.arrow_map}
+        ids = {"obj_map": hom.target.objects, "arrow_map": hom.target.arrows}
+        for label, t in _mutants(tables, ids):
+            yield f"{name}: {label}", GroupoidHom(
+                hom.source, hom.target, t["obj_map"], t["arrow_map"]
+            )
+
+
+def two_functor_mutants():
+    """Every entry of the three maps of each fixture's identity 2-functor corrupted."""
+    for name, k in functor_two_groupoid_fixtures().items():
+        ident = TwoFunctor.identity(k)
+        tables = {"obj_map": ident.obj_map, "map1": ident.map1, "map2": ident.map2}
+        ids = {"obj_map": k.objects, "map1": k.cells1, "map2": k.cells2}
+        for label, t in _mutants(tables, ids):
+            yield f"{name}: {label}", TwoFunctor(k, k, t["obj_map"], t["map1"], t["map2"])
+
+
+class GroupHom:
+    """A map of groups as the group-valued presheaves hold it, with its ends."""
+
+    def __init__(self, m, source, target):
+        self.m, self.source, self.target = m, source, target
+
+    def validate(self):
+        return DOMAINS["group"].validate_morphism(self.m, self.source, self.target)
+
+
+def group_hom_mutants():
+    """Every entry of homomorphisms between cyclic groups corrupted."""
+    z2, z3, z4, z6 = (GroupTable.cyclic(n) for n in (2, 3, 4, 6))
+    homs = {
+        "Z/2 -> Z/2": ({"g0": "g0", "g1": "g1"}, z2, z2),
+        "Z/4 -> Z/2": ({f"g{i}": f"g{i % 2}" for i in range(4)}, z4, z2),
+        "Z/2 -> Z/4": ({"g0": "g0", "g1": "g2"}, z2, z4),
+        "Z/6 -> Z/3": ({f"g{i}": f"g{i % 3}" for i in range(6)}, z6, z3),
+        "Z/3 -> Z/6": ({f"g{i}": f"g{2 * i}" for i in range(3)}, z3, z6),
+    }
+    for name, (m, src, tgt) in homs.items():
+        yield f"{name}: valid", GroupHom(m, src, tgt)
+        for label, t in _mutants({"m": m}, {"m": tgt.elements}):
+            yield f"{name}: {label}", GroupHom(t["m"], src, tgt)
+
+
+def test_functor_checks_match_their_references_on_every_mutant():
+    corpora = {
+        "groupoid map": (groupoid_hom_mutants, reference_groupoid_hom_problems),
+        "2-functor": (two_functor_mutants, reference_two_functor_problems),
+        "group map": (
+            group_hom_mutants,
+            lambda h: reference_group_hom_problems(h.m, h.source, h.target),
+        ),
+        "horizontal": (horizontal_mutants, reference_two_groupoid_problems),
+    }
+    for name, (mutants, reference) in corpora.items():
+        mutants = list(mutants())
+        runs = [_run(lambda x=x: reference(x)) for _, x in mutants]
+        assert len(mutants) > 30 and any(runs), name
+        assert _disagreements(mutants, reference, lambda x: x.validate()) == [], name
+
+
+def test_the_functor_fixtures_are_valid():
+    for hom in groupoid_homs().values():
+        assert hom.validate() == reference_groupoid_hom_problems(hom) == []
+    for k in functor_two_groupoid_fixtures().values():
+        assert k.validate() == reference_two_groupoid_problems(k) == []
+        assert TwoFunctor.identity(k).validate() == []
+
+
+def test_unknown_ids_are_named():
+    hom = GroupoidHom.identity(FiniteGroupoid.from_group(GroupTable.cyclic(2)))
+    hom.arrow_map["g1"] = UNKNOWN
+    with pytest.raises(KeyError):
+        reference_groupoid_hom_problems(hom)
+    assert hom.validate() == ["image 'zz' of arrow g1 is not a target arrow"]
+    k = TwoGroupoid.one_object_with_pi2(GroupTable.cyclic(2))
+    k.hcomp[("g1", "g1")] = UNKNOWN
+    assert reference_two_groupoid_problems(k) == ["horizontal composite g1*g1 has wrong frame"]
+    assert k.validate() == ["horizontal: composite g1og1 is not an arrow"]
+
+
+def test_the_horizontal_layers_name_their_functor():
+    k = TwoGroupoid.one_object_with_pi2(GroupTable.cyclic(2))
+    k.hcomp[("g0", "g0")] = "g1"
+    assert k.validate() == [
+        "horizontal: right identity law fails at g0",
+        "horizontal: left identity law fails at g0",
+        "horizontal: associativity fails at (g0,g0,g1)",
+    ]
+    # a composite over the wrong 1-cell: pi_1 = Z/2 with identity 2-cells only
+    k = TwoGroupoid.from_groupoid(FiniteGroupoid.from_group(GroupTable.cyclic(2)))
+    k.hcomp[("i[g1]", "i[g1]")] = "i[g1]"
+    assert k.validate() == [
+        "2-cell sources: horizontal composition not preserved at (i[g1],i[g1])",
+        "2-cell targets: horizontal composition not preserved at (i[g1],i[g1])",
+        "identity 2-cells: composition not preserved at (g1,g1)",
+    ]
+
+
+def _free_into(arrow_map):
+    """A map from the interval into the free groupoid on a, b: 0 -> 1."""
+    free = FreeGroupoid(["0", "1"], {"a": ("0", "1"), "b": ("0", "1")})
+    interval = FiniteGroupoid.interval()
+    words = {
+        "a": free.gen("a"),
+        "a-": free.inv(free.gen("a")),
+        "b-": free.inv(free.gen("b")),
+        "id0": free.identity("0"),
+        "id1": free.identity("1"),
+    }
+    images = {arrow: words.get(image, image) for arrow, image in arrow_map.items()}
+    return GroupoidHom(interval, free, {"0": "0", "1": "1"}, images)
+
+
+def test_a_finite_groupoid_maps_into_a_free_one():
+    good = {"0>0:e": "id0", "1>1:e": "id1", "0>1:e": "a", "1>0:e": "a-"}
+    assert _free_into(good).validate() == reference_groupoid_hom_problems(_free_into(good)) == []
+    crossed = {**good, "1>0:e": "b-"}
+    assert reference_groupoid_hom_problems(_free_into(crossed))
+    assert _free_into(crossed).validate() == ["composition not preserved at (0>1:e,1>0:e)"]
+    assert _free_into({**good, "0>1:e": "id0"}).validate() == [
+        "image of arrow 0>1:e has wrong endpoints"
+    ]
+    assert _free_into({**good, "0>1:e": UNKNOWN}).validate() == [
+        "image 'zz' of arrow 0>1:e is not a target arrow"
+    ]
+
+
+def test_a_free_groupoid_maps_by_its_generators():
+    free = FreeGroupoid(["0", "1"], {"a": ("0", "1")})
+    interval = FiniteGroupoid.interval()
+    hom = GroupoidHom(free, interval, {"0": "0", "1": "1"}, {"a": "0>1:e"})
+    assert hom.validate() == reference_groupoid_hom_problems(hom) == []
+    hom.arrow_map["a"] = "1>0:e"
+    assert hom.validate() == reference_groupoid_hom_problems(hom) == [
+        "image of generator a has wrong endpoints"
+    ]
+    hom.arrow_map["a"] = UNKNOWN
+    with pytest.raises(KeyError):
+        reference_groupoid_hom_problems(hom)
+    assert hom.validate() == ["image 'zz' of generator a is not a target generator"]
+
+
+def test_the_functor_layers_share_one_wording():
+    k = TwoGroupoid.one_object_with_pi2(GroupTable.cyclic(2))
+    broken = TwoFunctor(k, k, {"*": "*"}, {"id_*": "id_*"}, {"g0": "g1", "g1": "g1"})
+    assert broken.validate() == [
+        "identity at id_* not preserved",
+        "vertical composition not preserved at (g0,g0)",
+    ]
+    z2 = GroupTable.cyclic(2)
+    assert DOMAINS["group"].validate_morphism({"g0": "g1", "g1": "g1"}, z2, z2) == [
+        "identity at * not preserved",
+        "product not preserved at (g0,g0)",
+    ]
+    assert functor_problems(
+        z2.tables(), z2.tables(), {"*": "*"}, {"g0": "g0"}, ("object", "element", "product"), "Z/2: "
+    ) == ["Z/2: element map not total"]
 
 
 # -- simplicial identities and commutation ------------------------------------------------
