@@ -6,6 +6,7 @@
     python3 bench/record.py --out BENCH_15.json --parent ../hpk-parent --section weq
     python3 bench/record.py --out BENCH_17.json --parent ../hpk-parent --section laws
     python3 bench/record.py --out BENCH_20.json --parent ../hpk-parent --section functors
+    python3 bench/record.py --out BENCH_26.json --parent ../hpk-parent --section pairs
     python3 bench/record.py --check BENCH_20.json
 
 A record holds one or more sections, each a list of cases:

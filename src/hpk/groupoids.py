@@ -183,7 +183,12 @@ class FreeGroupoid:
 
     def letter_endpoints(self, letter):
         g, e = letter
-        s, t = self.generators[g]
+        try:
+            s, t = self.generators[g]
+        except (KeyError, TypeError):
+            raise ValueError(f"unknown generator {g!r}") from None
+        if e not in (1, -1) or isinstance(e, bool):
+            raise ValueError(f"letter {g!r} has exponent {e!r}, not 1 or -1")
         return (s, t) if e == 1 else (t, s)
 
     def word(self, letters, at=None):

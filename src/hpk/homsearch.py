@@ -16,7 +16,12 @@ combination.
 Both the simplicial rule and the loop-groupoid rule (``loop``) plan each
 level once per search, lazily: what is forced and how, and the target's
 cells bucketed by their faces.  A node then looks each open variable's
-candidates up by the face key its assigned neighbours give.
+candidates up by the face key its assigned neighbours give.  Both rules look
+up every open variable before they compute any forced image, so a node fails
+at its first empty bucket; rules tick nothing, so this leaves the work units
+unchanged.  The simplicial rule reads a degenerate simplex's image from a
+per-search memo keyed by the base level, the degeneracy word and the base's
+image.
 """
 
 from itertools import product
@@ -55,12 +60,13 @@ def level_search(depth, rule, meter=None):
     yield from recurse(0, [])
 
 
-def _level_plan(v, src, tgt, n, pins):
+def _level_plan(v, src, tgt, n, pins, memo):
     """Level n of section v: what the simplicial rule needs, built once.
 
     Each source simplex comes with its variable (v, s) and its pinned image
-    or None; a degenerate one with its Eilenberg-Zilber decomposition, a
-    nondegenerate one with the variables of its faces.  The target's
+    or None; a degenerate one with its Eilenberg-Zilber decomposition and
+    the memo {base image: image} that ``memo`` holds for its (base level,
+    word), a nondegenerate one with the variables of its faces.  The target's
     simplices are bucketed by their faces, nondegenerate ones first.
     """
     degenerate, nondegenerate = [], []
@@ -68,7 +74,8 @@ def _level_plan(v, src, tgt, n, pins):
         m, base, word = src.decompose(n, s)
         pin = pins.get((v, n, s))
         if m != n:
-            degenerate.append((s, (v, s), m, (v, base), word, pin))
+            images = memo.setdefault((m, word), {})
+            degenerate.append((s, (v, s), m, (v, base), word, images, pin))
         else:
             faces = [(v, src.face(n, i, s)) for i in range(n + 1)] if n else []
             nondegenerate.append((s, (v, s), faces, pin))
@@ -92,22 +99,19 @@ def simplicial_rule(sections, squares=(), pins=None, constraint=None):
     """
     pins = pins or {}
     plans = {}
+    memos = {v: {} for v in sections}
 
     def rule(n, assigned):
-        forced = {}
-        open_vars = []
+        level_plans = []
         for v, (src, tgt) in sections.items():
             if (v, n) not in plans:
-                plans[(v, n)] = _level_plan(v, src, tgt, n, pins)
-            degenerate, nondegenerate, buckets = plans[(v, n)]
-            for s, var, m, base, word, pin in degenerate:
-                image = tgt.apply_degeneracy_word(m, assigned[m][base], word)
-                if pin is not None and pin != image:
-                    return None
-                if constraint is not None and not constraint(v, n, s, image):
-                    return None
-                forced[var] = image
-            below = assigned[n - 1] if n else None
+                plans[(v, n)] = _level_plan(v, src, tgt, n, pins, memos[v])
+            level_plans.append((v, tgt, plans[(v, n)]))
+        # fail first: every open variable needs a candidate before any
+        # degenerate simplex's image is computed
+        open_vars = []
+        below = assigned[n - 1] if n else None
+        for v, _, (_, nondegenerate, buckets) in level_plans:
             for s, var, faces, pin in nondegenerate:
                 candidates = buckets.get(tuple(below[f] for f in faces), [])
                 if pin is not None:
@@ -117,6 +121,18 @@ def simplicial_rule(sections, squares=(), pins=None, constraint=None):
                 if not candidates:
                     return None
                 open_vars.append((var, candidates))
+        forced = {}
+        for v, tgt, (degenerate, _, _) in level_plans:
+            for s, var, m, base, word, images, pin in degenerate:
+                y = assigned[m][base]
+                image = images.get(y)
+                if image is None:
+                    image = images[y] = tgt.apply_degeneracy_word(m, y, word)
+                if pin is not None and pin != image:
+                    return None
+                if constraint is not None and not constraint(v, n, s, image):
+                    return None
+                forced[var] = image
 
         def natural(level):
             return all(

@@ -422,6 +422,7 @@ def _value_to_json(domain, value):
 
 def _value_from_json(domain, data):
     if domain == "set":
+        _string_ids(data, "set value")
         return tuple(data)
     if domain == "group":
         return group_from_json(data)
@@ -461,6 +462,9 @@ def _morphism_to_json(domain, morphism, source, target):
 
 def _morphism_from_json(domain, data, source, target):
     if domain in ("set", "group"):
+        if not isinstance(data, dict):
+            raise ValueError(f"a {domain} map must be an object, got {_JSON_TYPES[type(data)]}")
+        _check_entries(data, str, f"{domain} map")
         return dict(data)
     if domain == "sset":
         return SimplicialMap(source, target, data["levels"])

@@ -476,37 +476,44 @@ def unit(sset, depth):
 def _sgpd_level_plan(loop_sgpd, target, n):
     """Level n of the loop-groupoid rule: what each node needs, built once.
 
-    Each generator x of level n - 1 comes with, for every s_i, the target's
-    s_i and the level-n generator that s_i x hits, or None where s_i x is
-    killed.  Each generator of level n comes with its endpoints and its face
-    words d_i(gen x) as (source, letters).  The target's level-n arrows are
-    bucketed by endpoints and then by faces, in sorted order; ``face_key``
-    gives each arrow's faces.
+    Each generator x of level n - 1 comes with, for every s_i, the arrow
+    table of the target's s_i and the level-n generator that s_i x hits, or
+    None where s_i x is killed.  The generators of level n are split into the
+    open ones and the ones a degeneracy hits; each comes with its face words
+    d_i(gen x) as (source, letters), and an open one with its endpoints.  The
+    target's level-n arrows are bucketed by endpoints and then by faces, in
+    sorted order; ``face_key`` gives each arrow's faces, and ``identities``
+    is the set of the level's identity arrows.
     """
     degeneracies = []
     if n:
         lower = loop_sgpd.levels[n - 1]
         for i in range(n):
             op = loop_sgpd.degeneracy(n - 1, i)
-            a_op = target.degeneracy(n - 1, i)
+            a_op = target.degeneracy(n - 1, i).arrow_map
             for x in sorted(lower.generators):
                 letters = op(lower.gen(x)).letters
                 if letters and (len(letters) != 1 or letters[0][1] != 1):
                     raise AssertionError("degeneracy image should be a generator")
                 degeneracies.append((a_op, x, letters[0][0] if letters else None))
+    hit = {h for _, _, h in degeneracies if h is not None}
     gpd = loop_sgpd.levels[n]
     faces = [loop_sgpd.face(n, i) for i in range(n + 1)] if n else []
-    generators = []
+    open_gens, hit_gens = [], []
     for x in sorted(gpd.generators):
-        words = [op(gpd.gen(x)) for op in faces]
-        generators.append((x, *gpd.generators[x], [(w.src, w.letters) for w in words]))
+        words = [(w.src, w.letters) for w in (op(gpd.gen(x)) for op in faces)]
+        if x in hit:
+            hit_gens.append((x, words))
+        else:
+            open_gens.append((x, *gpd.generators[x], words))
     a_faces = [target.face(n, i) for i in range(n + 1)] if n else []
     arrows = target.levels[n].arrows
     buckets, face_key = {}, {}
     for y in sorted(arrows):
         face_key[y] = key = tuple(op(y) for op in a_faces)
         buckets.setdefault(arrows[y], {}).setdefault(key, []).append(y)
-    return degeneracies, generators, buckets, face_key
+    identities = set(target.levels[n].identities.values())
+    return degeneracies, open_gens, hit_gens, buckets, face_key, identities
 
 
 def enumerate_sgpd_maps(loop_sgpd, sset, target, meter=None):
@@ -516,10 +523,11 @@ def enumerate_sgpd_maps(loop_sgpd, sset, target, meter=None):
     on simplices of ``sset``); ``target`` must have finite levels.  Search
     level 0 assigns the objects and level n + 1 the generators of level n.
     As in the simplicial rule, each level is planned once per search
-    (``_sgpd_level_plan``).  A node reads the images forced by degeneracies
-    off the plan, and a generator's face conditions involve only its own
-    image and level n - 1, so its candidates are the target arrows whose
-    faces are the images of its face words, looked up by that face key.
+    (``_sgpd_level_plan``).  A generator's face conditions involve only its
+    own image and level n - 1, so an open generator's candidates are the
+    target arrows whose faces are the images of its face words, looked up by
+    that face key.  A node looks up every open generator first and only then
+    reads the images forced by degeneracies and checks their faces.
     """
     depth = loop_sgpd.depth
     plans = {}
@@ -530,36 +538,37 @@ def enumerate_sgpd_maps(loop_sgpd, sset, target, meter=None):
         n = level - 1
         if n not in plans:
             plans[n] = _sgpd_level_plan(loop_sgpd, target, n)
-        degeneracies, generators, buckets, face_key = plans[n]
+        degeneracies, open_gens, hit_gens, buckets, face_key, identities = plans[n]
         obj_map, below = assigned[0], assigned[n]
-        forced = {}
-        for a_op, x, hit in degeneracies:
-            image = a_op(below[x])
-            if hit is None:
-                if not target.levels[n].is_identity(image):
-                    return None
-            elif forced.setdefault(hit, image) != image:
-                return None
-        gpd = target.levels[n - 1] if n else None
+        if n:  # the generators of level 0 have no face words
+            gpd = target.levels[n - 1]
+            comp, units, inverses = gpd.comp, gpd.identities, gpd.inverses
 
         def word_image(src, letters):
-            acc = gpd.identity(obj_map[src])
+            acc = units[obj_map[src]]
             for g, e in letters:
-                img = below[g] if e == 1 else gpd.inv(below[g])
-                acc = gpd.compose(img, acc)
+                acc = comp[(below[g] if e == 1 else inverses[below[g]], acc)]
             return acc
 
         open_vars = []
-        for x, s, t, face_words in generators:
+        for x, s, t, face_words in open_gens:
             want = tuple(word_image(src, letters) for src, letters in face_words)
-            if x in forced:
-                if face_key[forced[x]] != want:
-                    return None
-                continue
             candidates = buckets.get((obj_map[s], obj_map[t]), {}).get(want)
             if not candidates:
                 return None
             open_vars.append((x, candidates))
+        forced = {}
+        for a_op, x, hit in degeneracies:
+            image = a_op[below[x]]
+            if hit is None:
+                if image not in identities:
+                    return None
+            elif forced.setdefault(hit, image) != image:
+                return None
+        for x, face_words in hit_gens:
+            want = tuple(word_image(src, letters) for src, letters in face_words)
+            if face_key[forced[x]] != want:
+                return None
         return forced, open_vars, None
 
     return [

@@ -7,6 +7,7 @@ from hpk.cli import COMMANDS, main
 from hpk.groups import GroupTable
 from hpk.groupoids import FiniteGroupoid, SimplicialGroupoid
 from hpk import jsonio
+from hpk.loop import loop_groupoid
 from hpk.sites import FiniteSite
 from hpk.sset import SimplicialMap, standard_complex
 
@@ -809,6 +810,26 @@ def _sgpd_to_2gpd_nat():
     return data
 
 
+def _loop_delta1_face_letters(letters):
+    """The loop groupoid of Delta^1, its free level 1 face d_0 given ``letters``."""
+
+    def build():
+        data = loop_groupoid(standard_complex("Delta", 1, depth=2), 1).to_json()
+        data["faces"]["1,0"]["0.1.1"]["letters"] = letters
+        return data
+
+    return build
+
+
+def _set_presheaf_value_u(value):
+    def build():
+        data = _set_presheaf({"a": "c", "b": "d"})
+        data["values"]["U"] = value
+        return data
+
+    return build
+
+
 # one invalid document per kind the CLI reads: its builder, the command that
 # reads it, the exit code and the stderr recorded before constructors stopped
 # validating (None: the command reports the violations on stdout instead)
@@ -909,6 +930,20 @@ INVALID_DOCUMENTS = {
                             ["msweq"], 2, "2-functor map2 holds an array where a string belongs"),
     "nat_2gpd_null_map2": (_nat_component_map2_null, ["weq", "--kind", "2gpd"], 2,
                            "2-groupoid map map2 must be an object, got null"),
+    # letters of a free level name a generator and an exponent 1 or -1
+    "sgpd_free_unknown_generator": (_loop_delta1_face_letters([["zz", 1]]), ["validate"], 2,
+                                    "unknown generator 'zz'"),
+    "sgpd_free_list_generator": (_loop_delta1_face_letters([[["0.1"], 1]]), ["validate"], 2,
+                                 "unknown generator ['0.1']"),
+    "sgpd_free_bad_exponent": (_loop_delta1_face_letters([["0.1", 2]]), ["validate"], 2,
+                               "letter '0.1' has exponent 2, not 1 or -1"),
+    # set-valued restrictions and values hold string ids
+    "set_map_list_image": (lambda: _set_presheaf({"a": ["c"], "b": "d"}), ["sheafify"], 2,
+                           "set map holds an array where a string belongs"),
+    "set_map_pairs": (lambda: _set_presheaf([["a", "c"], ["b", "d"]]), ["sheafify"], 2,
+                      "a set map must be an object, got an array"),
+    "set_value_list_element": (_set_presheaf_value_u([["a"], "b"]), ["sheafify"], 2,
+                               "set value holds an array where a string id belongs"),
 }
 
 

@@ -299,6 +299,25 @@ def tail_pair():
     return "Delta3/chaotic Z2", x, a, wbar(a, 3), loop_groupoid(x, 2)
 
 
+def presheaf_pairs():
+    """(source, target) presheaves of simplicial sets whose maps are pinned."""
+    site = FiniteSite.two_object_site()
+    d1 = standard_complex("Delta", 1, depth=1)
+    d1_2 = standard_complex("Delta", 1, depth=2)
+    return [
+        (y_u(d1, "U", site), constant_presheaf(site, "sset", d1)),
+        (
+            as_point_presheaf(standard_complex("boundary", 1, depth=1)),
+            as_point_presheaf(standard_complex("Delta", 1)),
+        ),
+        (y_u(d1_2, "U", site), constant_presheaf(site, "sset", d1_2)),
+        (
+            y_u(d1_2, "V", site),
+            constant_presheaf(site, "sset", standard_complex("sphere", 1, depth=2)),
+        ),
+    ]
+
+
 def _sgpd_key(sg_map):
     return [sorted(sg_map.obj_map.items())] + [
         sorted(h.arrow_map.items()) for h in sg_map.level_homs
@@ -322,23 +341,8 @@ def _search_cases(tmp_path, capsys):
     maps = [_sgpd_key(m) for m in enumerate_sgpd_maps(gx, x, a, meter=meter)]
     out["sgpd_maps_tail"] = [maps, meter.used]
 
-    site = FiniteSite.two_object_site()
-    d1 = standard_complex("Delta", 1, depth=1)
-    d1_2 = standard_complex("Delta", 1, depth=2)
-    presheaf_pairs = [
-        (y_u(d1, "U", site), constant_presheaf(site, "sset", d1)),
-        (
-            as_point_presheaf(standard_complex("boundary", 1, depth=1)),
-            as_point_presheaf(standard_complex("Delta", 1)),
-        ),
-        (y_u(d1_2, "U", site), constant_presheaf(site, "sset", d1_2)),
-        (
-            y_u(d1_2, "V", site),
-            constant_presheaf(site, "sset", standard_complex("sphere", 1, depth=2)),
-        ),
-    ]
     out["presheaf_maps"] = []
-    for source, target in presheaf_pairs:
+    for source, target in presheaf_pairs():
         meter = Meter("presheaf maps", 10**7)
         maps = [
             {v: _smap_key(nat.components[v]) for v in source.site.objects}
@@ -351,7 +355,7 @@ def _search_cases(tmp_path, capsys):
     )
     out["geninc"] = b"".join(
         _cli(tmp_path, capsys, f"site{k}", s.to_json(), "geninc", "--nmax", "2")
-        for k, s in enumerate((FiniteSite.point_site(), site))
+        for k, s in enumerate((FiniteSite.point_site(), FiniteSite.two_object_site()))
     )
 
     targets = [

@@ -3,13 +3,16 @@
 Each reference takes the product of every candidate for every variable, with
 no pruning and no level structure, and keeps what passes validation.
 ``level_search`` and its level rules must give the same map sets, each map
-once.  The loop-groupoid rule is also checked against ``unplanned_sgpd_maps``,
-the rule it replaced, for the same ordered maps and the same work units.
+once.  Each rule is also checked against a rule it replaced, for the same
+ordered maps and the same work units: the loop-groupoid rule against
+``unplanned_sgpd_maps``, and the simplicial rule against
+``forced_first_simplicial_rule``.
 """
 
 import json
 from itertools import product
 
+from hpk import jsonio
 from hpk.budgets import Meter
 from hpk.groups import GroupTable
 from hpk.groupoids import (
@@ -18,13 +21,13 @@ from hpk.groupoids import (
     SimplicialGroupoid,
     SimplicialGroupoidMap,
 )
-from hpk.homsearch import enumerate_simplicial_maps, level_search
-from hpk.lifting import enumerate_presheaf_sset_maps
+from hpk.homsearch import enumerate_simplicial_maps, level_search, simplicial_rule
+from hpk.lifting import LiftingProblem, as_point_map, enumerate_presheaf_sset_maps
 from hpk.loop import enumerate_sgpd_maps, loop_groupoid, wbar
 from hpk.presheaves import NaturalTransformation, constant_presheaf, y_u
 from hpk.sites import FiniteSite
-from hpk.sset import SimplicialMap, standard_complex
-from test_golden_outputs import adjunction_pairs, tail_pair
+from hpk.sset import SimplicialMap, standard_complex, truncate
+from test_golden_outputs import _lift_documents, adjunction_pairs, presheaf_pairs, tail_pair
 
 GROUPOIDS = {
     "trivial": FiniteGroupoid.trivial(),
@@ -281,6 +284,137 @@ def test_loop_groupoid_maps_match_unplanned_rule():
         reference = unplanned_sgpd_maps(gx, x, target, meter=ref_meter)
         assert [sgpd_items(m) for m in planned] == [sgpd_items(m) for m in reference], name
         assert meter.used == ref_meter.used, name
+
+
+def forced_first_level_plan(v, src, tgt, n, pins):
+    """Level n of section v for ``forced_first_simplicial_rule``."""
+    degenerate, nondegenerate = [], []
+    for s in src.levels[n]:
+        m, base, word = src.decompose(n, s)
+        pin = pins.get((v, n, s))
+        if m != n:
+            degenerate.append((s, (v, s), m, (v, base), word, pin))
+        else:
+            faces = [(v, src.face(n, i, s)) for i in range(n + 1)] if n else []
+            nondegenerate.append((s, (v, s), faces, pin))
+    buckets = {}
+    if nondegenerate:
+        nondeg = set(tgt.nondegenerate(n))
+        for y in sorted(tgt.levels[n], key=lambda y: y not in nondeg):
+            key = tuple(tgt.face(n, i, y) for i in range(n + 1)) if n else ()
+            buckets.setdefault(key, []).append(y)
+    return degenerate, nondegenerate, buckets
+
+
+def forced_first_simplicial_rule(sections, squares=(), pins=None, constraint=None):
+    """The simplicial level rule before fail-first ordering, as a reference.
+
+    Section by section, it computes every degenerate simplex's image with
+    ``apply_degeneracy_word`` and checks its pin and ``constraint`` before it
+    looks up the candidates of the section's nondegenerate simplices.
+    """
+    pins = pins or {}
+    plans = {}
+
+    def rule(n, assigned):
+        forced = {}
+        open_vars = []
+        for v, (src, tgt) in sections.items():
+            if (v, n) not in plans:
+                plans[(v, n)] = forced_first_level_plan(v, src, tgt, n, pins)
+            degenerate, nondegenerate, buckets = plans[(v, n)]
+            for s, var, m, base, word, pin in degenerate:
+                image = tgt.apply_degeneracy_word(m, assigned[m][base], word)
+                if pin is not None and pin != image:
+                    return None
+                if constraint is not None and not constraint(v, n, s, image):
+                    return None
+                forced[var] = image
+            below = assigned[n - 1] if n else None
+            for s, var, faces, pin in nondegenerate:
+                candidates = buckets.get(tuple(below[f] for f in faces), [])
+                if pin is not None:
+                    candidates = [y for y in candidates if y == pin]
+                if constraint is not None:
+                    candidates = [y for y in candidates if constraint(v, n, s, y)]
+                if not candidates:
+                    return None
+                open_vars.append((var, candidates))
+
+        def natural(level):
+            return all(
+                level[(v, res_src(n, s))] == res_tgt(n, level[(u, s)])
+                for v, u, res_src, res_tgt in squares
+                for s in sections[u][0].levels[n]
+            )
+
+        return forced, open_vars, natural if squares else None
+
+    return rule
+
+
+def _presheaf_rule_args(source, target):
+    """The sections and naturality squares ``enumerate_presheaf_sset_maps`` searches."""
+    site = source.site
+    identities = set(site.identities.values())
+    sections = {v: (source.values[v], target.values[v]) for v in site.objects}
+    squares = [
+        (v, u, source.restrictions[a], target.restrictions[a])
+        for a, (v, u) in site.arrows.items()
+        if a not in identities
+    ]
+    return sections, squares
+
+
+def _lift_rule_args(problem):
+    """The sections, squares, pins and fiber constraint ``solve_lifting`` searches."""
+    sections, squares = _presheaf_rule_args(problem.i.target, problem.p.source)
+    a = problem.i.source
+    pins = {
+        (v, n, problem.i.components[v](n, s)): problem.top.components[v](n, s)
+        for v in a.site.objects
+        for n in range(a.values[v].depth + 1)
+        for s in a.values[v].levels[n]
+    }
+
+    def constraint(v, n, s, image):
+        return problem.p.components[v](n, image) == problem.bottom.components[v](n, s)
+
+    return sections, squares, pins, constraint
+
+
+def _simplicial_differential_cases():
+    for name, x, _, wb, _ in list(adjunction_pairs()) + [tail_pair()]:
+        yield name, {None: (truncate(x, 3), wb.sset)}, (), None, None
+    for k, (source, target) in enumerate(presheaf_pairs()):
+        yield f"presheaf pair {k}", *_presheaf_rule_args(source, target), None, None
+    for k, doc in enumerate(_lift_documents()):
+        legs = [as_point_map(jsonio.smap_from_json(doc[key])) for key in ("i", "top", "p", "bottom")]
+        yield f"criterion-8 lift {k}", *_lift_rule_args(LiftingProblem(*legs))
+
+
+def test_simplicial_rule_matches_forced_first_rule():
+    """Same maps in the same order, each level dict in the same key order,
+    and the same work units as the rule that computes forced images first."""
+    cases = list(_simplicial_differential_cases())
+    assert len(cases) == 24 + 1 + 4 + 3
+    empty = []
+    for name, sections, squares, pins, constraint in cases:
+        depth = next(iter(sections.values()))[0].depth
+        runs = []
+        for make_rule in (simplicial_rule, forced_first_simplicial_rule):
+            meter = Meter("maps", 10**7)
+            rule = make_rule(sections, squares, pins, constraint)
+            found = [
+                [list(level.items()) for level in assigned]
+                for assigned in level_search(depth, rule, meter)
+            ]
+            runs.append((found, meter.used))
+        assert runs[0] == runs[1], name
+        if not runs[0][0]:
+            empty.append(name)
+    # only the lift of the horn into the boundary of Delta^2 has no diagonal
+    assert empty == ["criterion-8 lift 2"]
 
 
 def test_level_search_ticks_once_per_node_and_per_combination():
