@@ -22,7 +22,13 @@ from .laws import (
     operator_table_problems,
     simplicial_identity_problems,
 )
-from .sset import InsufficientDepth, TruncatedSimplicialSet, _UnionFind, split_pair_key
+from .sset import (
+    InsufficientDepth,
+    TruncatedSimplicialSet,
+    _UnionFind,
+    operator_key,
+    split_pair_key,
+)
 
 
 class FiniteGroupoid:
@@ -455,7 +461,7 @@ class SimplicialGroupoid:
         faces, degeneracies = {}, {}
         for tables, name, shift in ((faces, "faces", -1), (degeneracies, "degeneracies", 1)):
             for key, table in data[name].items():
-                n, i = (int(v) for v in key.split(","))
+                n, i = operator_key(key)
                 src, tgt = levels[n], levels[n + shift]
                 arrow_map = {a: arrow_from_json(tgt, v) for a, v in table.items()}
                 tables[(n, i)] = GroupoidHom(src, tgt, obj_map, arrow_map)

@@ -30,7 +30,7 @@ from .groupoids import (
 from .lifting import LiftingProblem
 from .presheaves import NaturalTransformation, Presheaf
 from .sites import FiniteSite
-from .sset import SimplicialMap, TruncatedSimplicialSet
+from .sset import SimplicialMap, TruncatedSimplicialSet, operator_key
 from .two_groupoids import TwoFunctor, TwoGroupoid
 
 
@@ -198,6 +198,7 @@ def sset_from_json(data):
     degeneracy tables map string ids to string ids; the laws are not checked."""
     if not isinstance(data, dict):
         raise ValueError(f"a simplicial set must be an object, got {_JSON_TYPES[type(data)]}")
+    _require(data, ("depth", "levels", "faces", "degeneracies"), "simplicial set")
     levels = data["levels"]
     if not isinstance(levels, list):
         raise ValueError(f"levels must be an array of levels, got {_JSON_TYPES[type(levels)]}")
@@ -279,8 +280,16 @@ def _check_shape(data, what):
     _check_fields(data, _SHAPES[what], what)
 
 
+def _require(data, fields, where):
+    """Reject an object ``data`` that lacks one of ``fields``, naming the field."""
+    for field in fields:
+        if field not in data:
+            raise ValueError(f"{where} has no {field} field")
+
+
 def _check_fields(data, shapes, where):
     """Check each field of the object ``data`` against its shape in ``shapes``."""
+    _require(data, shapes, where)
     for field, shape in shapes.items():
         outer, inner = shape if isinstance(shape, tuple) else (shape, None)
         value = data[field]
@@ -328,6 +337,7 @@ def sgpd_from_json(data):
     """A simplicial groupoid whose ``depth`` is its number of levels less one
     and whose operator tables are keyed within that depth."""
     _check_shape(data, "simplicial groupoid")
+    _require(data, ("depth",), "simplicial groupoid")
     depth, levels = data["depth"], data["levels"]
     if type(depth) is not int:
         raise ValueError(
@@ -341,7 +351,7 @@ def sgpd_from_json(data):
         _check_shape(level, "free groupoid" if level.get("free") else "groupoid")
     for name, low, high in (("faces", 1, depth), ("degeneracies", 0, depth - 1)):
         for key in data[name]:
-            n, i = (int(v) for v in key.split(","))
+            n, i = operator_key(key)
             if not (low <= n <= high and 0 <= i <= n):
                 raise ValueError(
                     f"simplicial groupoid {name} table {key} is outside depth {depth}"

@@ -478,12 +478,13 @@ def _sgpd_level_plan(loop_sgpd, target, n):
 
     Each generator x of level n - 1 comes with, for every s_i, the arrow
     table of the target's s_i and the level-n generator that s_i x hits, or
-    None where s_i x is killed.  The generators of level n are split into the
-    open ones and the ones a degeneracy hits; each comes with its face words
-    d_i(gen x) as (source, letters), and an open one with its endpoints.  The
-    target's level-n arrows are bucketed by endpoints and then by faces, in
-    sorted order; ``face_key`` gives each arrow's faces, and ``identities``
-    is the set of the level's identity arrows.
+    None where s_i x is killed.  The generators of level n that no degeneracy
+    hits are open; each comes with its endpoints and its face words d_i(gen x)
+    as (source, letters).  A hit generator needs no face words: its image
+    s_i f(x) has the right faces because the target, which must be a valid
+    simplicial groupoid, satisfies the simplicial identities.  The target's
+    level-n arrows are bucketed by endpoints and then by faces, in sorted
+    order, and ``identities`` is the set of the level's identity arrows.
     """
     degeneracies = []
     if n:
@@ -499,35 +500,34 @@ def _sgpd_level_plan(loop_sgpd, target, n):
     hit = {h for _, _, h in degeneracies if h is not None}
     gpd = loop_sgpd.levels[n]
     faces = [loop_sgpd.face(n, i) for i in range(n + 1)] if n else []
-    open_gens, hit_gens = [], []
+    open_gens = []
     for x in sorted(gpd.generators):
-        words = [(w.src, w.letters) for w in (op(gpd.gen(x)) for op in faces)]
-        if x in hit:
-            hit_gens.append((x, words))
-        else:
+        if x not in hit:
+            words = [(w.src, w.letters) for w in (op(gpd.gen(x)) for op in faces)]
             open_gens.append((x, *gpd.generators[x], words))
     a_faces = [target.face(n, i) for i in range(n + 1)] if n else []
     arrows = target.levels[n].arrows
-    buckets, face_key = {}, {}
+    buckets = {}
     for y in sorted(arrows):
-        face_key[y] = key = tuple(op(y) for op in a_faces)
+        key = tuple(op(y) for op in a_faces)
         buckets.setdefault(arrows[y], {}).setdefault(key, []).append(y)
     identities = set(target.levels[n].identities.values())
-    return degeneracies, open_gens, hit_gens, buckets, face_key, identities
+    return degeneracies, open_gens, buckets, identities
 
 
 def enumerate_sgpd_maps(loop_sgpd, sset, target, meter=None):
     """All simplicial groupoid maps GX -> A, by the level-wise search.
 
     ``loop_sgpd`` must be the loop groupoid of ``sset`` (its levels are free
-    on simplices of ``sset``); ``target`` must have finite levels.  Search
-    level 0 assigns the objects and level n + 1 the generators of level n.
-    As in the simplicial rule, each level is planned once per search
-    (``_sgpd_level_plan``).  A generator's face conditions involve only its
-    own image and level n - 1, so an open generator's candidates are the
-    target arrows whose faces are the images of its face words, looked up by
-    that face key.  A node looks up every open generator first and only then
-    reads the images forced by degeneracies and checks their faces.
+    on simplices of ``sset``); ``target`` must be a valid simplicial groupoid
+    with finite levels.  Search level 0 assigns the objects and level n + 1
+    the generators of level n.  As in the simplicial rule, each level is
+    planned once per search (``_sgpd_level_plan``).  A generator's face
+    conditions involve only its own image and level n - 1, so an open
+    generator's candidates are the target arrows whose faces are the images of
+    its face words, looked up by those faces.  A node looks up every open
+    generator first and only then reads the images forced by degeneracies,
+    whose faces the simplicial identities of the target already fix.
     """
     depth = loop_sgpd.depth
     plans = {}
@@ -538,7 +538,7 @@ def enumerate_sgpd_maps(loop_sgpd, sset, target, meter=None):
         n = level - 1
         if n not in plans:
             plans[n] = _sgpd_level_plan(loop_sgpd, target, n)
-        degeneracies, open_gens, hit_gens, buckets, face_key, identities = plans[n]
+        degeneracies, open_gens, buckets, identities = plans[n]
         obj_map, below = assigned[0], assigned[n]
         if n:  # the generators of level 0 have no face words
             gpd = target.levels[n - 1]
@@ -564,10 +564,6 @@ def enumerate_sgpd_maps(loop_sgpd, sset, target, meter=None):
                 if image not in identities:
                     return None
             elif forced.setdefault(hit, image) != image:
-                return None
-        for x, face_words in hit_gens:
-            want = tuple(word_image(src, letters) for src, letters in face_words)
-            if face_key[forced[x]] != want:
                 return None
         return forced, open_vars, None
 

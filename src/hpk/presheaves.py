@@ -12,7 +12,7 @@ condition exhaustively in the tests.
 from itertools import product
 
 from .budgets import DEFAULT_ISO_SEARCH_BUDGET, Meter, env_budget
-from .groups import GroupTable, free_reduce, invert_word
+from .groups import GroupTable
 from .groupoids import (
     SimplicialGroupoidMap,
     hom_simplicial_group,
@@ -100,88 +100,6 @@ class _MapOps:
         return m1.equals(m2)
 
 
-class Presented2Map:
-    """A map of presented 2-groupoids by generator assignment.
-
-    1-generators map to words, 2-generators to a target 2-generator or None
-    (the identity 2-cell); this is the shape of every map induced by a
-    simplicial map, which is the only way these morphisms arise here.
-    """
-
-    def __init__(self, source, target, obj_map, map1, map2):
-        self.source = source
-        self.target = target
-        self.obj_map = dict(obj_map)
-        self.map1 = {g: tuple(w) for g, w in map1.items()}
-        self.map2 = dict(map2)
-
-    @classmethod
-    def identity(cls, value):
-        return cls(
-            value,
-            value,
-            {o: o for o in value.objects},
-            {g: ((g, 1),) for g in value.gens1},
-            {a: a for a in value.gens2},
-        )
-
-    def word_image(self, word):
-        out = []
-        for g, e in word:
-            image = self.map1[g]
-            out.extend(invert_word(image) if e == -1 else image)
-        return free_reduce(tuple(out))
-
-    def validate(self):
-        problems = []
-        if set(self.obj_map) != set(self.source.objects):
-            return ["object map not total"]
-        if set(self.map1) != set(self.source.gens1):
-            return ["1-generator map not total"]
-        if set(self.map2) != set(self.source.gens2):
-            return ["2-generator map not total"]
-        for g, (s, t) in self.source.gens1.items():
-            word = self.map1[g]
-            if word:
-                ws, wt = self.target.word_endpoints(word)
-                if (ws, wt) != (self.obj_map[s], self.obj_map[t]):
-                    problems.append(f"image of 1-generator {g} has wrong endpoints")
-            elif self.obj_map[s] != self.obj_map[t]:
-                problems.append(f"1-generator {g} collapses but its endpoints differ")
-        for a, (src_word, tgt_word) in self.source.gens2.items():
-            image = self.map2[a]
-            src_im, tgt_im = self.word_image(src_word), self.word_image(tgt_word)
-            if image is None:
-                if src_im != tgt_im:
-                    problems.append(f"2-generator {a} collapses but its frame does not")
-            else:
-                frame = self.target.gens2[image]
-                if (src_im, tgt_im) != frame:
-                    problems.append(f"image of 2-generator {a} has wrong frame")
-        return problems
-
-    def compose(self, other):
-        """self after other."""
-        map1 = {g: self.word_image(w) for g, w in other.map1.items()}
-        map2 = {
-            a: (None if im is None else self.map2[im]) for a, im in other.map2.items()
-        }
-        return Presented2Map(
-            other.source,
-            self.target,
-            {o: self.obj_map[v] for o, v in other.obj_map.items()},
-            map1,
-            map2,
-        )
-
-    def equals(self, other):
-        return (
-            self.obj_map == other.obj_map
-            and self.map1 == other.map1
-            and self.map2 == other.map2
-        )
-
-
 DOMAINS = {
     ops.name: ops
     for ops in (
@@ -190,7 +108,6 @@ DOMAINS = {
         _MapOps("sset", SimplicialMap),
         _MapOps("sgpd", SimplicialGroupoidMap),
         _MapOps("2gpd", TwoFunctor),
-        _MapOps("presented2", Presented2Map),
     )
 }
 
@@ -207,12 +124,6 @@ class Presheaf:
         self.ops = DOMAINS[domain]
         self.values = dict(values)
         self.restrictions = dict(restrictions)
-
-    def value(self, obj):
-        return self.values[obj]
-
-    def restrict(self, arrow):
-        return self.restrictions[arrow]
 
     def validate(self):
         problems = []
@@ -249,9 +160,6 @@ class NaturalTransformation:
         self.source = source
         self.target = target
         self.components = dict(components)
-
-    def component(self, obj):
-        return self.components[obj]
 
     def validate(self):
         problems = []
@@ -797,17 +705,6 @@ def apply_pointwise(functor, x, depth):
             level_maps = nerve_of_functor(x.restrictions[a], values[u], values[v])
             restrictions[a] = SimplicialMap(values[u], values[v], level_maps)
         return Presheaf(site, "sset", values, restrictions)
-    if functor == "whitehead":
-        from .whitehead import whitehead_2gpd, whitehead_of_map
-
-        values = {v: whitehead_2gpd(x.values[v]) for v in site.objects}
-        restrictions = {}
-        for a, (v, u) in site.arrows.items():
-            obj_map, map1, map2 = whitehead_of_map(
-                x.restrictions[a], values[u], values[v]
-            )
-            restrictions[a] = Presented2Map(values[u], values[v], obj_map, map1, map2)
-        return Presheaf(site, "presented2", values, restrictions)
     raise ValueError(f"unknown pointwise functor {functor!r}")
 
 

@@ -169,14 +169,10 @@ class TruncatedSimplicialSet:
 
     @classmethod
     def from_json(cls, data):
-        faces = {}
-        for key, table in data["faces"].items():
-            n, i = key.split(",")
-            faces[(int(n), int(i))] = table
-        degeneracies = {}
-        for key, table in data["degeneracies"].items():
-            n, i = key.split(",")
-            degeneracies[(int(n), int(i))] = table
+        faces = {operator_key(key): table for key, table in data["faces"].items()}
+        degeneracies = {
+            operator_key(key): table for key, table in data["degeneracies"].items()
+        }
         return cls(data["depth"], data["levels"], faces, degeneracies)
 
     def __repr__(self):
@@ -548,6 +544,19 @@ def split_pair_key(key):
     if len(parts) != 2:
         raise ValueError(f"table key {key!r} is not two ids joined by '|'")
     return tuple(parts)
+
+
+def operator_key(key):
+    """The level n and index i of a key ``"n,i"`` of a JSON face or degeneracy
+    table, written as ``to_json`` writes it."""
+    n, _, i = key.partition(",")
+    try:
+        pair = int(n), int(i)
+    except ValueError:
+        pair = None
+    if pair is None or key != f"{pair[0]},{pair[1]}":
+        raise ValueError(f"operator table key {key!r} is not two integers n,i")
+    return pair
 
 
 def pullback(f, g):

@@ -223,25 +223,6 @@ def whitehead_2gpd(sset):
     return PresentedTwoGroupoid(sset.levels[0], gens1, gens2, relations, anchors2=anchors2)
 
 
-def whitehead_of_map(smap, source_w, target_w):
-    """Generator assignment induced by a simplicial map.
-
-    1-generators map to letter words (empty when the image edge is
-    degenerate); 2-generators map to a target 2-generator or None (identity)
-    when the image triangle is degenerate.
-    """
-    obj_map = {o: smap(0, o) for o in source_w.objects}
-    map1 = {}
-    for e in source_w.gens1:
-        image = smap(1, e)
-        map1[e] = ((image, 1),) if image in target_w.gens1 else ()
-    map2 = {}
-    for t in source_w.gens2:
-        image = smap(2, t)
-        map2[t] = image if image in target_w.gens2 else None
-    return obj_map, map1, map2
-
-
 # -- evaluation into a finite 2-groupoid ----------------------------------------
 
 

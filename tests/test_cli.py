@@ -762,6 +762,15 @@ def _with(build, field, value):
     return change
 
 
+def _without(build, field):
+    def change():
+        data = build()
+        del data[field]
+        return data
+
+    return change
+
+
 def _unknown_id(value, field):
     """A document whose ``field`` table names the unknown id ``zz`` at its first key."""
 
@@ -937,6 +946,15 @@ INVALID_DOCUMENTS = {
                                  "unknown generator ['0.1']"),
     "sgpd_free_bad_exponent": (_loop_delta1_face_letters([["0.1", 2]]), ["validate"], 2,
                                "letter '0.1' has exponent 2, not 1 or -1"),
+    # a missing required field is named with the kind of document
+    "groupoid_no_inverses": (_without(lambda: _gpd_z2().to_json(), "inverses"), ["validate"], 2,
+                             "groupoid has no inverses field"),
+    "group_no_identity": (_without(lambda: GroupTable.cyclic(2).to_json(), "identity"),
+                          ["validate"], 2, "group has no identity field"),
+    # operator-table keys are "n,i", read by one parser
+    "sgpd_bad_operator_key": (_z2_sgpd_doc(lambda d: d["faces"].__setitem__("1,0,0", {})),
+                              ["validate"], 2,
+                              "operator table key '1,0,0' is not two integers n,i"),
     # set-valued restrictions and values hold string ids
     "set_map_list_image": (lambda: _set_presheaf({"a": ["c"], "b": "d"}), ["sheafify"], 2,
                            "set map holds an array where a string belongs"),
@@ -975,6 +993,8 @@ def test_boundary_rejects_invalid_documents(tmp_path, capsys, name):
         (lambda d: d["faces"]["1,0"].__setitem__("0.1", ["1"]),
          "faces table 1,0 holds an array where a string id belongs"),
         (lambda d: d["degeneracies"].__setitem__("0,0", 5), "degeneracies table 0,0 must be an object, got a number"),
+        (lambda d: d.pop("degeneracies"), "simplicial set has no degeneracies field"),
+        (lambda d: d["faces"].__setitem__("x,0", {}), "operator table key 'x,0' is not two integers n,i"),
     ],
 )
 def test_sset_documents_of_the_wrong_shape_are_input_errors(tmp_path, capsys, change, reason):

@@ -275,7 +275,10 @@ def _loop_differential_cases():
 
 def test_loop_groupoid_maps_match_unplanned_rule():
     """Same maps in the same order, each level map in the same key order,
-    and the same work units as the rule without a level plan."""
+    and the same work units as the rule without a level plan; and every
+    planned map is a simplicial groupoid map, although the planned rule
+    leaves the faces of degeneracy-forced generators to the target's
+    simplicial identities."""
     cases = list(_loop_differential_cases())
     assert len(cases) == 24 + 1 + len(LOOP_CASES)
     for name, gx, x, target in cases:
@@ -284,6 +287,7 @@ def test_loop_groupoid_maps_match_unplanned_rule():
         reference = unplanned_sgpd_maps(gx, x, target, meter=ref_meter)
         assert [sgpd_items(m) for m in planned] == [sgpd_items(m) for m in reference], name
         assert meter.used == ref_meter.used, name
+        assert all(m.validate() == [] for m in planned), name
 
 
 def forced_first_level_plan(v, src, tgt, n, pins):

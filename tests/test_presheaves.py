@@ -344,37 +344,6 @@ def _sset_unit_is_weq(eta):
     return (not bad), bad
 
 
-def test_apply_pointwise_whitehead():
-    site = FiniteSite.two_object_site()
-    from hpk.sset import disjoint_union, standard_complex as sc, SimplicialMap as SM
-
-    s1 = sc("sphere", 1, depth=3)
-    x = constant_presheaf(site, "sset", s1)
-    w = apply_pointwise("whitehead", x, 3)
-    assert w.validate() == []
-    assert len(w.values["U"].gens1) == 1
-    # a non-constant fixture: two circles collapsing onto one
-    two, _, _ = disjoint_union(s1, s1)
-    collapse = SM(
-        two,
-        s1,
-        [{s: s.split(":", 1)[1] for s in lvl} for lvl in two.levels],
-    )
-    y = Presheaf(
-        site,
-        "sset",
-        {"U": two, "V": s1},
-        {
-            "idU": SM.identity(two),
-            "idV": SM.identity(s1),
-            "f": collapse,
-        },
-    )
-    wy = apply_pointwise("whitehead", y, 3)
-    assert wy.validate() == []
-    assert len(wy.values["U"].gens1) == 2
-
-
 def test_homotopy_sheaf_2gpd_constant_z3():
     site = FiniteSite.two_object_site()
     k = TwoGroupoid.one_object_with_pi2(GroupTable.cyclic(3))

@@ -1,7 +1,7 @@
 from hpk.groups import GroupTable
 from hpk.groupoids import FiniteGroupoid
 from hpk.kan import is_kan, pi_n_kan
-from hpk.sset import standard_complex, validate_sset
+from hpk.sset import disjoint_union, standard_complex, validate_sset
 from hpk.two_groupoids import (
     TwoFunctor,
     TwoGroupoid,
@@ -210,11 +210,14 @@ def test_whitehead_of_point_is_trivial():
 
 
 def test_whitehead_of_circle_gives_free_pi1():
-    w = whitehead_2gpd(standard_complex("sphere", 1, depth=3))
-    assert len(w.gens1) == 1
-    assert not w.gens2
-    pres = w.pi1_presentation("*")
-    assert pres.is_infinite_cyclic() is True
+    s1 = standard_complex("sphere", 1, depth=3)
+    two_circles = disjoint_union(s1, s1)[0]
+    for x, gens1 in ((s1, 1), (two_circles, 2)):
+        w = whitehead_2gpd(x)
+        assert len(w.gens1) == gens1
+        assert not w.gens2
+        for base in x.levels[0]:
+            assert w.pi1_presentation(base).is_infinite_cyclic() is True
 
 
 def test_whitehead_pi0():
