@@ -7,6 +7,7 @@
     python3 bench/record.py --out BENCH_17.json --parent ../hpk-parent --section laws
     python3 bench/record.py --out BENCH_20.json --parent ../hpk-parent --section functors
     python3 bench/record.py --out BENCH_26.json --parent ../hpk-parent --section pairs
+    python3 bench/record.py --out BENCH_29.json --parent ../hpk-parent --section cli
     python3 bench/record.py --check BENCH_20.json
 
 A record holds one or more sections, each a list of cases:
@@ -66,6 +67,13 @@ A record holds one or more sections, each a list of cases:
     of the cells it checked.  The record also holds ``functor_mutants``: the
     problem count of every mutant of the functor corpora of
     ``tests/test_laws.py``, computed on this checkout alone.
+``cli``
+    The 14 command lines of one round of the benchmark's ``cli_corpus`` mix
+    (seed ``CLI_SEED``), their documents written to a temporary directory
+    under relative names so that the reports that name a file do not depend
+    on where it is.  Each step runs its command in-process through
+    ``cli.main`` and records the exit code and the length and sha256 of what
+    it writes to stdout.  Its time covers the call, argument parsing included.
 
 Every step also records its best wall time on the parent checkout and on
 this one.  Each side runs in its own process, importing hpk from that
@@ -280,6 +288,37 @@ def emit_cases():
             (payload, args), = captured
             cases[name] = {"emit": lambda p=payload, a=args: emit_once(cli, p, a)}
     return cases
+
+
+CLI_SEED = 1
+
+
+def cli_cases():
+    """{command line: {"cli": step}}, each step one ``cli.main`` call."""
+    import tempfile
+
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    import workloads
+
+    H = workloads.import_hpk()
+    tmp = tempfile.TemporaryDirectory()
+    with contextlib.chdir(tmp.name):
+        ops = workloads.CliCorpus(H, CLI_SEED, 1, "").round(0)
+
+    def step(op):
+        def run():
+            with contextlib.chdir(tmp.name):
+                start = perf_counter()
+                code, out = op.run()
+                ms = (perf_counter() - start) * 1e3
+            data = out.encode()
+            return {"code": code, "bytes": len(data), "sha256": hashlib.sha256(data).hexdigest(), "ms": ms}
+
+        return run
+
+    # the key of an operation is its command word, the digest of its document
+    # and its options
+    return {" ".join([op.kind, *op.key[2:]]): {"cli": step(op)} for op in ops}
 
 
 def weq_fixtures():
@@ -516,6 +555,11 @@ SECTIONS = {
         "command",
         "CLI output of the heaviest cli_corpus payloads, written by cli._emit",
         emit_cases,
+    ),
+    "cli": (
+        "command",
+        "exit codes and stdout of one fixed-seed cli_corpus round, each call through cli.main",
+        cli_cases,
     ),
     "weq": (
         "fixture",

@@ -8,6 +8,7 @@ default search budget.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -242,6 +243,7 @@ def cmd_transpose(args):
     from .sset import SimplicialMap
 
     data = _read(args.file)
+    jsonio._check_shape(data, "transpose document")
     sset = jsonio.checked(jsonio.sset_from_json(data["complex"]))
     sgpd = jsonio.checked(jsonio.sgpd_from_json(data["groupoid"]))
     depth = data["depth"]
@@ -516,6 +518,7 @@ def cmd_lift(args):
     from .lifting import LiftingProblem, as_point_map, solve_lifting
 
     data = _read(args.file)
+    jsonio._check_shape(data, "lifting problem")
     if data.get("single"):
         legs = {
             key: as_point_map(jsonio.smap_from_json(data[key]))
@@ -681,11 +684,10 @@ COMMANDS = (
     )),
     ("bounds", cmd_bounds, "per-level cardinality report", "", (FILES,)),
 )
-COMMAND_NAMES = frozenset(row[0] for row in COMMANDS)
 
 
-def build_parser(command=None):
-    """The parser of every command in ``COMMANDS``, or of ``command`` alone."""
+def build_parser():
+    """The parser of every command in ``COMMANDS``."""
     parser = argparse.ArgumentParser(
         prog="hpk",
         description=(
@@ -695,27 +697,21 @@ def build_parser(command=None):
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, func, help_text, depth_note, arguments in COMMANDS:
-        if command in (None, name):
-            p = sub.add_parser(name, help=help_text, description=help_text + depth_note)
-            p.set_defaults(func=func)
-            for flags, options in COMMON + arguments:
-                p.add_argument(*flags, **options)
+        p = sub.add_parser(name, help=help_text, description=help_text + depth_note)
+        p.set_defaults(func=func)
+        for flags, options in COMMON + arguments:
+            p.add_argument(*flags, **options)
     return parser
 
 
-def parse_args(argv=None):
-    """Parse with the named command's parser alone when that suffices.
+@functools.cache
+def _parser():
+    """The process's parser, built on first use; parsing leaves no state in it."""
+    return build_parser()
 
-    The full parser is built only where its text is printed: the top-level
-    help, and errors that list every command (no command word, an unknown
-    one, or arguments the command does not take).
-    """
-    argv = sys.argv[1:] if argv is None else list(argv)
-    if argv and argv[0] in COMMAND_NAMES:
-        args, extras = build_parser(argv[0]).parse_known_args(argv)
-        if not extras:
-            return args
-    return build_parser().parse_args(argv)
+
+def parse_args(argv=None):
+    return _parser().parse_args(argv)
 
 
 def main(argv=None):

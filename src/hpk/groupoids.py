@@ -26,6 +26,7 @@ from .sset import (
     InsufficientDepth,
     TruncatedSimplicialSet,
     _UnionFind,
+    check_depth,
     operator_key,
     split_pair_key,
 )
@@ -824,8 +825,7 @@ def dold_kan(chain, depth):
     face and degeneracy are computed on indices and read through the one
     name list.
     """
-    if not isinstance(depth, int) or isinstance(depth, bool) or depth < 0:
-        raise ValueError(f"depth must be a non-negative integer, got {depth!r}")
+    check_depth(depth)
     obj = "*"
     summands = []
     for n in range(depth + 1):

@@ -280,17 +280,7 @@ class PresentedGroup:
 
     def abelian_invariants(self):
         """(free_rank, sorted torsion list) of the abelianization."""
-        index = {g: i for i, g in enumerate(self.generators)}
-        rows = []
-        for rel in self.relators:
-            row = {}
-            for g, e in rel:
-                row[index[g]] = row.get(index[g], 0) + e
-            rows.append(row)
-        diag = _smith_diagonal(rows)
-        torsion = sorted(d for d in diag if d > 1)
-        rank = len(self.generators) - len(diag)
-        return rank, torsion
+        return _abelian_invariants(self.generators, self.relators)
 
     def is_infinite_cyclic(self):
         """True/False/None: is the group isomorphic to the integers?"""
@@ -301,9 +291,8 @@ class PresentedGroup:
         rank, torsion = self.abelian_invariants()
         if rank != 1 or torsion:
             return False
-        table = self.coset_enumeration(max_cosets=2000)
-        if table is not None:
-            return False
+        # the group is infinite, so no coset enumeration can finish; whether
+        # it is the integers themselves is not decided here
         return None
 
     def coset_enumeration(self, max_cosets=DEFAULT_MAX_COSETS):
@@ -350,6 +339,21 @@ class PresentedGroup:
 
     def __repr__(self):
         return f"PresentedGroup(gens={len(self.generators)}, rels={len(self.relators)})"
+
+
+def _abelian_invariants(generators, relators):
+    """(free_rank, sorted torsion list) of the abelianization of a presentation."""
+    index = {g: i for i, g in enumerate(generators)}
+    rows = []
+    for rel in relators:
+        row = {}
+        for g, e in rel:
+            row[index[g]] = row.get(index[g], 0) + e
+        rows.append(row)
+    diag = _smith_diagonal(rows)
+    torsion = sorted(d for d in diag if d > 1)
+    rank = len(generators) - len(diag)
+    return rank, torsion
 
 
 def _smith_diagonal(rows):
@@ -466,8 +470,17 @@ def _todd_coxeter(generators, relators, max_cosets):
     """Coset enumeration; returns (table, representative words) or None.
 
     ``table[c]`` maps signed letters (g, +-1) to cosets.  Representative
-    words express each coset as a word applied to coset 0.
+    words express each coset as a word applied to coset 0.  A group whose
+    abelianization has positive free rank is infinite, so its enumeration
+    could only run to the cap: it answers None at once.
     """
+    if _abelian_invariants(generators, relators)[0] > 0:
+        return None
+    return _enumerate_cosets(generators, relators, max_cosets)
+
+
+def _enumerate_cosets(generators, relators, max_cosets):
+    """The Todd-Coxeter loop of ``_todd_coxeter``."""
     letters = [(g, e) for g in generators for e in (1, -1)]
     table = [dict()]
     words = {0: ()}

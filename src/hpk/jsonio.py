@@ -261,6 +261,15 @@ _SHAPES = {
         "faces": (dict, dict),
         "degeneracies": (dict, dict),
     },
+    "simplicial map": {"levels": (list, (dict, str))},
+    "lifting problem": {"i": dict, "top": dict, "p": dict, "bottom": dict},
+    "transpose document": {
+        "direction": str,
+        "complex": dict,
+        "groupoid": dict,
+        "depth": int,
+        "map": dict,
+    },
     "2-functor": {"source": dict, "target": dict, **_MAPS2},
     "2-groupoid map": _MAPS2,
     "presheaf": {"site": dict, "domain": str, "values": dict, "restrictions": dict},
@@ -372,6 +381,9 @@ def smap_to_json(smap):
 
 
 def smap_from_json(data):
+    _check_shape(data, "simplicial map")
+    # the endpoints are simplicial set documents, shape-checked by their reader
+    _require(data, ("source", "target"), "simplicial map")
     source = sset_from_json(data["source"])
     target = sset_from_json(data["target"])
     return checked(SimplicialMap(source, target, data["levels"]))

@@ -28,6 +28,7 @@ from .sset import (
     InsufficientDepth,
     SimplicialMap,
     TruncatedSimplicialSet,
+    check_depth,
     truncate as _truncate_sset,
 )
 
@@ -47,6 +48,7 @@ def loop_groupoid(sset, depth):
     Level n is the free groupoid on the non-s_0-degenerate simplices of
     dimension n + 1; needs ``sset.depth >= depth + 1``.
     """
+    check_depth(depth)
     if sset.depth < depth + 1:
         raise InsufficientDepth(
             f"loop groupoid at depth {depth} needs complex depth {depth + 1}"
@@ -168,6 +170,7 @@ def wbar(sgpd, depth):
     Needs finite levels 0 .. depth - 1.  Level n simplices are composable
     strings (g_(n-1), ..., g_0); level 0 simplices are the objects.
     """
+    check_depth(depth)
     if depth > sgpd.depth + 1:
         raise InsufficientDepth(
             f"wbar depth {depth} needs groupoid depth {depth - 1}, have {sgpd.depth}"
@@ -298,6 +301,7 @@ def w_total(sgpd, depth):
 
     Level n is the set of tuples (g_n, ..., g_0); q drops the leading entry.
     """
+    check_depth(depth)
     if len(sgpd.objects) != 1:
         raise ValueError("w_total needs a one-object simplicial groupoid")
     if depth > sgpd.depth:

@@ -25,10 +25,15 @@ def _operators(sset):
     )
 
 
+def check_depth(depth):
+    """Raise a ValueError unless ``depth`` is a non-negative integer."""
+    if not isinstance(depth, int) or isinstance(depth, bool) or depth < 0:
+        raise ValueError(f"depth must be a non-negative integer, got {depth!r}")
+
+
 class TruncatedSimplicialSet:
     def __init__(self, depth, levels, faces, degeneracies):
-        if not isinstance(depth, int) or isinstance(depth, bool) or depth < 0:
-            raise ValueError(f"depth must be a non-negative integer, got {depth!r}")
+        check_depth(depth)
         self.depth = depth
         self.levels = tuple(tuple(sorted(level)) for level in levels)
         self.faces = {key: dict(table) for key, table in faces.items()}

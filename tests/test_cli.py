@@ -170,12 +170,22 @@ def test_doldkan_rejects_malformed_chain(tmp_path, capsys, name):
     assert err.startswith("input error")
 
 
-def test_doldkan_rejects_negative_depth(tmp_path, capsys):
-    path = write(tmp_path, "chain.json", {"groups": [[], [2]], "boundaries": [[[]]]})
-    code = main(["doldkan", path, "--depth", "-1"])
+NEGATIVE_DEPTH_DOCUMENTS = {
+    "doldkan": lambda: {"groups": [[], [2]], "boundaries": [[[]]]},
+    "loop": lambda: standard_complex("sphere", 1, depth=3).to_json(),
+    "unit": lambda: standard_complex("sphere", 1, depth=3).to_json(),
+    "wbar": lambda: SimplicialGroupoid.constant(_gpd_z2(), 2).to_json(),
+    "wtotal": lambda: SimplicialGroupoid.constant(_gpd_z2(), 2).to_json(),
+    "counit": lambda: SimplicialGroupoid.constant(_gpd_z2(), 2).to_json(),
+}
+
+
+@pytest.mark.parametrize("command", sorted(NEGATIVE_DEPTH_DOCUMENTS))
+def test_rejects_negative_depth(tmp_path, capsys, command):
+    path = write(tmp_path, "doc.json", NEGATIVE_DEPTH_DOCUMENTS[command]())
+    code = main([command, path, "--depth", "-1"])
     out, err = capsys.readouterr()
-    assert (code, out) == (2, "")
-    assert "depth must be a non-negative integer" in err
+    assert (code, out, err) == (2, "", "input error: depth must be a non-negative integer, got -1\n")
 
 
 def test_loop_command(tmp_path, capsys):
@@ -962,6 +972,19 @@ INVALID_DOCUMENTS = {
                       "a set map must be an object, got an array"),
     "set_value_list_element": (_set_presheaf_value_u([["a"], "b"]), ["sheafify"], 2,
                                "set value holds an array where a string id belongs"),
+    # map, lifting-problem and transpose documents are shape-checked too
+    "smap_array": (list, ["pushout"], 2, "a simplicial map must be an object, got an array"),
+    "smap_list_image": (_with(_bad_smap, "levels", [{"0": ["0"]}]), ["pushout"], 2,
+                        "simplicial map levels holds an array where a string belongs"),
+    "lift_array": (list, ["lift"], 2, "a lifting problem must be an object, got an array"),
+    "lift_array_leg": (_with(_bad_lift, "i", []), ["lift"], 2,
+                       "lifting problem i must be an object, got an array"),
+    "lift_empty_leg": (_with(_bad_lift, "top", {}), ["lift"], 2,
+                       "simplicial map has no levels field"),
+    "transpose_array": (list, ["transpose"], 2,
+                        "a transpose document must be an object, got an array"),
+    "transpose_null_depth": (_with(_bad_transpose, "depth", None), ["transpose"], 2,
+                             "transpose document depth must be a number, got null"),
 }
 
 

@@ -8,8 +8,9 @@ depths) and must be rejected with exit 2; the rest are solved (0 or 1) or
 run out of budget (3).
 
 Command lines are drawn from the command table's words, options, choices and
-junk tokens; the parser built for the command word alone must give the same
-namespace as the full parser, or the same exit status and text.
+junk tokens; ``parse_args``, which parses every call with one parser kept for
+the process, must give the same namespace as a freshly built parser, or the
+same exit status and text.
 """
 
 import contextlib
@@ -154,8 +155,22 @@ def _outcome(parse, argv):
     return result, out.getvalue(), err.getvalue()
 
 
+def _fresh(argv):
+    return build_parser().parse_args(argv)
+
+
 @settings(max_examples=400, derandomize=True, deadline=None)
 @given(command_lines())
 def test_command_parser_matches_full_parser(argv):
-    full = _outcome(lambda a: build_parser().parse_args(a), argv)
-    assert _outcome(parse_args, argv) == full
+    assert _outcome(parse_args, argv) == _outcome(_fresh, argv)
+
+
+def test_kept_parser_leaks_no_state():
+    """A failed parse, then a good one, then a help request, all on the kept
+    parser: each gives what a fresh parser gives."""
+    failing = ["nerve", "f.json", "--depth", "x", "--bogus"]
+    good = ["nerve", "f.json", "--depth", "3"]
+    for argv in (failing, good, ["--help"], ["nerve", "--help"]):
+        assert _outcome(parse_args, argv) == _outcome(_fresh, argv)
+    assert _outcome(parse_args, failing)[0] == 2
+    assert _outcome(parse_args, good)[0].depth == 3

@@ -1,6 +1,9 @@
 from hypothesis import given, strategies as st
 
+from hpk import groups
+from hpk.cover import pi2_by_cover
 from hpk.groups import GroupTable, PresentedGroup, free_reduce, invert_word
+from hpk.sset import standard_complex
 
 
 def test_cyclic_table_basics():
@@ -79,6 +82,20 @@ def test_abelian_invariants():
     rank, torsion = g.abelian_invariants()
     assert rank == 1
     assert torsion == [2]
+
+
+def test_positive_free_rank_skips_coset_enumeration(monkeypatch):
+    """A presentation whose abelianization has positive free rank is of an
+    infinite group: every route answers without entering the enumeration."""
+
+    def entered(*args):
+        raise AssertionError("coset enumeration entered")
+
+    monkeypatch.setattr(groups, "_enumerate_cosets", entered)
+    z = PresentedGroup(["a", "b"], [(("a", 1),)])
+    assert z.is_infinite_cyclic() is None
+    assert z.isomorphic_to_table(GroupTable.cyclic(2)) is False
+    assert pi2_by_cover(standard_complex("sphere", 1, depth=3), "*") is None
 
 
 def test_isomorphic_to_table_bounded():
