@@ -21,8 +21,25 @@ from .budgets import (
     DEFAULT_REWRITE_BUDGET,
     env_budget,
 )
-from .kan import KanConditionFailed
-from .loop import CONVENTIONS
+from .groupoids import dold_kan, moore_pi_n, pi0_groupoid, pi0_sgpd
+from .kan import KanConditionFailed, pi_n_kan
+from .lifting import LiftingProblem, as_point_map, generating_inclusions, solve_lifting
+from .loop import (
+    CONVENTIONS,
+    _truncate_sset,
+    counit,
+    loop_groupoid,
+    transpose_to_sgpd,
+    transpose_to_sset,
+    unit,
+    w_total,
+    wbar,
+)
+from .presheaves import homotopy_sheaf, is_weak_equivalence, sheaf_condition_report, sheafify, y_u
+from .sites import comma_site
+from .sset import pi0_sset, pullback, pushout, standard_complex
+from .two_groupoids import ms_fibration, ms_weak_equivalence, nerve, pi_2gpd
+from .whitehead import whitehead_2gpd
 
 
 def _meta():
@@ -40,6 +57,27 @@ def _meta():
 def _read(path):
     with open(path) as handle:
         return json.load(handle)
+
+
+# the words for a document of each kind a command may need
+_KIND_NAMES = {"sset": "a simplicial set", "sgpd": "a simplicial groupoid", "2gpd": "a 2-groupoid",
+               "site": "a site", "presheaf": "a presheaf"}
+
+
+def _load(path, kind, command):
+    """The checked object of the document at ``path``, which must be of ``kind``."""
+    found, obj = jsonio.load_object(_read(path))
+    if found != kind:
+        raise ValueError(f"{command} needs {_KIND_NAMES[kind]}")
+    return obj
+
+
+def _row(table, kind, command):
+    """What ``table`` holds for documents of ``kind``."""
+    row = table.get(kind)
+    if row is None:
+        raise ValueError(f"{command} does not handle kind {kind!r}")
+    return row
 
 
 def _emit(payload, args):
@@ -81,15 +119,19 @@ def _group_json(table):
 # -- commands -------------------------------------------------------------------
 
 
+# the kinds whose law violations validate reports
+_VALIDATED = frozenset(("sset", "sgpd", "groupoid", "2gpd", "presheaf"))
+
+
 def cmd_validate(args):
     def one(path):
         kind, obj = jsonio.load_object_unchecked(_read(path))
-        if kind in ("sset", "sgpd", "groupoid", "2gpd", "presheaf"):
-            # the parts are input like any other; the whole is what is reported
-            jsonio.check_parts(obj)
-            return {"file": path, "kind": kind, "violations": obj.validate()}
-        jsonio.checked(obj)  # an invalid document of another kind is still invalid input
-        raise ValueError(f"validate does not handle kind {kind!r}")
+        if kind not in _VALIDATED:
+            jsonio.checked(obj)  # an invalid document of another kind is still invalid input
+            raise ValueError(f"validate does not handle kind {kind!r}")
+        # the parts are input like any other; the whole is what is reported
+        jsonio.check_parts(obj)
+        return {"file": path, "kind": kind, "violations": obj.validate()}
 
     reports = [one(path) for path in args.files]
     _emit({"reports": reports}, args)
@@ -97,16 +139,12 @@ def cmd_validate(args):
 
 
 def cmd_complex(args):
-    from .sset import standard_complex
-
     out = standard_complex(args.kind, args.n, k=args.k, depth=args.depth)
     _emit(out.to_json(), args)
     return 0
 
 
 def cmd_pushout(args):
-    from .sset import pushout
-
     f = jsonio.smap_from_json(_read(args.f))
     g = jsonio.smap_from_json(_read(args.g))
     d, into_b, into_c = pushout(f, g)
@@ -122,8 +160,6 @@ def cmd_pushout(args):
 
 
 def cmd_pullback(args):
-    from .sset import pullback
-
     f = jsonio.smap_from_json(_read(args.f))
     g = jsonio.smap_from_json(_read(args.g))
     p, onto_b, onto_c = pullback(f, g)
@@ -138,22 +174,13 @@ def cmd_pullback(args):
     return 0
 
 
+# the path components of a document, by its kind
+_PI0 = {"sset": pi0_sset, "groupoid": pi0_groupoid, "free_groupoid": pi0_groupoid, "sgpd": pi0_sgpd}
+
+
 def cmd_pi0(args):
     kind, obj = jsonio.load_object(_read(args.file))
-    if kind == "sset":
-        from .sset import pi0_sset
-
-        components = pi0_sset(obj)
-    elif kind in ("groupoid", "free_groupoid"):
-        from .groupoids import pi0_groupoid
-
-        components = pi0_groupoid(obj)
-    elif kind == "sgpd":
-        from .groupoids import pi0_sgpd
-
-        components = pi0_sgpd(obj)
-    else:
-        raise ValueError(f"pi0 does not handle kind {kind!r}")
+    components = _row(_PI0, kind, "pi0")(obj)
     _emit(
         {"count": len(components), "components": [list(c) for c in components]}, args
     )
@@ -161,30 +188,20 @@ def cmd_pi0(args):
 
 
 def cmd_pikan(args):
-    from .kan import pi_n_kan
-
-    kind, obj = jsonio.load_object(_read(args.file))
-    if kind != "sset":
-        raise ValueError("pikan needs a simplicial set")
+    obj = _load(args.file, "sset", "pikan")
     table = pi_n_kan(obj, args.base, args.n, budget=args.budget)
     _emit({"n": args.n, "base": args.base, "group": _group_json(table)}, args)
     return 0
 
 
 def cmd_moore(args):
-    from .groupoids import moore_pi_n
-
-    kind, obj = jsonio.load_object(_read(args.file))
-    if kind != "sgpd":
-        raise ValueError("moore needs a simplicial groupoid")
+    obj = _load(args.file, "sgpd", "moore")
     table = moore_pi_n(obj, args.n)
     _emit({"n": args.n, "group": _group_json(table)}, args)
     return 0
 
 
 def cmd_doldkan(args):
-    from .groupoids import dold_kan
-
     chain = jsonio.chain_from_json(_read(args.file))
     out = dold_kan(chain, args.depth)
     _emit(out.to_json(), args)
@@ -192,22 +209,14 @@ def cmd_doldkan(args):
 
 
 def cmd_loop(args):
-    from .loop import loop_groupoid
-
-    kind, obj = jsonio.load_object(_read(args.file))
-    if kind != "sset":
-        raise ValueError("loop needs a simplicial set")
+    obj = _load(args.file, "sset", "loop")
     out = loop_groupoid(obj, args.depth)
     _emit(out.to_json(), args)
     return 0
 
 
 def cmd_wbar(args):
-    from .loop import wbar
-
-    kind, obj = jsonio.load_object(_read(args.file))
-    if kind != "sgpd":
-        raise ValueError("wbar needs a simplicial groupoid")
+    obj = _load(args.file, "sgpd", "wbar")
     result = wbar(obj, args.depth)
     _emit(
         {
@@ -220,11 +229,7 @@ def cmd_wbar(args):
 
 
 def cmd_wtotal(args):
-    from .loop import w_total
-
-    kind, obj = jsonio.load_object(_read(args.file))
-    if kind != "sgpd":
-        raise ValueError("wtotal needs a simplicial groupoid")
+    obj = _load(args.file, "sgpd", "wtotal")
     total, q, wb = w_total(obj, args.depth)
     _emit(
         {
@@ -238,10 +243,6 @@ def cmd_wtotal(args):
 
 
 def cmd_transpose(args):
-    from .loop import loop_groupoid, transpose_to_sgpd, transpose_to_sset, wbar
-    from .groupoids import GroupoidHom, SimplicialGroupoidMap, arrow_from_json
-    from .sset import SimplicialMap
-
     data = _read(args.file)
     jsonio._check_shape(data, "transpose document")
     sset = jsonio.checked(jsonio.sset_from_json(data["complex"]))
@@ -250,27 +251,18 @@ def cmd_transpose(args):
     gx = loop_groupoid(sset, depth)
     wb = wbar(sgpd, depth + 1)
     if data["direction"] == "to-sset":
-        obj_map = data["map"]["obj_map"]
-        level_homs = []
-        for n, table in enumerate(data["map"]["levels"]):
-            arrow_map = {
-                gen: arrow_from_json(sgpd.levels[n], value)
-                for gen, value in table.items()
-            }
-            level_homs.append(
-                jsonio.check(GroupoidHom(gx.levels[n], sgpd.levels[n], obj_map, arrow_map))
-            )
-        sg_map = jsonio.check(SimplicialGroupoidMap(gx, sgpd, obj_map, level_homs))
+        sg_map = jsonio.DOMAIN_IO["sgpd"].read_map(data["map"], gx, sgpd)
+        # the level maps first, so a bad one is named as a groupoid map
+        for part in (*sg_map.level_homs, sg_map):
+            jsonio.check(part)
         out = transpose_to_sset(sg_map, sset, gx, wb)
         _emit(
             {"transpose": [dict(sorted(m.items())) for m in out.level_maps]}, args
         )
         return 0
     if data["direction"] == "to-sgpd":
-        from .loop import _truncate_sset
-
         truncated = _truncate_sset(sset, depth + 1)
-        smap = jsonio.check(SimplicialMap(truncated, wb.sset, data["map"]["levels"]))
+        smap = jsonio.check(jsonio.DOMAIN_IO["sset"].read_map(data["map"], truncated, wb.sset))
         out = transpose_to_sgpd(smap, gx, sgpd, wb)
         _emit(
             {
@@ -290,11 +282,7 @@ def cmd_transpose(args):
 
 
 def cmd_unit(args):
-    from .loop import unit
-
-    kind, obj = jsonio.load_object(_read(args.file))
-    if kind != "sset":
-        raise ValueError("unit needs a simplicial set")
+    obj = _load(args.file, "sset", "unit")
     eta, gx, wb = unit(obj, args.depth)
     _emit(
         {
@@ -307,11 +295,7 @@ def cmd_unit(args):
 
 
 def cmd_counit(args):
-    from .loop import counit
-
-    kind, obj = jsonio.load_object(_read(args.file))
-    if kind != "sgpd":
-        raise ValueError("counit needs a simplicial groupoid")
+    obj = _load(args.file, "sgpd", "counit")
     eps, gw, wb = counit(obj, args.depth)
     _emit(
         {
@@ -331,22 +315,14 @@ def cmd_counit(args):
 
 
 def cmd_nerve(args):
-    from .two_groupoids import nerve
-
-    kind, obj = jsonio.load_object(_read(args.file))
-    if kind != "2gpd":
-        raise ValueError("nerve needs a 2-groupoid")
+    obj = _load(args.file, "2gpd", "nerve")
     out = nerve(obj, args.depth)
     _emit(out.to_json(), args)
     return 0
 
 
 def cmd_pi2gpd(args):
-    from .two_groupoids import pi_2gpd
-
-    kind, obj = jsonio.load_object(_read(args.file))
-    if kind != "2gpd":
-        raise ValueError("pi2gpd needs a 2-groupoid")
+    obj = _load(args.file, "2gpd", "pi2gpd")
     result = pi_2gpd(obj, args.base, args.i)
     if args.i == 0:
         _emit({"count": len(result), "components": [list(c) for c in result]}, args)
@@ -356,11 +332,7 @@ def cmd_pi2gpd(args):
 
 
 def cmd_whitehead(args):
-    from .whitehead import whitehead_2gpd
-
-    kind, obj = jsonio.load_object(_read(args.file))
-    if kind != "sset":
-        raise ValueError("whitehead needs a simplicial set")
+    obj = _load(args.file, "sset", "whitehead")
     w = whitehead_2gpd(obj)
     payload = {
         "objects": list(w.objects),
@@ -400,8 +372,6 @@ def _layer_json(layer):
 
 
 def cmd_msweq(args):
-    from .two_groupoids import ms_weak_equivalence
-
     func = jsonio.functor2_from_json(_read(args.file))
     verdict, witness = ms_weak_equivalence(func)
     _emit({"verdict": verdict, "witness": witness}, args)
@@ -409,8 +379,6 @@ def cmd_msweq(args):
 
 
 def cmd_msfib(args):
-    from .two_groupoids import ms_fibration
-
     func = jsonio.functor2_from_json(_read(args.file))
     verdict, witness = ms_fibration(func)
     _emit({"verdict": verdict, "witness": witness}, args)
@@ -430,21 +398,13 @@ def cmd_site_validate(args):
 
 
 def cmd_comma(args):
-    from .sites import comma_site
-
-    kind, site = jsonio.load_object(_read(args.file))
-    if kind != "site":
-        raise ValueError("comma needs a site")
+    site = _load(args.file, "site", "comma")
     _emit(comma_site(site, args.object).to_json(), args)
     return 0
 
 
 def cmd_yu(args):
-    from .presheaves import y_u
-
-    kind, sset = jsonio.load_object(_read(args.file))
-    if kind != "sset":
-        raise ValueError("yu needs a simplicial set")
+    sset = _load(args.file, "sset", "yu")
     site_kind, site = jsonio.load_object(_read(args.site))
     if site_kind != "site":
         raise ValueError("yu needs a site file")
@@ -454,12 +414,8 @@ def cmd_yu(args):
 
 
 def cmd_sheafify(args):
-    from .presheaves import sheaf_condition_report, sheafify
-
-    kind, presheaf = jsonio.load_object(_read(args.file))
-    if kind != "presheaf":
-        raise ValueError("sheafify needs a presheaf")
-    sheaf, unit = sheafify(presheaf)
+    presheaf = _load(args.file, "presheaf", "sheafify")
+    sheaf, _ = sheafify(presheaf)
     report = sheaf_condition_report(sheaf)
     _emit(
         {
@@ -472,19 +428,13 @@ def cmd_sheafify(args):
 
 
 def cmd_hsheaf(args):
-    from .presheaves import homotopy_sheaf
-
-    kind, presheaf = jsonio.load_object(_read(args.file))
-    if kind != "presheaf":
-        raise ValueError("hsheaf needs a presheaf")
+    presheaf = _load(args.file, "presheaf", "hsheaf")
     sheaf = homotopy_sheaf(presheaf, args.object, args.base, args.n)
     _emit(jsonio.presheaf_to_json(sheaf), args)
     return 0
 
 
 def cmd_weq(args):
-    from .presheaves import is_weak_equivalence
-
     nat = jsonio.nat_from_json(_read(args.file))
     verdict, witnesses = is_weak_equivalence(nat, args.kind, n_max=args.nmax)
     _emit({"verdict": verdict, "witnesses": witnesses}, args)
@@ -492,11 +442,7 @@ def cmd_weq(args):
 
 
 def cmd_geninc(args):
-    from .lifting import generating_inclusions
-
-    kind, site = jsonio.load_object(_read(args.file))
-    if kind != "site":
-        raise ValueError("geninc needs a site")
+    site = _load(args.file, "site", "geninc")
     inclusions = generating_inclusions(site, args.nmax, budget=args.budget)
     summary = []
     for u, dim, incl in inclusions:
@@ -515,8 +461,6 @@ def cmd_geninc(args):
 
 
 def cmd_lift(args):
-    from .lifting import LiftingProblem, as_point_map, solve_lifting
-
     data = _read(args.file)
     jsonio._check_shape(data, "lifting problem")
     if data.get("single"):
@@ -539,55 +483,39 @@ def cmd_lift(args):
     return 0 if result["outcome"] == "lift" else 1
 
 
+def _level_size(level):
+    return len(level.generators) if level.is_free else len(level.arrows)
+
+
+# the sizes bounds reports for a document, by its kind
+_BOUNDS = {
+    "sset": lambda x: {"levels": x.level_sizes()},
+    "sgpd": lambda x: {
+        "levels": [{"generators" if l.is_free else "arrows": _level_size(l)} for l in x.levels]
+    },
+    "groupoid": lambda x: {"objects": len(x.objects), "arrows": len(x.arrows)},
+    "free_groupoid": lambda x: {"objects": len(x.objects), "generators": len(x.generators)},
+    "2gpd": lambda x: {"objects": len(x.objects), "cells1": len(x.cells1), "cells2": len(x.cells2)},
+    "presheaf": lambda x: {
+        "sections": {u: _SECTION_BOUNDS[x.domain](x.values[u]) for u in x.site.objects}
+    },
+    "site": lambda x: {"objects": len(x.objects), "arrows": len(x.arrows)},
+}
+
+# the sizes bounds reports for a presheaf's section, by its value domain
+_SECTION_BOUNDS = {
+    "set": len,
+    "group": lambda x: x.order,
+    "sset": lambda x: x.level_sizes(),
+    "sgpd": lambda x: [_level_size(level) for level in x.levels],
+    "2gpd": lambda x: {"cells1": len(x.cells1), "cells2": len(x.cells2)},
+}
+
+
 def cmd_bounds(args):
     def one(path):
         kind, obj = jsonio.load_object(_read(path))
-        if kind == "sset":
-            sizes = {"levels": obj.level_sizes()}
-        elif kind == "sgpd":
-            sizes = {
-                "levels": [
-                    {"generators": len(level.generators)}
-                    if level.is_free
-                    else {"arrows": len(level.arrows)}
-                    for level in obj.levels
-                ]
-            }
-        elif kind in ("groupoid",):
-            sizes = {"objects": len(obj.objects), "arrows": len(obj.arrows)}
-        elif kind == "free_groupoid":
-            sizes = {"objects": len(obj.objects), "generators": len(obj.generators)}
-        elif kind == "2gpd":
-            sizes = {
-                "objects": len(obj.objects),
-                "cells1": len(obj.cells1),
-                "cells2": len(obj.cells2),
-            }
-        elif kind == "presheaf":
-            sizes = {"sections": {}}
-            for u in obj.site.objects:
-                value = obj.values[u]
-                if obj.domain == "set":
-                    sizes["sections"][u] = len(value)
-                elif obj.domain == "group":
-                    sizes["sections"][u] = value.order
-                elif obj.domain == "sset":
-                    sizes["sections"][u] = value.level_sizes()
-                elif obj.domain == "sgpd":
-                    sizes["sections"][u] = [
-                        len(level.generators) if level.is_free else len(level.arrows)
-                        for level in value.levels
-                    ]
-                else:
-                    sizes["sections"][u] = {
-                        "cells1": len(value.cells1),
-                        "cells2": len(value.cells2),
-                    }
-        elif kind == "site":
-            sizes = {"objects": len(obj.objects), "arrows": len(obj.arrows)}
-        else:
-            raise ValueError(f"bounds does not handle kind {kind!r}")
-        return {"file": path, "bounds": sizes}
+        return {"file": path, "bounds": _row(_BOUNDS, kind, "bounds")(obj)}
 
     reports = [one(path) for path in args.files]
     _emit({"reports": reports}, args)

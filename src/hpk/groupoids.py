@@ -317,9 +317,22 @@ def arrow_to_json(gpd, arrow):
 
 
 def arrow_from_json(gpd, data):
-    if gpd.is_free:
-        return gpd.word([(g, e) for g, e in data["letters"]], at=data["src"])
-    return data
+    """The arrow ``arrow_to_json`` writes as ``data``."""
+    if not gpd.is_free:
+        if not isinstance(data, str):
+            raise ValueError(f"arrow {data!r} is not a string id")
+        return data
+    if not (
+        isinstance(data, dict)
+        and isinstance(data.get("src"), str)
+        and isinstance(data.get("letters"), list)
+        and all(isinstance(letter, list) and len(letter) == 2 for letter in data["letters"])
+    ):
+        raise ValueError(
+            f"free arrow {data!r} is not an object with a string src and an array of "
+            "[generator, exponent] letters"
+        )
+    return gpd.word([(g, e) for g, e in data["letters"]], at=data["src"])
 
 
 def _probe_arrows(gpd):

@@ -14,7 +14,9 @@ It is also where hpk writes its output: ``dumps`` gives the text the ``json``
 module writes with ``sort_keys=True`` and ``indent=2``, plus a newline.
 """
 
+from collections import namedtuple
 from json.encoder import encode_basestring_ascii
+from operator import methodcaller
 
 from .abelian import AbelianHom, ChainFixture, FiniteAbelianGroup
 from .groups import GroupTable
@@ -262,6 +264,7 @@ _SHAPES = {
         "degeneracies": (dict, dict),
     },
     "simplicial map": {"levels": (list, (dict, str))},
+    "simplicial groupoid map": {"obj_map": (dict, str), "levels": (list, dict)},
     "lifting problem": {"i": dict, "top": dict, "p": dict, "bottom": dict},
     "transpose document": {
         "direction": str,
@@ -368,16 +371,107 @@ def sgpd_from_json(data):
     return SimplicialGroupoid.from_json(data)
 
 
-# -- maps of single structures ------------------------------------------------------
+# -- maps and presheaves -------------------------------------------------------------
+
+
+def _sorted(table):
+    return dict(sorted(table.items()))
+
+
+def _set_value(data):
+    _string_ids(data, "set value")
+    return tuple(data)
+
+
+def _table_map(domain):
+    """The reader of a map of sets or of groups: an object of string ids."""
+
+    def read(data, source, target):
+        if not isinstance(data, dict):
+            raise ValueError(f"a {domain} map must be an object, got {_JSON_TYPES[type(data)]}")
+        _check_entries(data, str, f"{domain} map")
+        return dict(data)
+
+    return read
+
+
+def _sset_map(data, source, target):
+    _check_shape(data, "simplicial map")
+    return SimplicialMap(source, target, data["levels"])
+
+
+def _sgpd_map(data, source, target):
+    _check_shape(data, "simplicial groupoid map")
+    obj_map, levels = data["obj_map"], data["levels"]
+    if len(levels) != len(source.levels):
+        raise ValueError(f"{_INVALID[SimplicialGroupoidMap]}: wrong number of level maps")
+    # a shallower target leaves too few level maps, which the law check names
+    level_homs = [
+        GroupoidHom(s, t, obj_map, {a: arrow_from_json(t, v) for a, v in table.items()})
+        for table, s, t in zip(levels, source.levels, target.levels)
+    ]
+    return SimplicialGroupoidMap(source, target, obj_map, level_homs)
+
+
+def _sgpd_map_json(sg_map):
+    return {
+        "obj_map": _sorted(sg_map.obj_map),
+        "levels": [
+            {a: arrow_to_json(hom.target, v) for a, v in sorted(hom.arrow_map.items())}
+            for hom in sg_map.level_homs
+        ],
+    }
+
+
+def _2gpd_map(data, source, target):
+    _check_shape(data, "2-groupoid map")
+    return TwoFunctor(source, target, data["objects"], data["map1"], data["map2"])
+
+
+def _2gpd_map_json(func):
+    return {
+        "objects": _sorted(func.obj_map),
+        "map1": _sorted(func.map1),
+        "map2": _sorted(func.map2),
+    }
+
+
+# How the values of a presheaf domain and the maps between them are read and
+# written.  A map reader takes the document and the map's source and target,
+# checks the document's shape and builds the map without a law check.
+Domain = namedtuple("Domain", "read_value write_value read_map write_map")
+_to_json = methodcaller("to_json")
+
+# one row per value domain of ``presheaves.DOMAINS``
+DOMAIN_IO = {
+    "set": Domain(_set_value, list, _table_map("set"), _sorted),
+    "group": Domain(group_from_json, _to_json, _table_map("group"), _sorted),
+    "sset": Domain(sset_from_json, _to_json, _sset_map, _to_json),
+    "sgpd": Domain(sgpd_from_json, _to_json, _sgpd_map, _sgpd_map_json),
+    "2gpd": Domain(twogpd_from_json, _to_json, _2gpd_map, _2gpd_map_json),
+}
+
+
+def _map_document(domain, morphism):
+    """A map with its endpoints inline, tagged with its domain."""
+    return {
+        "map": domain,
+        "source": morphism.source.to_json(),
+        "target": morphism.target.to_json(),
+        **DOMAIN_IO[domain].write_map(morphism),
+    }
 
 
 def smap_to_json(smap):
-    return {
-        "map": "sset",
-        "source": smap.source.to_json(),
-        "target": smap.target.to_json(),
-        "levels": [dict(sorted(m.items())) for m in smap.level_maps],
-    }
+    return _map_document("sset", smap)
+
+
+def sgpd_map_to_json(sg_map):
+    return _map_document("sgpd", sg_map)
+
+
+def functor2_to_json(func):
+    return _map_document("2gpd", func)
 
 
 def smap_from_json(data):
@@ -386,147 +480,23 @@ def smap_from_json(data):
     _require(data, ("source", "target"), "simplicial map")
     source = sset_from_json(data["source"])
     target = sset_from_json(data["target"])
-    return checked(SimplicialMap(source, target, data["levels"]))
-
-
-def sgpd_map_to_json(sg_map):
-    levels = []
-    for hom in sg_map.level_homs:
-        levels.append(
-            {
-                key: arrow_to_json(hom.target, value)
-                for key, value in sorted(hom.arrow_map.items())
-            }
-        )
-    return {
-        "map": "sgpd",
-        "source": sg_map.source.to_json(),
-        "target": sg_map.target.to_json(),
-        "obj_map": dict(sorted(sg_map.obj_map.items())),
-        "levels": levels,
-    }
-
-
-def functor2_to_json(func):
-    return {
-        "map": "2gpd",
-        "source": func.source.to_json(),
-        "target": func.target.to_json(),
-        "objects": dict(sorted(func.obj_map.items())),
-        "map1": dict(sorted(func.map1.items())),
-        "map2": dict(sorted(func.map2.items())),
-    }
+    return checked(_sset_map(data, source, target))
 
 
 def functor2_from_json(data):
     _check_shape(data, "2-functor")
-    return checked(
-        TwoFunctor(
-            twogpd_from_json(data["source"]),
-            twogpd_from_json(data["target"]),
-            data["objects"],
-            data["map1"],
-            data["map2"],
-        )
-    )
-
-
-# -- presheaves -----------------------------------------------------------------------
-
-
-def _value_to_json(domain, value):
-    if domain == "set":
-        return list(value)
-    if domain == "group":
-        return value.to_json()
-    return value.to_json()
-
-
-def _value_from_json(domain, data):
-    if domain == "set":
-        _string_ids(data, "set value")
-        return tuple(data)
-    if domain == "group":
-        return group_from_json(data)
-    if domain == "sset":
-        return sset_from_json(data)
-    if domain == "sgpd":
-        return sgpd_from_json(data)
-    if domain == "2gpd":
-        return twogpd_from_json(data)
-    raise ValueError(f"unknown domain {domain!r}")
-
-
-def _morphism_to_json(domain, morphism, source, target):
-    if domain in ("set", "group"):
-        return dict(sorted(morphism.items()))
-    if domain == "sset":
-        return {"levels": [dict(sorted(m.items())) for m in morphism.level_maps]}
-    if domain == "sgpd":
-        return {
-            "obj_map": dict(sorted(morphism.obj_map.items())),
-            "levels": [
-                {
-                    key: arrow_to_json(hom.target, value)
-                    for key, value in sorted(hom.arrow_map.items())
-                }
-                for hom in morphism.level_homs
-            ],
-        }
-    if domain == "2gpd":
-        return {
-            "objects": dict(sorted(morphism.obj_map.items())),
-            "map1": dict(sorted(morphism.map1.items())),
-            "map2": dict(sorted(morphism.map2.items())),
-        }
-    raise ValueError(f"unknown domain {domain!r}")
-
-
-def _morphism_from_json(domain, data, source, target):
-    if domain in ("set", "group"):
-        if not isinstance(data, dict):
-            raise ValueError(f"a {domain} map must be an object, got {_JSON_TYPES[type(data)]}")
-        _check_entries(data, str, f"{domain} map")
-        return dict(data)
-    if domain == "sset":
-        return SimplicialMap(source, target, data["levels"])
-    if domain == "sgpd":
-        level_homs = []
-        for n, table in enumerate(data["levels"]):
-            arrow_map = {
-                key: arrow_from_json(target.levels[n], value)
-                for key, value in table.items()
-            }
-            level_homs.append(
-                GroupoidHom(
-                    source.levels[n], target.levels[n], data["obj_map"], arrow_map
-                )
-            )
-        return SimplicialGroupoidMap(source, target, data["obj_map"], level_homs)
-    if domain == "2gpd":
-        _check_shape(data, "2-groupoid map")
-        return TwoFunctor(source, target, data["objects"], data["map1"], data["map2"])
-    raise ValueError(f"unknown domain {domain!r}")
+    source = twogpd_from_json(data["source"])
+    target = twogpd_from_json(data["target"])
+    return checked(_2gpd_map(data, source, target))
 
 
 def presheaf_to_json(presheaf):
-    site = presheaf.site
+    site, io = presheaf.site, DOMAIN_IO[presheaf.domain]
     return {
         "site": site.to_json(),
         "domain": presheaf.domain,
-        "values": {
-            u: _value_to_json(presheaf.domain, presheaf.values[u])
-            for u in site.objects
-        },
-        "restrictions": {
-            a: _morphism_to_json(
-                presheaf.domain,
-                presheaf.restrictions[a],
-                presheaf.values[site.tgt(a)],
-                presheaf.values[site.src(a)],
-            )
-            for a in sorted(site.arrows)
-        },
+        "values": {u: io.write_value(presheaf.values[u]) for u in site.objects},
+        "restrictions": {a: io.write_map(presheaf.restrictions[a]) for a in sorted(site.arrows)},
     }
 
 
@@ -534,29 +504,25 @@ def _presheaf(data):
     _check_shape(data, "presheaf")
     site = site_from_json(data["site"])
     domain = data["domain"]
-    values = {u: _value_from_json(domain, v) for u, v in data["values"].items()}
+    io = DOMAIN_IO.get(domain)
+    if io is None:
+        raise ValueError(f"unknown domain {domain!r}")
+    values = {u: io.read_value(v) for u, v in data["values"].items()}
     restrictions = {}
     for a, m in data["restrictions"].items():
         v, u = site.arrows[a]
-        restrictions[a] = _morphism_from_json(domain, m, values[u], values[v])
+        restrictions[a] = io.read_map(m, values[u], values[v])
     return Presheaf(site, domain, values, restrictions)
 
 
 def nat_to_json(nat):
+    io = DOMAIN_IO[nat.source.domain]
     return {
         "nat": True,
         "domain": nat.source.domain,
         "source": presheaf_to_json(nat.source),
         "target": presheaf_to_json(nat.target),
-        "components": {
-            u: _morphism_to_json(
-                nat.source.domain,
-                nat.components[u],
-                nat.source.values[u],
-                nat.target.values[u],
-            )
-            for u in nat.source.site.objects
-        },
+        "components": {u: io.write_map(nat.components[u]) for u in nat.source.site.objects},
     }
 
 
@@ -570,10 +536,9 @@ def nat_from_json(data):
                 f"natural transformation domain {data['domain']!r} does not match "
                 f"the domain {presheaf.domain!r} of its {side}"
             )
+    io = DOMAIN_IO[source.domain]
     components = {
-        u: _morphism_from_json(
-            data["domain"], m, source.values[u], target.values[u]
-        )
+        u: io.read_map(m, source.values[u], target.values[u])
         for u, m in data["components"].items()
     }
     return checked(NaturalTransformation(source, target, components))

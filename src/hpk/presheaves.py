@@ -25,8 +25,68 @@ from .sset import SimplicialMap, TruncatedSimplicialSet, pi0_sset
 from .two_groupoids import TwoFunctor, pi1_with_classes, pi_2gpd
 
 
+# -- pointed invariants of a section -------------------------------------------
+#
+# A degree of a pointed invariant is a pair (classes, image):
+# ``classes(value, point)`` is (group table, classify), where ``classify`` sends
+# each representative ``image`` can produce to its class, and
+# ``image(morphism, cls)`` maps the representative ``cls`` of a class along a
+# map of sections.
+
+
+def _moore_degree(n):
+    """Moore pi_n of the loop simplicial group at the point."""
+
+    def classes(value, point):
+        return moore_pi_n_with_classes(hom_simplicial_group(value, point), n)
+
+    def image(morphism, cls):
+        return morphism.level(n)(cls)
+
+    return classes, image
+
+
+def _moore_degrees(n_max):
+    """The labelled Moore degrees the weak-equivalence criterion checks.  n = 0
+    is the pointed hom-components sheaf: pi_0 of the loop simplicial group, i.e.
+    pi_1 of the classifying complex.  Omitting it would let maps that kill
+    fundamental groups pass."""
+    return [("pi0(hom)" if n == 0 else f"pi{n}(hom)", n) for n in range(n_max + 1)]
+
+
+def _two_groupoid_degree(i):
+    """pi_1 or pi_2 of a 2-groupoid at the point."""
+    if i == 1:
+        return pi1_with_classes, lambda functor, cls: functor.map1[cls]
+    if i == 2:
+
+        def classes(value, point):
+            table = pi_2gpd(value, point, 2)
+            return table, {c: c for c in table.elements}
+
+        return classes, lambda functor, cls: functor.map2[cls]
+    raise ValueError("i must be 1 or 2")
+
+
+def _two_groupoid_components(value):
+    return pi_2gpd(value, value.objects[0], 0) if value.objects else ()
+
+
+def _object_image(morphism, point):
+    return morphism.obj_map[point]
+
+
+# -- value domains: one row each -----------------------------------------------------
+#
+# Besides the category operations a row has ``components`` (value -> its pi_0
+# classes), ``apply`` (the image of an element, a vertex or an object under a
+# map), ``degree`` (n -> the degree-n pointed invariant) and ``degrees`` (n_max
+# -> the (witness label, n) pairs the weak-equivalence criterion checks), or None.
+
+
 class _SetOps:
     name = "set"
+    components = degree = degrees = None
 
     @staticmethod
     def elements(value):
@@ -80,9 +140,13 @@ class _MapOps:
     presheaf may hold agrees on ``identity``, ``compose``, ``equals`` and
     ``validate``."""
 
-    def __init__(self, name, map_class):
+    def __init__(self, name, map_class, components, apply, degree=None, degrees=None):
         self.name = name
         self.map_class = map_class
+        self.components = components
+        self.apply = apply
+        self.degree = degree
+        self.degrees = degrees
 
     @staticmethod
     def validate_morphism(m, src, tgt):
@@ -105,9 +169,11 @@ DOMAINS = {
     for ops in (
         _SetOps,
         _GroupOps,
-        _MapOps("sset", SimplicialMap),
-        _MapOps("sgpd", SimplicialGroupoidMap),
-        _MapOps("2gpd", TwoFunctor),
+        _MapOps("sset", SimplicialMap, pi0_sset, lambda smap, vertex: smap(0, vertex)),
+        _MapOps("sgpd", SimplicialGroupoidMap, pi0_sgpd, _object_image, _moore_degree,
+                _moore_degrees),
+        _MapOps("2gpd", TwoFunctor, _two_groupoid_components, _object_image,
+                _two_groupoid_degree, lambda n_max: [("pi1", 1), ("pi2", 2)]),
     )
 }
 
@@ -379,12 +445,11 @@ def presheaves_isomorphic(f, g, budget=None):
             ys = ops.elements(g.values[u])
             if len(xs) != len(ys):
                 return False
-            candidates = []
-            for perm in _bijections(xs, ys, meter):
-                if f.domain == "group":
-                    if _GroupOps.validate_morphism(perm, f.values[u], g.values[u]):
-                        continue
-                candidates.append(perm)
+            candidates = [
+                perm
+                for perm in _bijections(xs, ys, meter)
+                if not ops.validate_morphism(perm, f.values[u], g.values[u])
+            ]
             if not candidates:
                 return False
             candidate_lists.append(candidates)
@@ -477,86 +542,21 @@ def pi0_presheaf(x):
     for a, (v, u) in site.arrows.items():
         table = {}
         for rep in values[u]:
-            table[rep] = reps[v][_component_image(x.domain, x.restrictions[a], rep)]
+            table[rep] = reps[v][x.ops.apply(x.restrictions[a], rep)]
         restrictions[a] = table
     return Presheaf(site, "set", values, restrictions)
 
 
 def _components_of_value(x, v):
     """point -> component representative for the value at v."""
-    value = x.values[v]
-    if x.domain == "sgpd":
-        classes = pi0_sgpd(value)
-    elif x.domain == "2gpd":
-        classes = pi_2gpd(value, value.objects[0], 0) if value.objects else ()
-    elif x.domain == "sset":
-        classes = pi0_sset(value)
-    else:
+    if x.ops.components is None:
         raise ValueError(f"pi0 presheaf undefined for domain {x.domain}")
     rep_of = {}
-    for members in classes:
+    for members in x.ops.components(x.values[v]):
         rep = min(members)
         for m in members:
             rep_of[m] = rep
     return rep_of
-
-
-def _component_image(domain, morphism, point):
-    """The image of a point of a section (a vertex or an object) under a map."""
-    if domain == "sset":
-        return morphism(0, point)
-    if domain in ("sgpd", "2gpd"):
-        return morphism.obj_map[point]
-    raise ValueError(f"pi0 presheaf undefined for domain {domain}")
-
-
-# -- pointed invariants of a section -------------------------------------------
-#
-# A degree of a pointed invariant is a pair (classes, image):
-# ``classes(value, point)`` is (group table, classify), where ``classify`` sends
-# each representative ``image`` can produce to its class, and
-# ``image(morphism, cls)`` maps the representative ``cls`` of a class along a
-# map of sections.
-
-
-def _moore_degree(n):
-    """Moore pi_n of the loop simplicial group at the point."""
-
-    def classes(value, point):
-        return moore_pi_n_with_classes(hom_simplicial_group(value, point), n)
-
-    def image(morphism, cls):
-        return morphism.level(n)(cls)
-
-    return classes, image
-
-
-def _two_groupoid_degree(i):
-    """pi_1 or pi_2 of a 2-groupoid at the point."""
-    if i == 1:
-        return pi1_with_classes, lambda functor, cls: functor.map1[cls]
-    if i == 2:
-
-        def classes(value, point):
-            table = pi_2gpd(value, point, 2)
-            return table, {c: c for c in table.elements}
-
-        return classes, lambda functor, cls: functor.map2[cls]
-    raise ValueError("i must be 1 or 2")
-
-
-# domain -> (degree n -> its (classes, image), n_max -> the (witness label,
-# degree) pairs the weak-equivalence criterion checks).  For simplicial
-# groupoids n = 0 is the pointed hom-components sheaf: pi_0 of the loop
-# simplicial group, i.e. pi_1 of the classifying complex.  Omitting it would
-# let maps that kill fundamental groups pass.
-_POINTED_INVARIANTS = {
-    "sgpd": (
-        _moore_degree,
-        lambda n_max: [("pi0(hom)" if n == 0 else f"pi{n}(hom)", n) for n in range(n_max + 1)],
-    ),
-    "2gpd": (_two_groupoid_degree, lambda n_max: [("pi1", 1), ("pi2", 2)]),
-}
 
 
 def homotopy_presheaf(x, u, basepoint, n):
@@ -566,12 +566,11 @@ def homotopy_presheaf(x, u, basepoint, n):
     the loop simplicial group at the image of ``basepoint``; for 2-groupoid
     values it is pi_n, n = 1 or 2.  ``basepoint`` is an object of x(u).
     """
-    if x.domain not in _POINTED_INVARIANTS:
+    if x.ops.degree is None:
         raise ValueError("hsheaf needs simplicial groupoid or 2-groupoid values")
     if basepoint not in x.values[u].objects:
         raise ValueError(f"basepoint {basepoint!r} is not an object of the section")
-    degree = _POINTED_INVARIANTS[x.domain][0](n)
-    return _homotopy_presheaf(x, u, basepoint, degree)[0]
+    return _homotopy_presheaf(x, u, basepoint, x.ops.degree(n))[0]
 
 
 def _homotopy_presheaf(x, u, basepoint, degree):
@@ -623,16 +622,20 @@ def is_weak_equivalence(nat, kind, n_max=2):
     Returns (verdict, witnesses): the pi_0 sheaf map and all pointed homotopy
     sheaf maps must be isomorphisms of sheaves; ``kind`` names the values of
     both presheaves.  Simplicial-groupoid values are checked in Moore degrees
-    0 to n_max, 2-groupoid values at pi_1 and pi_2.
+    0 to n_max, 2-groupoid values at pi_1 and pi_2; n_max must be
+    non-negative for both.
     """
     x, y = nat.source, nat.target
-    if kind not in _POINTED_INVARIANTS:
+    ops = DOMAINS.get(kind)
+    if ops is None or ops.degree is None:
         raise ValueError("kind must be 'sgpd' or '2gpd'")
     if (x.domain, y.domain) != (kind, kind):
         raise ValueError(
             f"kind {kind!r} does not match the values of the transformation "
             f"({x.domain!r} to {y.domain!r})"
         )
+    if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 0:
+        raise ValueError(f"n_max must be a non-negative integer, got {n_max!r}")
     site = x.site
     witnesses = []
 
@@ -642,18 +645,17 @@ def is_weak_equivalence(nat, kind, n_max=2):
     for v in site.objects:
         reps_y = _components_of_value(y, v)
         components[v] = {
-            rep: reps_y[_component_image(kind, nat.components[v], rep)]
+            rep: reps_y[ops.apply(nat.components[v], rep)]
             for rep in pi0_x.values[v]
         }
     for obj in _induced_sheaf_iso(pi0_x, pi0_y, components):
         witnesses.append({"sheaf": "pi0", "object": obj})
 
-    invariant, degrees = _POINTED_INVARIANTS[kind]
     for u in site.objects:
         for basepoint in x.values[u].objects:
             fx = nat.components[u].obj_map[basepoint]
-            for label, n in degrees(n_max):
-                degree = invariant(n)
+            for label, n in ops.degrees(n_max):
+                degree = ops.degree(n)
                 px, _ = _homotopy_presheaf(x, u, basepoint, degree)
                 py, classifiers = _homotopy_presheaf(y, u, fx, degree)
                 image = degree[1]

@@ -198,6 +198,8 @@ class SimplicialMap:
         return self.level_maps[n][x]
 
     def validate(self):
+        if len(self.level_maps) != self.source.depth + 1:
+            return ["wrong number of level maps"]
         problems = []
         for n in range(self.source.depth + 1):
             mapping = self.level_maps[n]

@@ -282,6 +282,33 @@ def test_weq_command_pointwise_iso(tmp_path, capsys):
     assert json.loads(out)["verdict"] is True
 
 
+def test_weq_rejects_a_negative_nmax(tmp_path, capsys):
+    """Z/2 -> 1 on constant presheaves kills pi_1: the pi0(hom) degree finds
+    it, and a negative n_max, which would check no degree, is an input error."""
+    from hpk.groupoids import GroupoidHom, SimplicialGroupoidMap
+    from hpk.presheaves import NaturalTransformation, constant_presheaf
+
+    site = FiniteSite.two_object_site()
+    z2 = SimplicialGroupoid.constant(_gpd_z2(), 3)
+    point = SimplicialGroupoid.constant(FiniteGroupoid.trivial(), 3)
+    hom = GroupoidHom(z2.levels[0], point.levels[0], {"*": "*"}, {"g0": "e", "g1": "e"})
+    collapse = SimplicialGroupoidMap(z2, point, {"*": "*"}, [hom] * 4)
+    nat = NaturalTransformation(
+        constant_presheaf(site, "sgpd", z2),
+        constant_presheaf(site, "sgpd", point),
+        {u: collapse for u in site.objects},
+    )
+    path = write(tmp_path, "kill.json", jsonio.nat_to_json(nat))
+    code, out = run(capsys, "weq", path, "--kind", "sgpd", "--nmax", "2")
+    assert code == 1 and json.loads(out)["verdict"] is False
+    two = write(tmp_path, "two.json", _identity_nat(_pi2_z2)())
+    for kind, doc in (("sgpd", path), ("2gpd", two)):
+        code = main(["weq", doc, "--kind", kind, "--nmax", "-1"])
+        assert (code, *capsys.readouterr()) == (
+            2, "", "input error: n_max must be a non-negative integer, got -1\n"
+        )
+
+
 def test_lift_command_examples(tmp_path, capsys):
     horn = standard_complex("horn", 2, k=1, depth=2)
     d2 = standard_complex("Delta", 2)
@@ -840,6 +867,61 @@ def _loop_delta1_face_letters(letters):
     return build
 
 
+def _at(build, path, value):
+    """The document ``build`` makes, its node at ``path`` replaced by ``value``."""
+
+    def document():
+        data = node = build()
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        return data
+
+    return document
+
+
+def _doubled(build, path):
+    """The document ``build`` makes, the array at ``path`` written twice over."""
+
+    def document():
+        data = node = build()
+        for key in path:
+            node = node[key]
+        node.extend(list(node))
+        return data
+
+    return document
+
+
+def _constant_presheaf(domain, value):
+    from hpk.presheaves import constant_presheaf
+
+    return lambda: jsonio.presheaf_to_json(
+        constant_presheaf(FiniteSite.two_object_site(), domain, value)
+    )
+
+
+def _sset_presheaf():
+    return _constant_presheaf("sset", standard_complex("Delta", 1))()
+
+
+def _free_sgpd():
+    """The loop groupoid of Delta^1: both levels free."""
+    return "sgpd", loop_groupoid(standard_complex("Delta", 1, depth=2), 1)
+
+
+def _to_sset_transpose():
+    data = _bad_transpose()
+    data["direction"] = "to-sset"
+    return data
+
+
+_NOT_A_FREE_ARROW = (
+    "free arrow 'x' is not an object with a string src and an array of "
+    "[generator, exponent] letters"
+)
+
+
 def _set_presheaf_value_u(value):
     def build():
         data = _set_presheaf({"a": "c", "b": "d"})
@@ -985,6 +1067,58 @@ INVALID_DOCUMENTS = {
                         "a transpose document must be an object, got an array"),
     "transpose_null_depth": (_with(_bad_transpose, "depth", None), ["transpose"], 2,
                              "transpose document depth must be a number, got null"),
+    # a map inside a presheaf, a transformation or a transpose document is read
+    # by its value domain's checked reader
+    "sset_restriction_null_levels": (_at(_sset_presheaf, ("restrictions", "f", "levels"), None),
+                                     ["sheafify"], 2,
+                                     "simplicial map levels must be an array, got null"),
+    "sset_restriction_array": (_at(_sset_presheaf, ("restrictions", "f"), []), ["sheafify"], 2,
+                               "a simplicial map must be an object, got an array"),
+    "sset_restriction_empty": (_at(_sset_presheaf, ("restrictions", "f"), {}), ["sheafify"], 2,
+                               "simplicial map has no levels field"),
+    **{
+        f"sgpd_restriction_null_{field}": (
+            _at(_sgpd_presheaf, ("restrictions", "f", field), None), ["sheafify"], 2,
+            f"simplicial groupoid map {field} must be {kind}, got null")
+        for field, kind in (("obj_map", "an object"), ("levels", "an array"))
+    },
+    **{
+        f"nat_sgpd_null_{field}": (
+            _at(_identity_nat(_z2_sgpd), ("components", "U", field), None),
+            ["weq", "--kind", "sgpd"], 2,
+            f"simplicial groupoid map {field} must be {kind}, got null")
+        for field, kind in (("obj_map", "an object"), ("levels", "an array"))
+    },
+    "transpose_to_sset_empty_map": (_at(_to_sset_transpose, ("map",), {}), ["transpose"], 2,
+                                    "simplicial groupoid map has no obj_map field"),
+    "transpose_to_sset_null_level": (
+        _at(_to_sset_transpose, ("map",), {"obj_map": {}, "levels": [None]}), ["transpose"], 2,
+        "simplicial groupoid map levels holds null where an object belongs"),
+    "transpose_to_sgpd_null_levels": (_at(_bad_transpose, ("map", "levels"), None),
+                                      ["transpose"], 2,
+                                      "simplicial map levels must be an array, got null"),
+    # a map has one level map per level of its source
+    "smap_no_levels": (_with(_bad_smap, "levels", []), ["pushout"], 2,
+                       "invalid simplicial map: wrong number of level maps"),
+    "smap_doubled_levels": (_doubled(_bad_smap, ("levels",)), ["pushout"], 2,
+                            "invalid simplicial map: wrong number of level maps"),
+    "sgpd_restriction_doubled_levels": (
+        _doubled(_sgpd_presheaf, ("restrictions", "f", "levels")), ["sheafify"], 2,
+        "invalid simplicial groupoid map: wrong number of level maps"),
+    "nat_sgpd_doubled_levels": (
+        _doubled(_identity_nat(_z2_sgpd), ("components", "U", "levels")),
+        ["weq", "--kind", "sgpd"], 2,
+        "invalid simplicial groupoid map: wrong number of level maps"),
+    # an arrow of a finite level is a string id, one of a free level an object
+    # with a string src and an array of letters
+    "sgpd_list_arrow": (_z2_sgpd_doc(lambda d: d["faces"]["1,0"].__setitem__("g1", [])),
+                        ["validate"], 2, "arrow [] is not a string id"),
+    "sgpd_free_string_arrow": (
+        _at(lambda: _free_sgpd()[1].to_json(), ("faces", "1,0", "0.1.1"), "x"), ["validate"], 2,
+        _NOT_A_FREE_ARROW),
+    "sgpd_free_map_string_arrow": (
+        _at(_constant_presheaf(*_free_sgpd()), ("restrictions", "f", "levels", 0, "0.1"), "x"),
+        ["validate"], 2, _NOT_A_FREE_ARROW),
 }
 
 
@@ -1224,3 +1358,83 @@ def test_validate_reports_sset_tables_outside_the_depth(tmp_path, capsys, name, 
     code, out, err = run_on(tmp_path, capsys, "d1", document, ["validate"])
     assert (code, err) == (1, "")
     assert json.loads(out)["reports"][0]["violations"] == [violation]
+
+
+# -- documents of the wrong kind ------------------------------------------------------
+
+# every command that loads a document and needs one kind of it, given a valid
+# group document: its options and the whole message
+WRONG_KIND = {
+    "validate": ([], "validate does not handle kind 'group'"),
+    "pi0": ([], "pi0 does not handle kind 'group'"),
+    "bounds": ([], "bounds does not handle kind 'group'"),
+    "pikan": (["--base", "*", "-n", "1"], "pikan needs a simplicial set"),
+    "moore": (["-n", "0"], "moore needs a simplicial groupoid"),
+    "loop": (["--depth", "1"], "loop needs a simplicial set"),
+    "wbar": (["--depth", "1"], "wbar needs a simplicial groupoid"),
+    "wtotal": (["--depth", "1"], "wtotal needs a simplicial groupoid"),
+    "unit": (["--depth", "1"], "unit needs a simplicial set"),
+    "counit": (["--depth", "1"], "counit needs a simplicial groupoid"),
+    "nerve": (["--depth", "1"], "nerve needs a 2-groupoid"),
+    "pi2gpd": (["--base", "*", "-i", "0"], "pi2gpd needs a 2-groupoid"),
+    "whitehead": ([], "whitehead needs a simplicial set"),
+    "comma": (["--object", "*"], "comma needs a site"),
+    "yu": (["--site", "group.json", "--object", "*"], "yu needs a simplicial set"),
+    "sheafify": ([], "sheafify needs a presheaf"),
+    "hsheaf": (["--object", "*", "--base", "*", "-n", "0"], "hsheaf needs a presheaf"),
+    "geninc": (["--nmax", "0"], "geninc needs a site"),
+    "site-validate": ([], "group.json is not a site"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(WRONG_KIND))
+def test_a_document_of_the_wrong_kind_is_named(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "group.json", GroupTable.cyclic(2).to_json())
+    options, reason = WRONG_KIND[command]
+    code = main([command, "group.json", *options])
+    assert (code, *capsys.readouterr()) == (2, "", f"input error: {reason}\n")
+
+
+def test_yu_names_a_site_file_of_the_wrong_kind(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "pt.json", standard_complex("point", depth=1).to_json())
+    code = main(["yu", "pt.json", "--site", "pt.json", "--object", "U"])
+    assert (code, *capsys.readouterr()) == (2, "", "input error: yu needs a site file\n")
+
+
+# -- reading and writing back ---------------------------------------------------------
+
+
+def _round_trip_documents():
+    from test_golden_outputs import domain_transformations
+    from hpk.two_groupoids import TwoFunctor
+
+    docs = {}
+    for name, nat in domain_transformations().items():
+        docs[f"presheaf_{name}"] = (jsonio.presheaf_to_json(nat.source), jsonio.presheaf_to_json)
+        docs[f"nat_{name}"] = (jsonio.nat_to_json(nat), jsonio.nat_to_json)
+        map_to_json = {"sset": jsonio.smap_to_json, "2gpd": jsonio.functor2_to_json}.get(name)
+        if map_to_json:
+            docs[f"map_{name}"] = (map_to_json(nat.components["U"]), map_to_json)
+    d2 = standard_complex("Delta", 2)
+    docs["map_sset_delta2"] = (jsonio.smap_to_json(SimplicialMap.identity(d2)), jsonio.smap_to_json)
+    docs["map_2gpd_pi2"] = (_identity_2functor(), jsonio.functor2_to_json)
+    return docs
+
+
+READERS = {
+    "presheaf": lambda data: jsonio.load_object(data)[1],
+    "nat": jsonio.nat_from_json,
+    "map_sset": jsonio.smap_from_json,
+    "map_2gpd": jsonio.functor2_from_json,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_round_trip_documents()))
+def test_documents_read_and_written_back_are_unchanged(name):
+    document, to_json = _round_trip_documents()[name]
+    text = json.dumps(document, sort_keys=True)
+    read = next(reader for prefix, reader in READERS.items() if name.startswith(prefix))
+    again = to_json(read(json.loads(text)))
+    assert json.dumps(again, sort_keys=True) == text

@@ -7,6 +7,11 @@ that are not simplicial, squares that do not commute, sections of different
 depths) and must be rejected with exit 2; the rest are solved (0 or 1) or
 run out of budget (3).
 
+Presheaf, transformation and transpose documents start valid, one of each
+value domain and one transpose of each direction; one node is then replaced
+by null, [], {}, "x" or 0, and the command that reads the document must give
+an exit status.
+
 Command lines are drawn from the command table's words, options, choices and
 junk tokens; ``parse_args``, which parses every call with one parser kept for
 the process, must give the same namespace as a freshly built parser, or the
@@ -14,14 +19,20 @@ same exit status and text.
 """
 
 import contextlib
+import functools
 import io
 import json
 
 from hypothesis import given, settings, strategies as st
 
+from hpk import jsonio
 from hpk.cli import COMMANDS, COMMON, build_parser, main, parse_args
+from hpk.groupoids import FiniteGroupoid, SimplicialGroupoid
+from hpk.homsearch import enumerate_simplicial_maps
+from hpk.loop import enumerate_sgpd_maps, loop_groupoid, wbar
 from hpk.sites import FiniteSite
-from hpk.sset import standard_complex
+from hpk.sset import standard_complex, truncate
+from test_golden_outputs import domain_transformations
 
 SHAPES = [
     ("point", 0, None),
@@ -106,6 +117,65 @@ def test_lift_never_raises(tmp_path_factory, doc):
     path = tmp_path_factory.mktemp("lift") / "doc.json"
     path.write_text(json.dumps(doc))
     assert main(["lift", str(path)]) in (0, 1, 2, 3)
+
+
+def _transpose_documents():
+    """A valid transpose document of each direction: Delta^1 and the constant
+    interval groupoid at depth 2."""
+    x = standard_complex("Delta", 1, depth=3)
+    a = SimplicialGroupoid.constant(FiniteGroupoid.interval(), 2)
+    psi = next(enumerate_simplicial_maps(truncate(x, 3), wbar(a, 3).sset))
+    phi = jsonio.sgpd_map_to_json(enumerate_sgpd_maps(loop_groupoid(x, 2), x, a)[0])
+    common = {"complex": x.to_json(), "groupoid": a.to_json(), "depth": 2}
+    return {
+        "to-sgpd": {**common, "direction": "to-sgpd", "map": psi.to_json()},
+        "to-sset": {**common, "direction": "to-sset",
+                    "map": {"obj_map": phi["obj_map"], "levels": phi["levels"]}},
+    }
+
+
+def _paths(node, path=()):
+    """The path of every node of a JSON document, the root first."""
+    yield path
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _paths(child, (*path, key))
+
+
+@functools.cache
+def reader_documents():
+    """(document text, command line, node paths) of every document to mutate."""
+    cases = []
+    for name, nat in domain_transformations().items():
+        # the sections have depth 2: Moore degrees up to 1
+        kind = ["--kind", "2gpd"] if name == "2gpd" else ["--kind", "sgpd", "--nmax", "1"]
+        cases.append((jsonio.presheaf_to_json(nat.source), ["validate"]))
+        cases.append((jsonio.nat_to_json(nat), ["weq", *kind]))
+    cases.extend((doc, ["transpose"]) for doc in _transpose_documents().values())
+    return [(json.dumps(doc), argv, list(_paths(doc))) for doc, argv in cases]
+
+
+@st.composite
+def mutated_documents(draw):
+    text, argv, paths = draw(st.sampled_from(reader_documents()))
+    path = draw(st.sampled_from(paths))
+    value = draw(st.sampled_from([None, [], {}, "x", 0]))
+    if not path:
+        return argv, value
+    doc = node = json.loads(text)
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return argv, doc
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(mutated_documents())
+def test_readers_never_raise(tmp_path_factory, case):
+    argv, doc = case
+    path = tmp_path_factory.mktemp("doc") / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main([argv[0], str(path), *argv[1:]]) in (0, 1, 2, 3)
 
 
 NAMES = [row[0] for row in COMMANDS]

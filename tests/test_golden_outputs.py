@@ -28,6 +28,7 @@ from hpk.lifting import as_point_presheaf, enumerate_presheaf_sset_maps
 from hpk.loop import enumerate_sgpd_maps, loop_groupoid, loop_of_map, wbar
 from hpk.model_checks import pullback_sgpd, pushout_free_sgpd
 from hpk.presheaves import (
+    DOMAINS,
     NaturalTransformation,
     Presheaf,
     apply_pointwise,
@@ -222,6 +223,96 @@ def test_golden_digests(tmp_path, capsys, monkeypatch):
     assert set(outputs) == set(GOLDEN)
     got = {name: _digest(data) for name, data in outputs.items()}
     assert got == GOLDEN
+
+
+# -- one document of every kind ----------------------------------------------------
+
+
+def domain_transformations():
+    """A natural transformation of presheaves on the two-object site for each
+    value domain, by name; ``sgpd_free`` has free levels (the loop groupoid of
+    Delta^1).  Set and simplicial-groupoid values collapse onto a point, and
+    2-groupoid values onto the trivial 2-groupoid."""
+    site = FiniteSite.two_object_site()
+    out = {}
+    pairs = Presheaf(
+        site, "set", {"U": ("a", "b"), "V": ("c", "d")},
+        {"idU": {"a": "a", "b": "b"}, "idV": {"c": "c", "d": "d"}, "f": {"a": "c", "b": "d"}},
+    )
+    points = Presheaf(
+        site, "set", {"U": ("x",), "V": ("y",)}, {"idU": {"x": "x"}, "idV": {"y": "y"}, "f": {"x": "y"}}
+    )
+    out["set"] = NaturalTransformation(
+        pairs, points, {"U": {"a": "x", "b": "x"}, "V": {"c": "y", "d": "y"}}
+    )
+
+    def identity(domain, value):
+        x = value if isinstance(value, Presheaf) else constant_presheaf(site, domain, value)
+        ident = {u: DOMAINS[domain].identity(x.values[u]) for u in site.objects}
+        return NaturalTransformation(x, x, ident)
+
+    out["group"] = identity("group", GroupTable.cyclic(2))
+    out["sset"] = identity("sset", y_u(standard_complex("Delta", 1, depth=1), "U", site))
+    z2, triv = _z2_sgpd(2), SimplicialGroupoid.constant(FiniteGroupoid.trivial(), 2)
+    collapse = GroupoidHom(z2.levels[0], triv.levels[0], {"*": "*"}, {"g0": "e", "g1": "e"})
+    out["sgpd"] = NaturalTransformation(
+        constant_presheaf(site, "sgpd", z2),
+        constant_presheaf(site, "sgpd", triv),
+        {u: SimplicialGroupoidMap(z2, triv, {"*": "*"}, [collapse] * 3) for u in site.objects},
+    )
+    out["sgpd_free"] = identity("sgpd", loop_groupoid(standard_complex("Delta", 1, depth=2), 1))
+    k = _pi2_z3()
+    out["2gpd"] = NaturalTransformation(
+        constant_presheaf(site, "2gpd", k),
+        constant_presheaf(site, "2gpd", TwoGroupoid.from_groupoid(FiniteGroupoid.trivial())),
+        {u: _collapse_2gpd(k) for u in site.objects},
+    )
+    return out
+
+
+def kind_documents():
+    """One valid document of every kind the command line detects, and the
+    source presheaf of every transformation of ``domain_transformations``."""
+    free = loop_groupoid(standard_complex("Delta", 1, depth=2), 1)
+    docs = {
+        "site": FiniteSite.two_object_site().to_json(),
+        "2gpd": _pi2_z3().to_json(),
+        "sset": standard_complex("sphere", 1, depth=2).to_json(),
+        "sgpd": _z2_sgpd(2).to_json(),
+        "sgpd_free": free.to_json(),
+        "groupoid": FiniteGroupoid.chaotic(["x", "y"], GroupTable.cyclic(2)).to_json(),
+        "free_groupoid": free.levels[1].to_json(),
+        "chain": {"groups": [[], [2]], "boundaries": [[[]]]},
+        "group": GroupTable.cyclic(3).to_json(),
+    }
+    for name, nat in domain_transformations().items():
+        docs[f"presheaf_{name}"] = jsonio.presheaf_to_json(nat.source)
+    return docs
+
+
+# `hpk bounds`, `pi0` and `validate` on every document of ``kind_documents``,
+# in name order: each run's file name, exit code, stdout and stderr
+GOLDEN_KINDS = {
+    "bounds": "3317fd5a99deed44541959334109923738142c5493ce704a4b47e468e4dac482",
+    "pi0": "26c9c9ebe74cf165656e0c66b6bf37b92ffc6f1dc48b87f3bb3a8e7e427328a2",
+    "validate": "5f7f66955fe66d861ee9fd9dd7748e3199df60205f33880daf536ecb13f12f45",
+}
+
+
+def test_kind_golden_digests(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("HPK_BUDGET", raising=False)
+    monkeypatch.chdir(tmp_path)
+    docs = kind_documents()
+    for name, doc in docs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    got = {}
+    for command in GOLDEN_KINDS:
+        runs = []
+        for name in sorted(docs):
+            code = main([command, f"{name}.json"])
+            runs.append([name, code, *capsys.readouterr()])
+        got[command] = _digest(runs)
+    assert got == GOLDEN_KINDS
 
 
 # `hpk doldkan` stdout, recorded before the levels were built from flat
