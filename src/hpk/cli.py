@@ -21,7 +21,7 @@ from .budgets import (
     DEFAULT_REWRITE_BUDGET,
     env_budget,
 )
-from .groupoids import dold_kan, moore_pi_n, pi0_groupoid, pi0_sgpd
+from .groupoids import dold_kan, moore_pi_n
 from .kan import KanConditionFailed, pi_n_kan
 from .lifting import LiftingProblem, as_point_map, generating_inclusions, solve_lifting
 from .loop import (
@@ -37,7 +37,7 @@ from .loop import (
 )
 from .presheaves import homotopy_sheaf, is_weak_equivalence, sheaf_condition_report, sheafify, y_u
 from .sites import comma_site
-from .sset import pi0_sset, pullback, pushout, standard_complex
+from .sset import pullback, pushout, standard_complex
 from .two_groupoids import ms_fibration, ms_weak_equivalence, nerve, pi_2gpd
 from .whitehead import whitehead_2gpd
 
@@ -59,25 +59,23 @@ def _read(path):
         return json.load(handle)
 
 
-# the words for a document of each kind a command may need
-_KIND_NAMES = {"sset": "a simplicial set", "sgpd": "a simplicial groupoid", "2gpd": "a 2-groupoid",
-               "site": "a site", "presheaf": "a presheaf"}
-
-
-def _load(path, kind, command):
-    """The checked object of the document at ``path``, which must be of ``kind``."""
-    found, obj = jsonio.load_object(_read(path))
+def _load(path, kind, command, refusal=None, check=True):
+    """The object of the document at ``path``, law-checked unless ``check`` is
+    false, which must be of ``kind``; else ``refusal``, by default "<command>
+    needs <a document of that kind>"."""
+    load = jsonio.load_object if check else jsonio.load_object_unchecked
+    found, obj = load(_read(path))
     if found != kind:
-        raise ValueError(f"{command} needs {_KIND_NAMES[kind]}")
+        raise ValueError(refusal or f"{command} needs {jsonio.KINDS[kind].needs}")
     return obj
 
 
-def _row(table, kind, command):
-    """What ``table`` holds for documents of ``kind``."""
-    row = table.get(kind)
-    if row is None:
+def _answer(kind, command):
+    """The function the row of ``kind`` holds for ``command``."""
+    answer = getattr(jsonio.KINDS[kind], command)
+    if answer is None:
         raise ValueError(f"{command} does not handle kind {kind!r}")
-    return row
+    return answer
 
 
 def _emit(payload, args):
@@ -119,14 +117,10 @@ def _group_json(table):
 # -- commands -------------------------------------------------------------------
 
 
-# the kinds whose law violations validate reports
-_VALIDATED = frozenset(("sset", "sgpd", "groupoid", "2gpd", "presheaf"))
-
-
 def cmd_validate(args):
     def one(path):
         kind, obj = jsonio.load_object_unchecked(_read(path))
-        if kind not in _VALIDATED:
+        if not jsonio.KINDS[kind].validated:
             jsonio.checked(obj)  # an invalid document of another kind is still invalid input
             raise ValueError(f"validate does not handle kind {kind!r}")
         # the parts are input like any other; the whole is what is reported
@@ -174,13 +168,9 @@ def cmd_pullback(args):
     return 0
 
 
-# the path components of a document, by its kind
-_PI0 = {"sset": pi0_sset, "groupoid": pi0_groupoid, "free_groupoid": pi0_groupoid, "sgpd": pi0_sgpd}
-
-
 def cmd_pi0(args):
     kind, obj = jsonio.load_object(_read(args.file))
-    components = _row(_PI0, kind, "pi0")(obj)
+    components = _answer(kind, "pi0")(obj)
     _emit(
         {"count": len(components), "components": [list(c) for c in components]}, args
     )
@@ -245,8 +235,8 @@ def cmd_wtotal(args):
 def cmd_transpose(args):
     data = _read(args.file)
     jsonio._check_shape(data, "transpose document")
-    sset = jsonio.checked(jsonio.sset_from_json(data["complex"]))
-    sgpd = jsonio.checked(jsonio.sgpd_from_json(data["groupoid"]))
+    sset = jsonio.checked(jsonio.KINDS["sset"].read(data["complex"]))
+    sgpd = jsonio.checked(jsonio.KINDS["sgpd"].read(data["groupoid"]))
     depth = data["depth"]
     gx = loop_groupoid(sset, depth)
     wb = wbar(sgpd, depth + 1)
@@ -387,10 +377,8 @@ def cmd_msfib(args):
 
 def cmd_site_validate(args):
     def one(path):
-        data = _read(path)
-        if jsonio.detect_kind(data) != "site":
-            raise ValueError(f"{path} is not a site")
-        return {"file": path, "violations": jsonio.site_from_json(data).validate()}
+        site = _load(path, "site", "site-validate", f"{path} is not a site", check=False)
+        return {"file": path, "violations": site.validate()}
 
     reports = [one(path) for path in args.files]
     _emit({"reports": reports}, args)
@@ -405,9 +393,7 @@ def cmd_comma(args):
 
 def cmd_yu(args):
     sset = _load(args.file, "sset", "yu")
-    site_kind, site = jsonio.load_object(_read(args.site))
-    if site_kind != "site":
-        raise ValueError("yu needs a site file")
+    site = _load(args.site, "site", "yu", "yu needs a site file")
     out = y_u(sset, args.object, site)
     _emit(jsonio.presheaf_to_json(out), args)
     return 0
@@ -483,39 +469,10 @@ def cmd_lift(args):
     return 0 if result["outcome"] == "lift" else 1
 
 
-def _level_size(level):
-    return len(level.generators) if level.is_free else len(level.arrows)
-
-
-# the sizes bounds reports for a document, by its kind
-_BOUNDS = {
-    "sset": lambda x: {"levels": x.level_sizes()},
-    "sgpd": lambda x: {
-        "levels": [{"generators" if l.is_free else "arrows": _level_size(l)} for l in x.levels]
-    },
-    "groupoid": lambda x: {"objects": len(x.objects), "arrows": len(x.arrows)},
-    "free_groupoid": lambda x: {"objects": len(x.objects), "generators": len(x.generators)},
-    "2gpd": lambda x: {"objects": len(x.objects), "cells1": len(x.cells1), "cells2": len(x.cells2)},
-    "presheaf": lambda x: {
-        "sections": {u: _SECTION_BOUNDS[x.domain](x.values[u]) for u in x.site.objects}
-    },
-    "site": lambda x: {"objects": len(x.objects), "arrows": len(x.arrows)},
-}
-
-# the sizes bounds reports for a presheaf's section, by its value domain
-_SECTION_BOUNDS = {
-    "set": len,
-    "group": lambda x: x.order,
-    "sset": lambda x: x.level_sizes(),
-    "sgpd": lambda x: [_level_size(level) for level in x.levels],
-    "2gpd": lambda x: {"cells1": len(x.cells1), "cells2": len(x.cells2)},
-}
-
-
 def cmd_bounds(args):
     def one(path):
         kind, obj = jsonio.load_object(_read(path))
-        return {"file": path, "bounds": _row(_BOUNDS, kind, "bounds")(obj)}
+        return {"file": path, "bounds": _answer(kind, "bounds")(obj)}
 
     reports = [one(path) for path in args.files]
     _emit({"reports": reports}, args)

@@ -27,8 +27,6 @@ from .sset import (
     TruncatedSimplicialSet,
     _UnionFind,
     check_depth,
-    operator_key,
-    split_pair_key,
 )
 
 
@@ -95,14 +93,6 @@ class FiniteGroupoid:
             "identities": dict(sorted(self.identities.items())),
             "inverses": dict(sorted(self.inverses.items())),
         }
-
-    @classmethod
-    def from_json(cls, data):
-        arrows = {a["id"]: (a["src"], a["tgt"]) for a in data["arrows"]}
-        comp = {split_pair_key(key): h for key, h in data["comp"].items()}
-        return cls(
-            data["objects"], arrows, comp, dict(data["identities"]), dict(data["inverses"])
-        )
 
     # constructors ----------------------------------------------------------
 
@@ -291,12 +281,6 @@ class FreeGroupoid:
             ],
         }
 
-    @classmethod
-    def from_json(cls, data):
-        return cls(
-            data["objects"], {g["id"]: (g["src"], g["tgt"]) for g in data["generators"]}
-        )
-
 
 _WORD_TABLES = (
     _Lookup(lambda a: (a.src, a.tgt) if isinstance(a, FreeArrow) else None),
@@ -314,25 +298,6 @@ def arrow_to_json(gpd, arrow):
     if gpd.is_free:
         return {"src": arrow.src, "letters": [[g, e] for g, e in arrow.letters]}
     return arrow
-
-
-def arrow_from_json(gpd, data):
-    """The arrow ``arrow_to_json`` writes as ``data``."""
-    if not gpd.is_free:
-        if not isinstance(data, str):
-            raise ValueError(f"arrow {data!r} is not a string id")
-        return data
-    if not (
-        isinstance(data, dict)
-        and isinstance(data.get("src"), str)
-        and isinstance(data.get("letters"), list)
-        and all(isinstance(letter, list) and len(letter) == 2 for letter in data["letters"])
-    ):
-        raise ValueError(
-            f"free arrow {data!r} is not an object with a string src and an array of "
-            "[generator, exponent] letters"
-        )
-    return gpd.word([(g, e) for g, e in data["letters"]], at=data["src"])
 
 
 def _probe_arrows(gpd):
@@ -461,25 +426,6 @@ class SimplicialGroupoid:
                 f"{n},{i}": hom_json(h) for (n, i), h in sorted(self.degeneracies.items())
             },
         }
-
-    @classmethod
-    def from_json(cls, data):
-        levels = [
-            FreeGroupoid.from_json(g)
-            if g.get("free")
-            else FiniteGroupoid.from_json(g)
-            for g in data["levels"]
-        ]
-
-        obj_map = {o: o for o in data["objects"]}
-        faces, degeneracies = {}, {}
-        for tables, name, shift in ((faces, "faces", -1), (degeneracies, "degeneracies", 1)):
-            for key, table in data[name].items():
-                n, i = operator_key(key)
-                src, tgt = levels[n], levels[n + shift]
-                arrow_map = {a: arrow_from_json(tgt, v) for a, v in table.items()}
-                tables[(n, i)] = GroupoidHom(src, tgt, obj_map, arrow_map)
-        return cls(data["objects"], levels, faces, degeneracies)
 
 
 class SimplicialGroupoidMap:

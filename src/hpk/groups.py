@@ -12,7 +12,6 @@ from itertools import combinations, product
 from math import gcd
 
 from .budgets import Meter
-from .sset import split_pair_key
 
 # the coset cap of every Todd-Coxeter run that does not name its own
 DEFAULT_MAX_COSETS = 1000
@@ -202,11 +201,6 @@ class GroupTable:
             "identity": self.identity,
             "mult": {f"{a}|{b}": c for (a, b), c in sorted(self.mult.items())},
         }
-
-    @classmethod
-    def from_json(cls, data):
-        mult = {split_pair_key(key): c for key, c in data["mult"].items()}
-        return cls(data["elements"], mult, data["identity"])
 
     @classmethod
     def trivial(cls):

@@ -1,8 +1,9 @@
 """JSON encodings for every object the command line reads or writes.
 
 The simplicial-set and site formats are fixed; maps and presheaves carry
-their endpoints inline so a single file is self-contained.  Kinds are
-inferred from the key shape where unambiguous.
+their endpoints inline so a single file is self-contained.  Every document
+kind is one row of ``KINDS``: how it is recognised, the shape of its fields,
+its one reader, and the answers the command line gives for it.
 
 This is where hpk checks its input.  Constructors only store their data; every
 reader here runs ``validate()`` on each object it builds, parts before the
@@ -14,9 +15,11 @@ It is also where hpk writes its output: ``dumps`` gives the text the ``json``
 module writes with ``sort_keys=True`` and ``indent=2``, plus a newline.
 """
 
+import json
 from collections import namedtuple
 from json.encoder import encode_basestring_ascii
 from operator import methodcaller
+from typing import NamedTuple
 
 from .abelian import AbelianHom, ChainFixture, FiniteAbelianGroup
 from .groups import GroupTable
@@ -26,38 +29,49 @@ from .groupoids import (
     GroupoidHom,
     SimplicialGroupoid,
     SimplicialGroupoidMap,
-    arrow_from_json,
     arrow_to_json,
+    pi0_groupoid,
+    pi0_sgpd,
 )
 from .lifting import LiftingProblem
 from .presheaves import NaturalTransformation, Presheaf
 from .sites import FiniteSite
-from .sset import SimplicialMap, TruncatedSimplicialSet, operator_key
+from .sset import SimplicialMap, TruncatedSimplicialSet, pi0_sset
 from .two_groupoids import TwoFunctor, TwoGroupoid
 
 
-# the start of the error a failed law check raises, by the class checked
-_INVALID = {
-    TruncatedSimplicialSet: "invalid simplicial set",
-    SimplicialMap: "invalid simplicial map",
-    FiniteGroupoid: "invalid groupoid",
-    GroupoidHom: "invalid groupoid map",
-    SimplicialGroupoid: "invalid simplicial groupoid",
-    SimplicialGroupoidMap: "invalid simplicial groupoid map",
-    GroupTable: "not a group",
-    TwoGroupoid: "invalid 2-groupoid",
-    TwoFunctor: "invalid 2-functor",
-    FiniteSite: "invalid site",
-    Presheaf: "invalid presheaf",
-    NaturalTransformation: "invalid natural transformation",
-    LiftingProblem: "invalid lifting problem",
+def _ends(x):
+    return [x.source, x.target]
+
+
+# for each class with a law check: the start of the error a failed check
+# raises, and the objects an instance is built from, in the order its
+# document lists them (None: it is built from no checked object)
+_CHECKS = {
+    TruncatedSimplicialSet: ("invalid simplicial set", None),
+    SimplicialMap: ("invalid simplicial map", _ends),
+    FiniteGroupoid: ("invalid groupoid", None),
+    GroupoidHom: ("invalid groupoid map", None),
+    SimplicialGroupoid: ("invalid simplicial groupoid",
+                         lambda x: [*x.levels, *x.faces.values(), *x.degeneracies.values()]),
+    SimplicialGroupoidMap: ("invalid simplicial groupoid map",
+                            lambda x: [x.source, x.target, *x.level_homs]),
+    GroupTable: ("not a group", None),
+    TwoGroupoid: ("invalid 2-groupoid", None),
+    TwoFunctor: ("invalid 2-functor", _ends),
+    FiniteSite: ("invalid site", None),
+    Presheaf: ("invalid presheaf",
+               lambda x: [x.site, *x.values.values(), *x.restrictions.values()]),
+    NaturalTransformation: ("invalid natural transformation",
+                            lambda x: [x.source, x.target, *x.components.values()]),
+    LiftingProblem: ("invalid lifting problem", None),
 }
 
 
 def check(obj):
     """``obj`` if ``obj.validate()`` finds nothing; else a ValueError naming
     the first three violations.  Objects without a law check pass as they are."""
-    what = _INVALID.get(type(obj))
+    what = _CHECKS.get(type(obj), (None, None))[0]
     if what is not None:
         problems = obj.validate()
         if problems:
@@ -65,27 +79,15 @@ def check(obj):
     return obj
 
 
-def _parts(obj):
-    """The objects ``obj`` is built from, in the order its document lists them."""
-    if isinstance(obj, SimplicialGroupoid):
-        return [*obj.levels, *obj.faces.values(), *obj.degeneracies.values()]
-    if isinstance(obj, SimplicialGroupoidMap):
-        return [obj.source, obj.target, *obj.level_homs]
-    if isinstance(obj, (SimplicialMap, TwoFunctor)):
-        return [obj.source, obj.target]
-    if isinstance(obj, Presheaf):
-        return [obj.site, *obj.values.values(), *obj.restrictions.values()]
-    if isinstance(obj, NaturalTransformation):
-        return [obj.source, obj.target, *obj.components.values()]
-    return []
-
-
 def check_parts(obj):
     """Check, once each, every object ``obj`` is built from, inner ones first."""
     seen = set()
 
     def walk(x):
-        for part in _parts(x):
+        parts = _CHECKS.get(type(x), (None, None))[1]
+        if parts is None:
+            return
+        for part in parts(x):
             if id(part) not in seen:
                 seen.add(id(part))
                 walk(part)
@@ -103,33 +105,16 @@ def checked(obj):
 def load_object_unchecked(data):
     """(kind, object) of a document, parsed without any law check."""
     kind = detect_kind(data)
-    return kind, LOADERS[kind](data)
+    return kind, KINDS[kind].read(data)
 
 
 def detect_kind(data):
+    """The first kind of ``KINDS`` whose test the document passes."""
     if not isinstance(data, dict):
         raise ValueError("expected a JSON object")
-    if "covers" in data:
-        return "site"
-    if "cells2" in data:
-        return "2gpd"
-    if "faces" in data and "depth" in data and "levels" in data:
-        levels = data["levels"]
-        if isinstance(levels, list) and levels and isinstance(levels[0], dict):
-            return "sgpd"
-        return "sset"
-    if "levels" in data and "objects" in data and "depth" in data:
-        return "sgpd"
-    if "generators" in data and "free" in data:
-        return "free_groupoid"
-    if "arrows" in data and "comp" in data:
-        return "groupoid"
-    if "domain" in data and "values" in data:
-        return "presheaf"
-    if "groups" in data and "boundaries" in data:
-        return "chain"
-    if "elements" in data and "mult" in data:
-        return "group"
+    for kind, row in KINDS.items():
+        if row.test(data):
+            return kind
     raise ValueError("could not infer the kind of the JSON object")
 
 
@@ -139,40 +124,7 @@ def load_object(data):
     return kind, checked(obj)
 
 
-# -- chains ----------------------------------------------------------------------
-
-
-def _list_of_lists(value, what):
-    if not isinstance(value, list) or not all(isinstance(v, list) for v in value):
-        raise ValueError(f"{what} must be a list of lists")
-    return value
-
-
-def chain_from_json(data):
-    """A chain fixture: moduli per degree and, for each degree i >= 1, the
-    images of the generators of C_i in C_(i-1) as coordinate lists."""
-    groups = [FiniteAbelianGroup(m) for m in _list_of_lists(data["groups"], "groups")]
-    images = _list_of_lists(data["boundaries"], "boundaries")
-    need = max(len(groups) - 1, 0)
-    if len(images) != need:
-        raise ValueError(f"{len(groups)} chain groups need {need} boundaries, got {len(images)}")
-    boundaries = []
-    for i, gens in enumerate(images, start=1):
-        gens = _list_of_lists(gens, f"boundary {i}")
-        boundaries.append(AbelianHom(groups[i], groups[i - 1], [tuple(v) for v in gens]))
-    return ChainFixture(groups, boundaries)
-
-
-def chain_to_json(chain):
-    return {
-        "groups": [list(g.moduli) for g in chain.groups],
-        "boundaries": [
-            [list(v) for v in bnd.generator_images] for bnd in chain.boundaries
-        ],
-    }
-
-
-# -- simplicial sets --------------------------------------------------------------------
+# -- shapes ------------------------------------------------------------------------------
 
 
 # the JSON name of each type a parsed document holds, for messages
@@ -185,42 +137,6 @@ _JSON_TYPES = {
     list: "an array",
     dict: "an object",
 }
-
-
-def _string_ids(value, what):
-    if not isinstance(value, list):
-        raise ValueError(f"{what} must be an array of string ids, got {_JSON_TYPES[type(value)]}")
-    for x in value:
-        if not isinstance(x, str):
-            raise ValueError(f"{what} holds {_JSON_TYPES[type(x)]} where a string id belongs")
-
-
-def sset_from_json(data):
-    """A simplicial set whose levels are arrays of string ids and whose face and
-    degeneracy tables map string ids to string ids; the laws are not checked."""
-    if not isinstance(data, dict):
-        raise ValueError(f"a simplicial set must be an object, got {_JSON_TYPES[type(data)]}")
-    _require(data, ("depth", "levels", "faces", "degeneracies"), "simplicial set")
-    levels = data["levels"]
-    if not isinstance(levels, list):
-        raise ValueError(f"levels must be an array of levels, got {_JSON_TYPES[type(levels)]}")
-    for n, level in enumerate(levels):
-        _string_ids(level, f"level {n}")
-    for name in ("faces", "degeneracies"):
-        tables = data[name]
-        if not isinstance(tables, dict):
-            raise ValueError(f"{name} must be an object of tables, got {_JSON_TYPES[type(tables)]}")
-        for key, table in tables.items():
-            if not isinstance(table, dict):
-                raise ValueError(
-                    f"{name} table {key} must be an object, got {_JSON_TYPES[type(table)]}"
-                )
-            _string_ids(list(table.values()), f"{name} table {key}")
-    return TruncatedSimplicialSet.from_json(data)
-
-
-# -- sites, groups, groupoids and 2-groupoids -------------------------------------------
-
 
 # the JSON type of each top-level field of a document, by what it holds: a type,
 # or a pair (outer, inner), an array or object whose every entry has the type
@@ -263,6 +179,7 @@ _SHAPES = {
         "faces": (dict, dict),
         "degeneracies": (dict, dict),
     },
+    "chain complex": {"groups": (list, list), "boundaries": (list, list)},
     "simplicial map": {"levels": (list, (dict, str))},
     "simplicial groupoid map": {"obj_map": (dict, str), "levels": (list, dict)},
     "lifting problem": {"i": dict, "top": dict, "p": dict, "bottom": dict},
@@ -328,47 +245,313 @@ def _check_entries(value, inner, where):
             _check_entries(entry, nested, where)
 
 
-def _shaped(what, parse):
-    """A reader that checks the shape of a ``what`` document before ``parse`` reads it."""
-
-    def read(data):
-        _check_shape(data, what)
-        return parse(data)
-
-    return read
+def _string_ids(value, what):
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be an array of string ids, got {_JSON_TYPES[type(value)]}")
+    for x in value:
+        if not isinstance(x, str):
+            raise ValueError(f"{what} holds {_JSON_TYPES[type(x)]} where a string id belongs")
 
 
-site_from_json = _shaped("site", FiniteSite.from_json)
-group_from_json = _shaped("group", GroupTable.from_json)
-groupoid_from_json = _shaped("groupoid", FiniteGroupoid.from_json)
-free_groupoid_from_json = _shaped("free groupoid", FreeGroupoid.from_json)
-twogpd_from_json = _shaped("2-groupoid", TwoGroupoid.from_json)
+# -- table keys and arrows -----------------------------------------------------------
 
 
-def sgpd_from_json(data):
+def split_pair_key(key):
+    """The two ids of a key ``"a|b"`` of a JSON product or composition table."""
+    parts = key.split("|")
+    if len(parts) != 2:
+        raise ValueError(f"table key {key!r} is not two ids joined by '|'")
+    return tuple(parts)
+
+
+def _pairs(table):
+    return {split_pair_key(key): value for key, value in table.items()}
+
+
+def operator_key(key):
+    """The level n and index i of a key ``"n,i"`` of a JSON face or degeneracy
+    table, written as ``to_json`` writes it."""
+    n, _, i = key.partition(",")
+    try:
+        pair = int(n), int(i)
+    except ValueError:
+        pair = None
+    if pair is None or key != f"{pair[0]},{pair[1]}":
+        raise ValueError(f"operator table key {key!r} is not two integers n,i")
+    return pair
+
+
+def _cells(cells):
+    return {c["id"]: (c["src"], c["tgt"]) for c in cells}
+
+
+def arrow_from_json(gpd, data):
+    """The arrow ``arrow_to_json`` writes as ``data``."""
+    if not gpd.is_free:
+        if not isinstance(data, str):
+            raise ValueError(f"arrow {data!r} is not a string id")
+        return data
+    if not (
+        isinstance(data, dict)
+        and isinstance(data.get("src"), str)
+        and isinstance(data.get("letters"), list)
+        and all(isinstance(letter, list) and len(letter) == 2 for letter in data["letters"])
+    ):
+        raise ValueError(
+            f"free arrow {data!r} is not an object with a string src and an array of "
+            "[generator, exponent] letters"
+        )
+    src = data["src"]
+    arrow = gpd.word([(g, e) for g, e in data["letters"]], at=src)
+    if arrow.src != src:
+        raise ValueError(f"free arrow src {src!r} is not {arrow.src!r}, where its letters start")
+    return arrow
+
+
+def _level_hom(table, source, target, obj_map):
+    """The groupoid map sending each arrow of ``table`` to the target arrow it writes."""
+    arrow_map = {a: arrow_from_json(target, v) for a, v in table.items()}
+    return GroupoidHom(source, target, obj_map, arrow_map)
+
+
+# -- one reader per kind -----------------------------------------------------------------
+#
+# A reader takes a document whose shape is checked and builds its object
+# without a law check.
+
+
+def _site(data):
+    return FiniteSite(
+        data["objects"], _cells(data["arrows"]), _pairs(data["comp"]), data["identities"],
+        data["covers"],
+    )
+
+
+def _group(data):
+    return GroupTable(data["elements"], _pairs(data["mult"]), data["identity"])
+
+
+def _groupoid(data):
+    return FiniteGroupoid(
+        data["objects"], _cells(data["arrows"]), _pairs(data["comp"]),
+        dict(data["identities"]), dict(data["inverses"]),
+    )
+
+
+def _free_groupoid(data):
+    return FreeGroupoid(data["objects"], _cells(data["generators"]))
+
+
+def _free(data):
+    """Whether a groupoid document is free: it has a ``free`` field, which must be true."""
+    if "free" not in data:
+        return False
+    if data["free"] is not True:
+        raise ValueError(f"groupoid free must be true, got {json.dumps(data['free'])}")
+    return True
+
+
+def _2gpd(data):
+    return TwoGroupoid(
+        data["objects"], _cells(data["cells1"]), _pairs(data["comp1"]), data["id1"], data["inv1"],
+        _cells(data["cells2"]), _pairs(data["vcomp"]), _pairs(data["hcomp"]), data["id2"],
+        data["vinv"],
+    )
+
+
+def _sset(data):
+    """A simplicial set whose levels are arrays of string ids and whose face and
+    degeneracy tables map string ids to string ids; it checks its own shape."""
+    if not isinstance(data, dict):
+        raise ValueError(f"a simplicial set must be an object, got {_JSON_TYPES[type(data)]}")
+    _require(data, ("depth", "levels", "faces", "degeneracies"), "simplicial set")
+    levels = data["levels"]
+    if not isinstance(levels, list):
+        raise ValueError(f"levels must be an array of levels, got {_JSON_TYPES[type(levels)]}")
+    for n, level in enumerate(levels):
+        _string_ids(level, f"level {n}")
+    for name in ("faces", "degeneracies"):
+        tables = data[name]
+        if not isinstance(tables, dict):
+            raise ValueError(f"{name} must be an object of tables, got {_JSON_TYPES[type(tables)]}")
+        for key, table in tables.items():
+            if not isinstance(table, dict):
+                raise ValueError(
+                    f"{name} table {key} must be an object, got {_JSON_TYPES[type(table)]}"
+                )
+            _string_ids(list(table.values()), f"{name} table {key}")
+    faces, degeneracies = (
+        {operator_key(key): table for key, table in data[name].items()}
+        for name in ("faces", "degeneracies")
+    )
+    return TruncatedSimplicialSet(data["depth"], levels, faces, degeneracies)
+
+
+def _sgpd(data):
     """A simplicial groupoid whose ``depth`` is its number of levels less one
     and whose operator tables are keyed within that depth."""
-    _check_shape(data, "simplicial groupoid")
     _require(data, ("depth",), "simplicial groupoid")
-    depth, levels = data["depth"], data["levels"]
+    depth, objects = data["depth"], data["objects"]
     if type(depth) is not int:
         raise ValueError(
             f"simplicial groupoid depth must be an integer, got {_JSON_TYPES[type(depth)]}"
         )
-    if depth != len(levels) - 1:
+    if depth != len(data["levels"]) - 1:
         raise ValueError(
-            f"simplicial groupoid depth {depth} does not match its {len(levels)} levels"
+            f"simplicial groupoid depth {depth} does not match its {len(data['levels'])} levels"
         )
-    for level in levels:
-        _check_shape(level, "free groupoid" if level.get("free") else "groupoid")
-    for name, low, high in (("faces", 1, depth), ("degeneracies", 0, depth - 1)):
-        for key in data[name]:
+    # one rule, a groupoid's free field, tells free levels from finite ones
+    levels = [KINDS["free_groupoid" if _free(g) else "groupoid"].read(g) for g in data["levels"]]
+    obj_map = {o: o for o in objects}
+    operators = []
+    for name, low, high, shift in (("faces", 1, depth, -1), ("degeneracies", 0, depth - 1, 1)):
+        homs = {}
+        for key, table in data[name].items():
             n, i = operator_key(key)
             if not (low <= n <= high and 0 <= i <= n):
                 raise ValueError(
                     f"simplicial groupoid {name} table {key} is outside depth {depth}"
                 )
-    return SimplicialGroupoid.from_json(data)
+            homs[n, i] = _level_hom(table, levels[n], levels[n + shift], obj_map)
+        operators.append(homs)
+    return SimplicialGroupoid(objects, levels, *operators)
+
+
+def _chain(data):
+    """A chain fixture: moduli per degree and, for each degree i >= 1, the
+    images of the generators of C_i in C_(i-1) as coordinate lists."""
+    groups = [FiniteAbelianGroup(m) for m in data["groups"]]
+    images = data["boundaries"]
+    need = max(len(groups) - 1, 0)
+    if len(images) != need:
+        raise ValueError(f"{len(groups)} chain groups need {need} boundaries, got {len(images)}")
+    boundaries = []
+    for i, gens in enumerate(images, start=1):
+        _check_entries(gens, list, f"chain complex boundary {i}")
+        boundaries.append(AbelianHom(groups[i], groups[i - 1], [tuple(v) for v in gens]))
+    return ChainFixture(groups, boundaries)
+
+
+def _section(values, u):
+    """The value of a presheaf at the object ``u``, which its values must hold."""
+    if u not in values:
+        raise ValueError(f"presheaf values has no entry for object {u!r}")
+    return values[u]
+
+
+def _presheaf(data):
+    site = KINDS["site"].read(data["site"])
+    domain = data["domain"]
+    io = DOMAIN_IO.get(domain)
+    if io is None:
+        raise ValueError(f"unknown domain {domain!r}")
+    values = {u: io.read_value(v) for u, v in data["values"].items()}
+    restrictions = {}
+    for a, m in data["restrictions"].items():
+        if a not in site.arrows:
+            raise ValueError(f"presheaf restrictions key {a!r} is not an arrow of the site")
+        v, u = site.arrows[a]
+        restrictions[a] = io.read_map(m, _section(values, u), _section(values, v))
+    return Presheaf(site, domain, values, restrictions)
+
+
+# -- the kinds -------------------------------------------------------------------------
+
+
+class Kind(NamedTuple):
+    """One kind of document, and what the command line answers for it."""
+
+    test: object  # document -> bool, asked only if no earlier kind claims it
+    shape: str  # its _SHAPES entry, or None: its reader checks its own shape
+    parse: object  # its reader, of a document whose shape is checked
+    needs: str  # fills "<command> needs ...", or None: no command needs it
+    validated: bool  # whether hpk validate reports its violations
+    pi0: object  # its path components, or None: pi0 does not handle it
+    bounds: object  # the sizes hpk bounds reports, or None
+
+    def read(self, data):
+        """The object of a document of this kind, its shape checked but not its laws."""
+        if self.shape is not None:
+            _check_shape(data, self.shape)
+        return self.parse(data)
+
+
+def _has(*fields):
+    fields = frozenset(fields)
+    return lambda data: data.keys() >= fields
+
+
+def _is_sgpd(data):
+    """A simplicial groupoid has levels and a depth; with faces, its first level
+    is an object (a simplicial set's is an array), without, it has objects."""
+    if "levels" not in data or "depth" not in data:
+        return False
+    if "faces" not in data:
+        return "objects" in data
+    levels = data["levels"]
+    return isinstance(levels, list) and bool(levels) and isinstance(levels[0], dict)
+
+
+def _level_size(level):
+    return len(level.generators) if level.is_free else len(level.arrows)
+
+
+def _counts(*fields):
+    """The bounds of a document: the number of entries of each of ``fields``."""
+    return lambda x: {field: len(getattr(x, field)) for field in fields}
+
+
+def _sgpd_bounds(x):
+    return {"levels": [{"generators" if l.is_free else "arrows": _level_size(l)} for l in x.levels]}
+
+
+# the sizes ``hpk bounds`` reports for a presheaf's section, by its value domain
+_SECTION_BOUNDS = {
+    "set": len,
+    "group": lambda x: x.order,
+    "sset": lambda x: x.level_sizes(),
+    "sgpd": lambda x: [_level_size(level) for level in x.levels],
+    "2gpd": _counts("cells1", "cells2"),
+}
+
+
+def _presheaf_bounds(x):
+    return {"sections": {u: _SECTION_BOUNDS[x.domain](x.values[u]) for u in x.site.objects}}
+
+
+# one row per document kind, in the order ``detect_kind`` tries them
+KINDS = {
+    "site": Kind(_has("covers"), "site", _site, "a site", False, None,
+                 _counts("objects", "arrows")),
+    "2gpd": Kind(_has("cells2"), "2-groupoid", _2gpd, "a 2-groupoid", True, None,
+                 _counts("objects", "cells1", "cells2")),
+    "sgpd": Kind(_is_sgpd, "simplicial groupoid", _sgpd, "a simplicial groupoid", True, pi0_sgpd,
+                 _sgpd_bounds),
+    "sset": Kind(_has("faces", "depth", "levels"), None, _sset, "a simplicial set", True, pi0_sset,
+                 lambda x: {"levels": x.level_sizes()}),
+    "free_groupoid": Kind(_free, "free groupoid", _free_groupoid, None, False, pi0_groupoid,
+                          _counts("objects", "generators")),
+    "groupoid": Kind(_has("arrows", "comp"), "groupoid", _groupoid, None, True, pi0_groupoid,
+                     _counts("objects", "arrows")),
+    "presheaf": Kind(_has("domain", "values"), "presheaf", _presheaf, "a presheaf", True, None,
+                     _presheaf_bounds),
+    "chain": Kind(_has("groups", "boundaries"), "chain complex", _chain, None, False, None, None),
+    "group": Kind(_has("elements", "mult"), "group", _group, None, False, None, None),
+}
+
+
+def chain_from_json(data):
+    """The chain fixture of a chain document; it checks itself as it is built."""
+    return KINDS["chain"].read(data)
+
+
+def chain_to_json(chain):
+    return {
+        "groups": [list(g.moduli) for g in chain.groups],
+        "boundaries": [
+            [list(v) for v in bnd.generator_images] for bnd in chain.boundaries
+        ],
+    }
 
 
 # -- maps and presheaves -------------------------------------------------------------
@@ -404,10 +587,10 @@ def _sgpd_map(data, source, target):
     _check_shape(data, "simplicial groupoid map")
     obj_map, levels = data["obj_map"], data["levels"]
     if len(levels) != len(source.levels):
-        raise ValueError(f"{_INVALID[SimplicialGroupoidMap]}: wrong number of level maps")
+        raise ValueError(f"{_CHECKS[SimplicialGroupoidMap][0]}: wrong number of level maps")
     # a shallower target leaves too few level maps, which the law check names
     level_homs = [
-        GroupoidHom(s, t, obj_map, {a: arrow_from_json(t, v) for a, v in table.items()})
+        _level_hom(table, s, t, obj_map)
         for table, s, t in zip(levels, source.levels, target.levels)
     ]
     return SimplicialGroupoidMap(source, target, obj_map, level_homs)
@@ -445,10 +628,10 @@ _to_json = methodcaller("to_json")
 # one row per value domain of ``presheaves.DOMAINS``
 DOMAIN_IO = {
     "set": Domain(_set_value, list, _table_map("set"), _sorted),
-    "group": Domain(group_from_json, _to_json, _table_map("group"), _sorted),
-    "sset": Domain(sset_from_json, _to_json, _sset_map, _to_json),
-    "sgpd": Domain(sgpd_from_json, _to_json, _sgpd_map, _sgpd_map_json),
-    "2gpd": Domain(twogpd_from_json, _to_json, _2gpd_map, _2gpd_map_json),
+    "group": Domain(KINDS["group"].read, _to_json, _table_map("group"), _sorted),
+    "sset": Domain(KINDS["sset"].read, _to_json, _sset_map, _to_json),
+    "sgpd": Domain(KINDS["sgpd"].read, _to_json, _sgpd_map, _sgpd_map_json),
+    "2gpd": Domain(KINDS["2gpd"].read, _to_json, _2gpd_map, _2gpd_map_json),
 }
 
 
@@ -478,16 +661,16 @@ def smap_from_json(data):
     _check_shape(data, "simplicial map")
     # the endpoints are simplicial set documents, shape-checked by their reader
     _require(data, ("source", "target"), "simplicial map")
-    source = sset_from_json(data["source"])
-    target = sset_from_json(data["target"])
-    return checked(_sset_map(data, source, target))
+    read = KINDS["sset"].read
+    return checked(SimplicialMap(read(data["source"]), read(data["target"]), data["levels"]))
 
 
 def functor2_from_json(data):
+    # the 2-functor shape holds the fields of a 2-groupoid map
     _check_shape(data, "2-functor")
-    source = twogpd_from_json(data["source"])
-    target = twogpd_from_json(data["target"])
-    return checked(_2gpd_map(data, source, target))
+    read = KINDS["2gpd"].read
+    source, target = read(data["source"]), read(data["target"])
+    return checked(TwoFunctor(source, target, data["objects"], data["map1"], data["map2"]))
 
 
 def presheaf_to_json(presheaf):
@@ -498,21 +681,6 @@ def presheaf_to_json(presheaf):
         "values": {u: io.write_value(presheaf.values[u]) for u in site.objects},
         "restrictions": {a: io.write_map(presheaf.restrictions[a]) for a in sorted(site.arrows)},
     }
-
-
-def _presheaf(data):
-    _check_shape(data, "presheaf")
-    site = site_from_json(data["site"])
-    domain = data["domain"]
-    io = DOMAIN_IO.get(domain)
-    if io is None:
-        raise ValueError(f"unknown domain {domain!r}")
-    values = {u: io.read_value(v) for u, v in data["values"].items()}
-    restrictions = {}
-    for a, m in data["restrictions"].items():
-        v, u = site.arrows[a]
-        restrictions[a] = io.read_map(m, values[u], values[v])
-    return Presheaf(site, domain, values, restrictions)
 
 
 def nat_to_json(nat):
@@ -528,8 +696,8 @@ def nat_to_json(nat):
 
 def nat_from_json(data):
     _check_shape(data, "natural transformation")
-    source = _presheaf(data["source"])
-    target = _presheaf(data["target"])
+    read = KINDS["presheaf"].read
+    source, target = read(data["source"]), read(data["target"])
     for side, presheaf in (("source", source), ("target", target)):
         if presheaf.domain != data["domain"]:
             raise ValueError(
@@ -537,25 +705,14 @@ def nat_from_json(data):
                 f"the domain {presheaf.domain!r} of its {side}"
             )
     io = DOMAIN_IO[source.domain]
-    components = {
-        u: io.read_map(m, source.values[u], target.values[u])
-        for u, m in data["components"].items()
-    }
+    components = {}
+    for u, m in data["components"].items():
+        if u not in source.site.objects:
+            raise ValueError(
+                f"natural transformation components key {u!r} is not an object of the site"
+            )
+        components[u] = io.read_map(m, _section(source.values, u), _section(target.values, u))
     return checked(NaturalTransformation(source, target, components))
-
-
-# the parser of each kind, for load_object_unchecked (chains check themselves)
-LOADERS = {
-    "site": site_from_json,
-    "2gpd": twogpd_from_json,
-    "sset": sset_from_json,
-    "sgpd": sgpd_from_json,
-    "groupoid": groupoid_from_json,
-    "free_groupoid": free_groupoid_from_json,
-    "presheaf": _presheaf,
-    "chain": chain_from_json,
-    "group": group_from_json,
-}
 
 
 # -- output ---------------------------------------------------------------------------

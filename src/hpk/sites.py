@@ -11,7 +11,6 @@ not run it.
 from itertools import combinations
 
 from .laws import category_problems
-from .sset import split_pair_key
 
 
 class FiniteSite:
@@ -153,16 +152,6 @@ class FiniteSite:
                 u: [sorted(s) for s in sieves] for u, sieves in sorted(self.covers.items())
             },
         }
-
-    @classmethod
-    def from_json(cls, data):
-        return cls(
-            data["objects"],
-            {a["id"]: (a["src"], a["tgt"]) for a in data["arrows"]},
-            {split_pair_key(key): h for key, h in data["comp"].items()},
-            data["identities"],
-            {u: [frozenset(s) for s in sieves] for u, sieves in data["covers"].items()},
-        )
 
     # -- constructions -------------------------------------------------------------
 

@@ -172,14 +172,6 @@ class TruncatedSimplicialSet:
             },
         }
 
-    @classmethod
-    def from_json(cls, data):
-        faces = {operator_key(key): table for key, table in data["faces"].items()}
-        degeneracies = {
-            operator_key(key): table for key, table in data["degeneracies"].items()
-        }
-        return cls(data["depth"], data["levels"], faces, degeneracies)
-
     def __repr__(self):
         return f"TruncatedSimplicialSet(depth={self.depth}, sizes={self.level_sizes()})"
 
@@ -543,27 +535,6 @@ def pushout(f, g):
 def pair_id(p):
     """The id of an element (b, c) of a pullback."""
     return f"({p[0]}&{p[1]})"
-
-
-def split_pair_key(key):
-    """The two ids of a key ``"a|b"`` of a JSON product or composition table."""
-    parts = key.split("|")
-    if len(parts) != 2:
-        raise ValueError(f"table key {key!r} is not two ids joined by '|'")
-    return tuple(parts)
-
-
-def operator_key(key):
-    """The level n and index i of a key ``"n,i"`` of a JSON face or degeneracy
-    table, written as ``to_json`` writes it."""
-    n, _, i = key.partition(",")
-    try:
-        pair = int(n), int(i)
-    except ValueError:
-        pair = None
-    if pair is None or key != f"{pair[0]},{pair[1]}":
-        raise ValueError(f"operator table key {key!r} is not two integers n,i")
-    return pair
 
 
 def pullback(f, g):

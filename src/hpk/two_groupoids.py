@@ -8,7 +8,7 @@ and b framed over y -> z, giving a 2-cell over x -> z.
 
 from .groups import GroupTable
 from .laws import category_problems, functor_problems
-from .sset import TruncatedSimplicialSet, _UnionFind, compatible_tuples, split_pair_key
+from .sset import TruncatedSimplicialSet, _UnionFind, compatible_tuples
 
 
 class TwoGroupoid:
@@ -206,24 +206,6 @@ class TwoGroupoid:
             "id2": dict(sorted(self.id2.items())),
             "vinv": dict(sorted(self.vinv.items())),
         }
-
-    @classmethod
-    def from_json(cls, data):
-        def unpack(pairs):
-            return {split_pair_key(key): v for key, v in pairs.items()}
-
-        return cls(
-            data["objects"],
-            {c["id"]: (c["src"], c["tgt"]) for c in data["cells1"]},
-            unpack(data["comp1"]),
-            data["id1"],
-            data["inv1"],
-            {c["id"]: (c["src"], c["tgt"]) for c in data["cells2"]},
-            unpack(data["vcomp"]),
-            unpack(data["hcomp"]),
-            data["id2"],
-            data["vinv"],
-        )
 
 
 def validate_2gpd(k):

@@ -158,6 +158,9 @@ MALFORMED_CHAINS = {
     "zero_modulus": {"groups": [[0]], "boundaries": []},
     "group_not_a_list": {"groups": [2], "boundaries": []},
     "image_not_a_list": {"groups": [[2], [2]], "boundaries": [[1]]},
+    "not_an_object": [],
+    "no_groups": {"boundaries": []},
+    "no_boundaries": {"groups": [[2]]},
 }
 
 
@@ -694,8 +697,12 @@ def _set_presheaf(restriction_f):
     }
 
 
+def _good_presheaf():
+    return _set_presheaf({"a": "c", "b": "d"})
+
+
 def _bad_presheaf():
-    data = _set_presheaf({"a": "c", "b": "d"})
+    data = _good_presheaf()
     data["restrictions"]["idV"] = {"c": "d", "d": "c"}
     return data
 
@@ -888,6 +895,17 @@ def _doubled(build, path):
         for key in path:
             node = node[key]
         node.extend(list(node))
+        return data
+
+    return document
+
+
+def _renamed(build, field, old, new):
+    """The document ``build`` makes, the key ``old`` of its ``field`` renamed ``new``."""
+
+    def document():
+        data = build()
+        data[field][new] = data[field].pop(old)
         return data
 
     return document
@@ -1119,6 +1137,28 @@ INVALID_DOCUMENTS = {
     "sgpd_free_map_string_arrow": (
         _at(_constant_presheaf(*_free_sgpd()), ("restrictions", "f", "levels", 0, "0.1"), "x"),
         ["validate"], 2, _NOT_A_FREE_ARROW),
+    # the src of a free arrow is where its letters start
+    "sgpd_free_arrow_elsewhere": (
+        _at(lambda: _free_sgpd()[1].to_json(), ("faces", "1,0", "0.1.1", "src"), "nowhere"),
+        ["validate"], 2, "free arrow src 'nowhere' is not '1', where its letters start"),
+    # a key of a presheaf's restrictions or a transformation's components, and
+    # an object a restriction needs a value at, are named when they are missing
+    "presheaf_restriction_not_an_arrow": (
+        _renamed(_good_presheaf, "restrictions", "f", "zz"), ["sheafify"], 2,
+        "presheaf restrictions key 'zz' is not an arrow of the site"),
+    "presheaf_missing_value": (_at(_good_presheaf, ("values",), {"U": ["a", "b"]}), ["sheafify"],
+                               2, "presheaf values has no entry for object 'V'"),
+    "nat_component_not_an_object": (
+        _renamed(_identity_nat(lambda: ("set", ("a", "b"))), "components", "V", "zz"),
+        ["weq", "--kind", "sgpd"], 2,
+        "natural transformation components key 'zz' is not an object of the site"),
+    # a groupoid with a free field is free, and the field must be true
+    "free_groupoid_free_false": (_at(lambda: _free_sgpd()[1].levels[1].to_json(), ("free",), False),
+                                 ["bounds"], 2, "groupoid free must be true, got false"),
+    "free_groupoid_free_string": (_at(lambda: _free_sgpd()[1].levels[1].to_json(), ("free",), "no"),
+                                  ["bounds"], 2, 'groupoid free must be true, got "no"'),
+    "sgpd_level_free_false": (_at(lambda: _free_sgpd()[1].to_json(), ("levels", 1, "free"), False),
+                              ["validate"], 2, "groupoid free must be true, got false"),
 }
 
 

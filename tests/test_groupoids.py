@@ -3,6 +3,7 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
+from hpk import jsonio
 from hpk.abelian import AbelianHom, ChainFixture, FiniteAbelianGroup
 from hpk.groups import GroupTable
 from hpk.groupoids import (
@@ -417,7 +418,8 @@ def test_sgpd_json_round_trip():
     )
     data = z2.to_json()
     assert set(data) == {"objects", "depth", "levels", "faces", "degeneracies"}
-    back = SimplicialGroupoid.from_json(data)
+    kind, back = jsonio.load_object_unchecked(data)
+    assert kind == "sgpd"
     assert back.validate() == []
     assert back.objects == z2.objects
 
@@ -428,7 +430,8 @@ def test_free_sgpd_json_round_trip():
 
     s1 = standard_complex("sphere", 1, depth=3)
     g = loop_groupoid(s1, 2)
-    back = SimplicialGroupoid.from_json(g.to_json())
+    kind, back = jsonio.load_object_unchecked(g.to_json())
+    assert kind == "sgpd"
     assert back.validate() == []
     assert all(
         back.levels[n].generators == g.levels[n].generators for n in range(3)

@@ -1,3 +1,4 @@
+from hpk import jsonio
 from hpk.sites import FiniteSite, comma_site
 
 
@@ -90,6 +91,7 @@ def test_site_json_round_trip():
     site = FiniteSite.two_object_site()
     data = site.to_json()
     assert set(data) == {"objects", "arrows", "comp", "identities", "covers"}
-    back = FiniteSite.from_json(data)
+    kind, back = jsonio.load_object_unchecked(data)
+    assert kind == "site"
     assert back.validate() == []
     assert back.covers == site.covers

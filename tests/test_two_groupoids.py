@@ -1,3 +1,4 @@
+from hpk import jsonio
 from hpk.groups import GroupTable
 from hpk.groupoids import FiniteGroupoid
 from hpk.kan import is_kan, pi_n_kan
@@ -252,6 +253,7 @@ def test_counit_weak_equivalence_on_fixtures():
 def test_two_groupoid_json_round_trip():
     k = z3_pi2_fixture()
     data = k.to_json()
-    back = TwoGroupoid.from_json(data)
+    kind, back = jsonio.load_object_unchecked(data)
+    assert kind == "2gpd"
     assert validate_2gpd(back) == []
     assert back.objects == k.objects
