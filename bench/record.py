@@ -8,6 +8,8 @@
     python3 bench/record.py --out BENCH_20.json --parent ../hpk-parent --section functors
     python3 bench/record.py --out BENCH_26.json --parent ../hpk-parent --section pairs
     python3 bench/record.py --out BENCH_29.json --parent ../hpk-parent --section cli
+    python3 bench/record.py --out BENCH_33.json --parent ../hpk-parent \
+        --section weq --section cli --section reads
     python3 bench/record.py --check BENCH_20.json
 
 A record holds one or more sections, each a list of cases:
@@ -74,6 +76,15 @@ A record holds one or more sections, each a list of cases:
     on where it is.  Each step runs its command in-process through
     ``cli.main`` and records the exit code and the length and sha256 of what
     it writes to stdout.  Its time covers the call, argument parsing included.
+``reads``
+    The ``weq``, ``lift`` and ``wbar`` command lines of round 1 of the same
+    mix (its weq document is the identity of constant Z/2 on the two-object
+    site, depth 3; round 0 plants a map that is not a weak equivalence).  A
+    step runs its command through ``cli.main`` with ``jsonio.check`` counted
+    and records the exit code, the sha256 of stdout and, in ``reads``, the
+    number of law checks per class of what it read.  These counts are
+    recorded per side, since a change may check fewer parts for the same
+    answer; the step's time is a second call with nothing counted.
 
 Every step also records its best wall time on the parent checkout and on
 this one.  Each side runs in its own process, importing hpk from that
@@ -321,6 +332,49 @@ def cli_cases():
     return {" ".join([op.kind, *op.key[2:]]): {"cli": step(op)} for op in ops}
 
 
+def read_cases():
+    """{command line: {"read": step}}, each step one counted ``cli.main`` call."""
+    import tempfile
+
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    import workloads
+
+    H = workloads.import_hpk()
+    tmp = tempfile.TemporaryDirectory()
+    with contextlib.chdir(tmp.name):
+        ops = workloads.CliCorpus(H, CLI_SEED, 2, "").round(1)
+
+    def step(op):
+        def run():
+            checks = {}
+            check = H.jsonio.check
+
+            def counting(obj, *args):
+                name = type(obj).__name__
+                checks[name] = checks.get(name, 0) + 1
+                return check(obj, *args)
+
+            with contextlib.chdir(tmp.name):
+                H.jsonio.check = counting
+                try:
+                    code, out = op.run()
+                finally:
+                    H.jsonio.check = check
+                start = perf_counter()
+                op.run()
+                ms = (perf_counter() - start) * 1e3
+            digest = hashlib.sha256(out.encode()).hexdigest()
+            return {"code": code, "sha256": digest, "reads": checks, "ms": ms}
+
+        return run
+
+    return {
+        " ".join([op.kind, *op.key[2:]]): {"read": step(op)}
+        for op in ops
+        if op.kind in ("weq", "lift", "wbar")
+    }
+
+
 def weq_fixtures():
     """{name: (natural transformation, kind)} of the ``weq`` section."""
     from hpk.groups import GroupTable
@@ -561,6 +615,11 @@ SECTIONS = {
         "exit codes and stdout of one fixed-seed cli_corpus round, each call through cli.main",
         cli_cases,
     ),
+    "reads": (
+        "command",
+        "law checks per class of what three cli_corpus command lines read",
+        read_cases,
+    ),
     "weq": (
         "fixture",
         "is_weak_equivalence verdicts, witnesses and section-invariant counts",
@@ -579,7 +638,7 @@ SECTIONS = {
 }
 
 # fields a step records once per side: the change may alter them on purpose
-SIDE_FIELDS = ("invariant_calls",)
+SIDE_FIELDS = ("invariant_calls", "reads")
 
 
 def counts(section):

@@ -124,8 +124,9 @@ def cmd_validate(args):
             jsonio.checked(obj)  # an invalid document of another kind is still invalid input
             raise ValueError(f"validate does not handle kind {kind!r}")
         # the parts are input like any other; the whole is what is reported
-        jsonio.check_parts(obj)
-        return {"file": path, "kind": kind, "violations": obj.validate()}
+        passed = {}
+        jsonio.check_parts(obj, passed)
+        return {"file": path, "kind": kind, "violations": jsonio.violations(obj, passed)}
 
     reports = [one(path) for path in args.files]
     _emit({"reports": reports}, args)
@@ -235,16 +236,17 @@ def cmd_wtotal(args):
 def cmd_transpose(args):
     data = _read(args.file)
     jsonio._check_shape(data, "transpose document")
-    sset = jsonio.checked(jsonio.KINDS["sset"].read(data["complex"]))
-    sgpd = jsonio.checked(jsonio.KINDS["sgpd"].read(data["groupoid"]))
+    reading = jsonio.Reading()
+    sset = jsonio.checked(reading.read("sset", data["complex"]), reading.passed)
+    sgpd = jsonio.checked(reading.read("sgpd", data["groupoid"]), reading.passed)
     depth = data["depth"]
     gx = loop_groupoid(sset, depth)
     wb = wbar(sgpd, depth + 1)
     if data["direction"] == "to-sset":
-        sg_map = jsonio.DOMAIN_IO["sgpd"].read_map(data["map"], gx, sgpd)
+        sg_map = jsonio.DOMAIN_IO["sgpd"].read_map(data["map"], gx, sgpd, reading)
         # the level maps first, so a bad one is named as a groupoid map
         for part in (*sg_map.level_homs, sg_map):
-            jsonio.check(part)
+            jsonio.check(part, reading.passed)
         out = transpose_to_sset(sg_map, sset, gx, wb)
         _emit(
             {"transpose": [dict(sorted(m.items())) for m in out.level_maps]}, args
@@ -252,7 +254,8 @@ def cmd_transpose(args):
         return 0
     if data["direction"] == "to-sgpd":
         truncated = _truncate_sset(sset, depth + 1)
-        smap = jsonio.check(jsonio.DOMAIN_IO["sset"].read_map(data["map"], truncated, wb.sset))
+        read_map = jsonio.DOMAIN_IO["sset"].read_map
+        smap = jsonio.check(read_map(data["map"], truncated, wb.sset, reading), reading.passed)
         out = transpose_to_sgpd(smap, gx, sgpd, wb)
         _emit(
             {
@@ -449,13 +452,15 @@ def cmd_geninc(args):
 def cmd_lift(args):
     data = _read(args.file)
     jsonio._check_shape(data, "lifting problem")
+    # the four legs are one document: a section they share is read and checked once
+    reading = jsonio.Reading()
     if data.get("single"):
         legs = {
-            key: as_point_map(jsonio.smap_from_json(data[key]))
+            key: as_point_map(jsonio.smap_from_json(data[key], reading))
             for key in ("i", "top", "p", "bottom")
         }
     else:
-        legs = {key: jsonio.nat_from_json(data[key]) for key in ("i", "top", "p", "bottom")}
+        legs = {key: jsonio.nat_from_json(data[key], reading) for key in ("i", "top", "p", "bottom")}
     problem = jsonio.check(LiftingProblem(legs["i"], legs["top"], legs["p"], legs["bottom"]))
     result = solve_lifting(problem, budget=args.budget)
     payload = {"outcome": result["outcome"], "search_nodes": result.get("search_nodes")}

@@ -11,6 +11,12 @@ objects built from them, and rejects the first invalid one with
 ``ValueError("invalid <what>: ...")``.  Chain documents are the exception:
 ``AbelianHom`` and ``ChainFixture`` check themselves on construction.
 
+Each read of a document is one ``Reading``.  Within it, equal sub-documents
+of one kind parse to one shared object (maps also need the same source and
+target objects), so each distinct part is built and law-checked once, and an
+owner's check does not re-run the checks of parts that have passed.  A
+reading keeps nothing once the read returns.
+
 It is also where hpk writes its output: ``dumps`` gives the text the ``json``
 module writes with ``sort_keys=True`` and ``indent=2``, plus a newline.
 """
@@ -45,67 +51,108 @@ def _ends(x):
 
 
 # for each class with a law check: the start of the error a failed check
-# raises, and the objects an instance is built from, in the order its
-# document lists them (None: it is built from no checked object)
+# raises, the objects an instance is built from, in the order its document
+# lists them (None: it is built from no checked object), and whether its
+# ``validate`` re-runs the checks of some parts, so takes the ids of those
+# that have passed
 _CHECKS = {
-    TruncatedSimplicialSet: ("invalid simplicial set", None),
-    SimplicialMap: ("invalid simplicial map", _ends),
-    FiniteGroupoid: ("invalid groupoid", None),
-    GroupoidHom: ("invalid groupoid map", None),
+    TruncatedSimplicialSet: ("invalid simplicial set", None, False),
+    SimplicialMap: ("invalid simplicial map", _ends, False),
+    FiniteGroupoid: ("invalid groupoid", None, False),
+    GroupoidHom: ("invalid groupoid map", None, False),
     SimplicialGroupoid: ("invalid simplicial groupoid",
-                         lambda x: [*x.levels, *x.faces.values(), *x.degeneracies.values()]),
+                         lambda x: [*x.levels, *x.faces.values(), *x.degeneracies.values()],
+                         False),
     SimplicialGroupoidMap: ("invalid simplicial groupoid map",
-                            lambda x: [x.source, x.target, *x.level_homs]),
-    GroupTable: ("not a group", None),
-    TwoGroupoid: ("invalid 2-groupoid", None),
-    TwoFunctor: ("invalid 2-functor", _ends),
-    FiniteSite: ("invalid site", None),
+                            lambda x: [x.source, x.target, *x.level_homs], True),
+    GroupTable: ("not a group", None, False),
+    TwoGroupoid: ("invalid 2-groupoid", None, False),
+    TwoFunctor: ("invalid 2-functor", _ends, False),
+    FiniteSite: ("invalid site", None, False),
     Presheaf: ("invalid presheaf",
-               lambda x: [x.site, *x.values.values(), *x.restrictions.values()]),
+               lambda x: [x.site, *x.values.values(), *x.restrictions.values()], True),
     NaturalTransformation: ("invalid natural transformation",
-                            lambda x: [x.source, x.target, *x.components.values()]),
-    LiftingProblem: ("invalid lifting problem", None),
+                            lambda x: [x.source, x.target, *x.components.values()], True),
+    LiftingProblem: ("invalid lifting problem", None, False),
 }
 
 
-def check(obj):
-    """``obj`` if ``obj.validate()`` finds nothing; else a ValueError naming
-    the first three violations.  Objects without a law check pass as they are."""
-    what = _CHECKS.get(type(obj), (None, None))[0]
-    if what is not None:
-        problems = obj.validate()
+def violations(obj, passed=()):
+    """What ``obj.validate()`` reports, without re-running the checks of parts
+    whose ids are in ``passed``, which have passed already."""
+    row = _CHECKS.get(type(obj))
+    if row is None:
+        return []
+    return obj.validate(passed) if row[2] else obj.validate()
+
+
+def check(obj, passed=None):
+    """``obj`` if its law check finds nothing; else a ValueError naming the
+    first three violations.  Objects without a law check pass as they are.
+
+    ``passed`` maps the id of each object whose check has passed to the
+    object: ``obj`` is not checked again if it is there and is added once it
+    passes."""
+    if passed is None:
+        passed = {}
+    if id(obj) not in passed:
+        problems = violations(obj, passed)
         if problems:
-            raise ValueError(f"{what}: " + "; ".join(problems[:3]))
+            raise ValueError(f"{_CHECKS[type(obj)][0]}: " + "; ".join(problems[:3]))
+        passed[id(obj)] = obj
     return obj
 
 
-def check_parts(obj):
-    """Check, once each, every object ``obj`` is built from, inner ones first."""
-    seen = set()
-
-    def walk(x):
-        parts = _CHECKS.get(type(x), (None, None))[1]
-        if parts is None:
-            return
-        for part in parts(x):
-            if id(part) not in seen:
-                seen.add(id(part))
-                walk(part)
-                check(part)
-
-    walk(obj)
+def check_parts(obj, passed):
+    """Check, once each, every object ``obj`` is built from, inner ones first;
+    ``passed`` is as for ``check``."""
+    parts = _CHECKS.get(type(obj), (None, None))[1]
+    for part in parts(obj) if parts is not None else ():
+        if id(part) not in passed:
+            check_parts(part, passed)
+            check(part, passed)
     return obj
 
 
-def checked(obj):
+def checked(obj, passed=None):
     """``obj`` once it and everything it is built from pass their law checks."""
-    return check(check_parts(obj))
+    if passed is None:
+        passed = {}
+    return check(check_parts(obj, passed), passed)
+
+
+class Reading:
+    """The read of one document.  Equal sub-documents of one kind parse to one
+    shared object, and ``passed`` holds, by id, each object whose law check
+    has passed (as ``check`` takes it), so each distinct part is checked once.
+    Both hold their objects, so no id is reused while the reading lives."""
+
+    def __init__(self):
+        self.built = {}
+        self.passed = {}
+
+    def share(self, key, data, build):
+        """``build()``, the object of the sub-document ``data``, unless an equal
+        sub-document under ``key`` was read before: then the object it gave."""
+        entries = self.built.setdefault(key, [])
+        for seen, obj in entries:
+            # == equates 1, 1.0 and true, which the readers tell apart; the
+            # repr of parsed JSON does not
+            if seen == data and repr(seen) == repr(data):
+                return obj
+        obj = build()
+        entries.append((data, obj))
+        return obj
+
+    def read(self, kind, data):
+        """The object of a sub-document of ``kind``, its shape checked but not its laws."""
+        return self.share(kind, data, lambda: KINDS[kind].read(data, self))
 
 
 def load_object_unchecked(data):
     """(kind, object) of a document, parsed without any law check."""
     kind = detect_kind(data)
-    return kind, KINDS[kind].read(data)
+    return kind, Reading().read(kind, data)
 
 
 def detect_kind(data):
@@ -308,37 +355,41 @@ def arrow_from_json(gpd, data):
     return arrow
 
 
-def _level_hom(table, source, target, obj_map):
+def _level_hom(table, source, target, obj_map, reading):
     """The groupoid map sending each arrow of ``table`` to the target arrow it writes."""
-    arrow_map = {a: arrow_from_json(target, v) for a, v in table.items()}
-    return GroupoidHom(source, target, obj_map, arrow_map)
+
+    def build():
+        arrow_map = {a: arrow_from_json(target, v) for a, v in table.items()}
+        return GroupoidHom(source, target, obj_map, arrow_map)
+
+    return reading.share(("groupoid map", source, target), (table, obj_map), build)
 
 
 # -- one reader per kind -----------------------------------------------------------------
 #
-# A reader takes a document whose shape is checked and builds its object
-# without a law check.
+# A reader takes a document whose shape is checked and the ``Reading`` it is
+# part of, and builds its object without a law check.
 
 
-def _site(data):
+def _site(data, reading):
     return FiniteSite(
         data["objects"], _cells(data["arrows"]), _pairs(data["comp"]), data["identities"],
         data["covers"],
     )
 
 
-def _group(data):
+def _group(data, reading):
     return GroupTable(data["elements"], _pairs(data["mult"]), data["identity"])
 
 
-def _groupoid(data):
+def _groupoid(data, reading):
     return FiniteGroupoid(
         data["objects"], _cells(data["arrows"]), _pairs(data["comp"]),
         dict(data["identities"]), dict(data["inverses"]),
     )
 
 
-def _free_groupoid(data):
+def _free_groupoid(data, reading):
     return FreeGroupoid(data["objects"], _cells(data["generators"]))
 
 
@@ -351,7 +402,7 @@ def _free(data):
     return True
 
 
-def _2gpd(data):
+def _2gpd(data, reading):
     return TwoGroupoid(
         data["objects"], _cells(data["cells1"]), _pairs(data["comp1"]), data["id1"], data["inv1"],
         _cells(data["cells2"]), _pairs(data["vcomp"]), _pairs(data["hcomp"]), data["id2"],
@@ -359,7 +410,7 @@ def _2gpd(data):
     )
 
 
-def _sset(data):
+def _sset(data, reading):
     """A simplicial set whose levels are arrays of string ids and whose face and
     degeneracy tables map string ids to string ids; it checks its own shape."""
     if not isinstance(data, dict):
@@ -387,7 +438,7 @@ def _sset(data):
     return TruncatedSimplicialSet(data["depth"], levels, faces, degeneracies)
 
 
-def _sgpd(data):
+def _sgpd(data, reading):
     """A simplicial groupoid whose ``depth`` is its number of levels less one
     and whose operator tables are keyed within that depth."""
     _require(data, ("depth",), "simplicial groupoid")
@@ -401,7 +452,7 @@ def _sgpd(data):
             f"simplicial groupoid depth {depth} does not match its {len(data['levels'])} levels"
         )
     # one rule, a groupoid's free field, tells free levels from finite ones
-    levels = [KINDS["free_groupoid" if _free(g) else "groupoid"].read(g) for g in data["levels"]]
+    levels = [reading.read("free_groupoid" if _free(g) else "groupoid", g) for g in data["levels"]]
     obj_map = {o: o for o in objects}
     operators = []
     for name, low, high, shift in (("faces", 1, depth, -1), ("degeneracies", 0, depth - 1, 1)):
@@ -412,12 +463,12 @@ def _sgpd(data):
                 raise ValueError(
                     f"simplicial groupoid {name} table {key} is outside depth {depth}"
                 )
-            homs[n, i] = _level_hom(table, levels[n], levels[n + shift], obj_map)
+            homs[n, i] = _level_hom(table, levels[n], levels[n + shift], obj_map, reading)
         operators.append(homs)
     return SimplicialGroupoid(objects, levels, *operators)
 
 
-def _chain(data):
+def _chain(data, reading):
     """A chain fixture: moduli per degree and, for each degree i >= 1, the
     images of the generators of C_i in C_(i-1) as coordinate lists."""
     groups = [FiniteAbelianGroup(m) for m in data["groups"]]
@@ -439,19 +490,19 @@ def _section(values, u):
     return values[u]
 
 
-def _presheaf(data):
-    site = KINDS["site"].read(data["site"])
+def _presheaf(data, reading):
+    site = reading.read("site", data["site"])
     domain = data["domain"]
     io = DOMAIN_IO.get(domain)
     if io is None:
         raise ValueError(f"unknown domain {domain!r}")
-    values = {u: io.read_value(v) for u, v in data["values"].items()}
+    values = {u: io.read_value(v, reading) for u, v in data["values"].items()}
     restrictions = {}
     for a, m in data["restrictions"].items():
         if a not in site.arrows:
             raise ValueError(f"presheaf restrictions key {a!r} is not an arrow of the site")
         v, u = site.arrows[a]
-        restrictions[a] = io.read_map(m, _section(values, u), _section(values, v))
+        restrictions[a] = io.read_map(m, _section(values, u), _section(values, v), reading)
     return Presheaf(site, domain, values, restrictions)
 
 
@@ -469,11 +520,12 @@ class Kind(NamedTuple):
     pi0: object  # its path components, or None: pi0 does not handle it
     bounds: object  # the sizes hpk bounds reports, or None
 
-    def read(self, data):
-        """The object of a document of this kind, its shape checked but not its laws."""
+    def read(self, data, reading):
+        """The object of a document of this kind, its shape checked but not its
+        laws; ``Reading.read`` is this read once per distinct sub-document."""
         if self.shape is not None:
             _check_shape(data, self.shape)
-        return self.parse(data)
+        return self.parse(data, reading)
 
 
 def _has(*fields):
@@ -542,7 +594,7 @@ KINDS = {
 
 def chain_from_json(data):
     """The chain fixture of a chain document; it checks itself as it is built."""
-    return KINDS["chain"].read(data)
+    return Reading().read("chain", data)
 
 
 def chain_to_json(chain):
@@ -561,15 +613,20 @@ def _sorted(table):
     return dict(sorted(table.items()))
 
 
-def _set_value(data):
+def _set_value(data, reading):
     _string_ids(data, "set value")
     return tuple(data)
+
+
+def _kind_value(kind):
+    """The reader of a value that is a document of ``kind``."""
+    return lambda data, reading: reading.read(kind, data)
 
 
 def _table_map(domain):
     """The reader of a map of sets or of groups: an object of string ids."""
 
-    def read(data, source, target):
+    def read(data, source, target, reading):
         if not isinstance(data, dict):
             raise ValueError(f"a {domain} map must be an object, got {_JSON_TYPES[type(data)]}")
         _check_entries(data, str, f"{domain} map")
@@ -578,19 +635,31 @@ def _table_map(domain):
     return read
 
 
-def _sset_map(data, source, target):
-    _check_shape(data, "simplicial map")
+def _map_reader(shape, build):
+    """The reader of a map whose fields have the shape ``shape``: equal map
+    documents between the same source and target give one map per reading."""
+
+    def read(data, source, target, reading):
+        def make():
+            _check_shape(data, shape)
+            return build(data, source, target, reading)
+
+        return reading.share((shape, source, target), data, make)
+
+    return read
+
+
+def _sset_map(data, source, target, reading):
     return SimplicialMap(source, target, data["levels"])
 
 
-def _sgpd_map(data, source, target):
-    _check_shape(data, "simplicial groupoid map")
+def _sgpd_map(data, source, target, reading):
     obj_map, levels = data["obj_map"], data["levels"]
     if len(levels) != len(source.levels):
         raise ValueError(f"{_CHECKS[SimplicialGroupoidMap][0]}: wrong number of level maps")
     # a shallower target leaves too few level maps, which the law check names
     level_homs = [
-        _level_hom(table, s, t, obj_map)
+        _level_hom(table, s, t, obj_map, reading)
         for table, s, t in zip(levels, source.levels, target.levels)
     ]
     return SimplicialGroupoidMap(source, target, obj_map, level_homs)
@@ -606,8 +675,7 @@ def _sgpd_map_json(sg_map):
     }
 
 
-def _2gpd_map(data, source, target):
-    _check_shape(data, "2-groupoid map")
+def _2gpd_map(data, source, target, reading):
     return TwoFunctor(source, target, data["objects"], data["map1"], data["map2"])
 
 
@@ -620,18 +688,22 @@ def _2gpd_map_json(func):
 
 
 # How the values of a presheaf domain and the maps between them are read and
-# written.  A map reader takes the document and the map's source and target,
-# checks the document's shape and builds the map without a law check.
+# written.  A value reader takes the document and the ``Reading`` it is part
+# of; a map reader takes the document, the map's source and target and the
+# reading.  Both check the document's shape and build without a law check.
 Domain = namedtuple("Domain", "read_value write_value read_map write_map")
 _to_json = methodcaller("to_json")
 
 # one row per value domain of ``presheaves.DOMAINS``
 DOMAIN_IO = {
     "set": Domain(_set_value, list, _table_map("set"), _sorted),
-    "group": Domain(KINDS["group"].read, _to_json, _table_map("group"), _sorted),
-    "sset": Domain(KINDS["sset"].read, _to_json, _sset_map, _to_json),
-    "sgpd": Domain(KINDS["sgpd"].read, _to_json, _sgpd_map, _sgpd_map_json),
-    "2gpd": Domain(KINDS["2gpd"].read, _to_json, _2gpd_map, _2gpd_map_json),
+    "group": Domain(_kind_value("group"), _to_json, _table_map("group"), _sorted),
+    "sset": Domain(_kind_value("sset"), _to_json, _map_reader("simplicial map", _sset_map),
+                   _to_json),
+    "sgpd": Domain(_kind_value("sgpd"), _to_json,
+                   _map_reader("simplicial groupoid map", _sgpd_map), _sgpd_map_json),
+    "2gpd": Domain(_kind_value("2gpd"), _to_json, _map_reader("2-groupoid map", _2gpd_map),
+                   _2gpd_map_json),
 }
 
 
@@ -657,20 +729,26 @@ def functor2_to_json(func):
     return _map_document("2gpd", func)
 
 
-def smap_from_json(data):
+def smap_from_json(data, reading=None):
+    """The checked map of a simplicial map document, read as part of
+    ``reading`` if one is given, else as a document of its own."""
+    reading = Reading() if reading is None else reading
     _check_shape(data, "simplicial map")
     # the endpoints are simplicial set documents, shape-checked by their reader
     _require(data, ("source", "target"), "simplicial map")
-    read = KINDS["sset"].read
-    return checked(SimplicialMap(read(data["source"]), read(data["target"]), data["levels"]))
+    source, target = reading.read("sset", data["source"]), reading.read("sset", data["target"])
+    smap = reading.share(
+        ("simplicial map", source, target), data, lambda: _sset_map(data, source, target, reading)
+    )
+    return checked(smap, reading.passed)
 
 
 def functor2_from_json(data):
     # the 2-functor shape holds the fields of a 2-groupoid map
     _check_shape(data, "2-functor")
-    read = KINDS["2gpd"].read
-    source, target = read(data["source"]), read(data["target"])
-    return checked(TwoFunctor(source, target, data["objects"], data["map1"], data["map2"]))
+    reading = Reading()
+    source, target = reading.read("2gpd", data["source"]), reading.read("2gpd", data["target"])
+    return checked(_2gpd_map(data, source, target, reading), reading.passed)
 
 
 def presheaf_to_json(presheaf):
@@ -694,10 +772,12 @@ def nat_to_json(nat):
     }
 
 
-def nat_from_json(data):
+def nat_from_json(data, reading=None):
+    """The checked transformation of a natural transformation document, read
+    as part of ``reading`` if one is given, else as a document of its own."""
+    reading = Reading() if reading is None else reading
     _check_shape(data, "natural transformation")
-    read = KINDS["presheaf"].read
-    source, target = read(data["source"]), read(data["target"])
+    source, target = reading.read("presheaf", data["source"]), reading.read("presheaf", data["target"])
     for side, presheaf in (("source", source), ("target", target)):
         if presheaf.domain != data["domain"]:
             raise ValueError(
@@ -705,14 +785,21 @@ def nat_from_json(data):
                 f"the domain {presheaf.domain!r} of its {side}"
             )
     io = DOMAIN_IO[source.domain]
-    components = {}
-    for u, m in data["components"].items():
-        if u not in source.site.objects:
-            raise ValueError(
-                f"natural transformation components key {u!r} is not an object of the site"
+
+    def build():
+        components = {}
+        for u, m in data["components"].items():
+            if u not in source.site.objects:
+                raise ValueError(
+                    f"natural transformation components key {u!r} is not an object of the site"
+                )
+            components[u] = io.read_map(
+                m, _section(source.values, u), _section(target.values, u), reading
             )
-        components[u] = io.read_map(m, _section(source.values, u), _section(target.values, u))
-    return checked(NaturalTransformation(source, target, components))
+        return NaturalTransformation(source, target, components)
+
+    nat = reading.share(("natural transformation", source, target), data, build)
+    return checked(nat, reading.passed)
 
 
 # -- output ---------------------------------------------------------------------------

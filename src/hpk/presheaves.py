@@ -7,6 +7,13 @@ is computed over the minimal covering sieve (the intersection of the listed
 covers, which a valid finite topology contains); sheafification is the plus
 construction applied twice, and its output is checked against the sheaf
 condition exhaustively in the tests.
+
+Within one call of ``is_weak_equivalence`` (and of ``homotopy_presheaf`` and
+``sheafify_map``) each distinct thing is computed once: the classes of a
+section object at a point in a degree, the homotopy presheaf of a presheaf
+object under an object at a point in a degree, and the plus construction of a
+presheaf object.  The memo that holds them is made by the call and dropped
+when it returns; nothing is kept between calls.
 """
 
 from itertools import product
@@ -23,6 +30,23 @@ from .laws import functor_problems
 from .sites import comma_arrows, comma_site
 from .sset import SimplicialMap, TruncatedSimplicialSet, pi0_sset
 from .two_groupoids import TwoFunctor, pi1_with_classes, pi_2gpd
+
+
+class _Once:
+    """A memo for one call: ``once(fn, x, *args, **options)`` is
+    ``fn(x, *args, **options)``, computed the first time ``fn``, ``x`` and
+    ``args`` come.  It is keyed by ``fn``, the id() of ``x`` and ``args``, and
+    holds ``x`` beside its result so that the id is not reused while the memo
+    lives; ``options`` are passed on unkeyed."""
+
+    def __init__(self):
+        self.results = {}
+
+    def __call__(self, fn, x, *args, **options):
+        key = (fn, id(x), *args)
+        if key not in self.results:
+            self.results[key] = x, fn(x, *args, **options)
+        return self.results[key][1]
 
 
 # -- pointed invariants of a section -------------------------------------------
@@ -82,6 +106,8 @@ def _object_image(morphism, point):
 # classes), ``apply`` (the image of an element, a vertex or an object under a
 # map), ``degree`` (n -> the degree-n pointed invariant) and ``degrees`` (n_max
 # -> the (witness label, n) pairs the weak-equivalence criterion checks), or None.
+# ``validate_morphism(m, src, tgt, passed)`` skips the check of a map object
+# whose id is in ``passed``, one that has passed its own check already.
 
 
 class _SetOps:
@@ -97,7 +123,7 @@ class _SetOps:
         return morphism[element]
 
     @staticmethod
-    def validate_morphism(m, src, tgt):
+    def validate_morphism(m, src, tgt, passed=()):
         problems = []
         if set(m) != set(src):
             problems.append("map not total")
@@ -126,7 +152,7 @@ class _GroupOps(_SetOps):
         return list(value.elements)
 
     @staticmethod
-    def validate_morphism(m, src, tgt):
+    def validate_morphism(m, src, tgt, passed=()):
         names = ("object", "element", "product")
         return functor_problems(src.tables(), tgt.tables(), {"*": "*"}, m, names)
 
@@ -149,8 +175,8 @@ class _MapOps:
         self.degrees = degrees
 
     @staticmethod
-    def validate_morphism(m, src, tgt):
-        return m.validate()
+    def validate_morphism(m, src, tgt, passed=()):
+        return [] if id(m) in passed else m.validate()
 
     def identity(self, value):
         return self.map_class.identity(value)
@@ -191,7 +217,9 @@ class Presheaf:
         self.values = dict(values)
         self.restrictions = dict(restrictions)
 
-    def validate(self):
+    def validate(self, passed=()):
+        """Violations of the presheaf laws; a restriction whose id is in
+        ``passed`` has passed its own check, which is not run again."""
         problems = []
         if set(self.values) != set(self.site.objects):
             return ["values not assigned exactly on objects"]
@@ -203,7 +231,7 @@ class Presheaf:
             problems.extend(
                 f"restriction {a}: {p}"
                 for p in self.ops.validate_morphism(
-                    self.restrictions[a], self.values[u], self.values[v]
+                    self.restrictions[a], self.values[u], self.values[v], passed
                 )
             )
         if problems:
@@ -227,7 +255,9 @@ class NaturalTransformation:
         self.target = target
         self.components = dict(components)
 
-    def validate(self):
+    def validate(self, passed=()):
+        """Violations of naturality; a component whose id is in ``passed`` has
+        passed its own check, which is not run again."""
         problems = []
         ops = self.source.ops
         if set(self.components) != set(self.source.site.objects):
@@ -236,7 +266,7 @@ class NaturalTransformation:
             problems.extend(
                 f"component at {u}: {p}"
                 for p in ops.validate_morphism(
-                    self.components[u], self.source.values[u], self.target.values[u]
+                    self.components[u], self.source.values[u], self.target.values[u], passed
                 )
             )
         if problems:
@@ -363,11 +393,13 @@ def _plus(presheaf):
     return result, unit, names
 
 
-def plus_map(nat):
-    """The map induced on plus constructions; returns (map, source+, target+)."""
+def plus_map(nat, once=None):
+    """The map induced on plus constructions; returns (map, source+, target+).
+    ``once`` is the memo of the calling criterion, if any."""
+    once = _Once() if once is None else once
     site = nat.source.site
-    source_plus, _, families = _plus(nat.source)
-    target_plus, _ = plus(nat.target)
+    source_plus, _, families = once(_plus, nat.source)
+    target_plus = once(_plus, nat.target)[0]
     components = {}
     for u in site.objects:
         components[u] = {
@@ -392,10 +424,11 @@ def sheafify(presheaf):
     return twice, NaturalTransformation(presheaf, twice, composed)
 
 
-def sheafify_map(nat):
-    """The induced map of sheafifications; returns (map, source L2, target L2)."""
-    once, _, _ = plus_map(nat)
-    return plus_map(once)
+def sheafify_map(nat, once=None):
+    """The induced map of sheafifications; returns (map, source L2, target L2).
+    ``once`` is the memo of the calling criterion, if any."""
+    first, _, _ = plus_map(nat, once)
+    return plus_map(first, once)
 
 
 def sheaf_condition_report(presheaf):
@@ -570,11 +603,12 @@ def homotopy_presheaf(x, u, basepoint, n):
         raise ValueError("hsheaf needs simplicial groupoid or 2-groupoid values")
     if basepoint not in x.values[u].objects:
         raise ValueError(f"basepoint {basepoint!r} is not an object of the section")
-    return _homotopy_presheaf(x, u, basepoint, x.ops.degree(n))[0]
+    return _homotopy_presheaf(x, u, basepoint, x.ops.degree(n), once=_Once())[0]
 
 
-def _homotopy_presheaf(x, u, basepoint, degree):
-    """homotopy_presheaf of one degree, and the classifier of each of its values."""
+def _homotopy_presheaf(x, u, basepoint, degree, once):
+    """homotopy_presheaf of one degree, and the classifier of each of its values;
+    ``once`` computes the classes of each section object at each point once."""
     classes, image = degree
     site = x.site
     comma = comma_site(site, u)
@@ -582,7 +616,7 @@ def _homotopy_presheaf(x, u, basepoint, degree):
     classifiers = {}
     for phi in comma.objects:
         point = x.restrictions[phi].obj_map[basepoint]
-        tables[phi], classifiers[phi] = classes(x.values[site.src(phi)], point)
+        tables[phi], classifiers[phi] = once(classes, x.values[site.src(phi)], point)
     restrictions = {}
     for name, h, psi, phi in comma_arrows(site, u):
         morphism = x.restrictions[h]
@@ -601,10 +635,10 @@ def homotopy_sheaf(x, u, basepoint, n):
 # -- the weak-equivalence criterion -----------------------------------------------
 
 
-def _induced_sheaf_iso(source_presheaf, target_presheaf, components):
+def _induced_sheaf_iso(source_presheaf, target_presheaf, components, once=None):
     """Sheafify an induced presheaf map and decide whether it is an iso."""
     nat = NaturalTransformation(source_presheaf, target_presheaf, components)
-    sheaf_map, src_sheaf, tgt_sheaf = sheafify_map(nat)
+    sheaf_map, src_sheaf, tgt_sheaf = sheafify_map(nat, once)
     witnesses = []
     for obj in src_sheaf.site.objects:
         comp = sheaf_map.components[obj]
@@ -638,9 +672,10 @@ def is_weak_equivalence(nat, kind, n_max=2):
         raise ValueError(f"n_max must be a non-negative integer, got {n_max!r}")
     site = x.site
     witnesses = []
+    once = _Once()
 
     # pi_0 as a sheaf on the base site
-    pi0_x, pi0_y = pi0_presheaf(x), pi0_presheaf(y)
+    pi0_x, pi0_y = once(pi0_presheaf, x), once(pi0_presheaf, y)
     components = {}
     for v in site.objects:
         reps_y = _components_of_value(y, v)
@@ -648,16 +683,18 @@ def is_weak_equivalence(nat, kind, n_max=2):
             rep: reps_y[ops.apply(nat.components[v], rep)]
             for rep in pi0_x.values[v]
         }
-    for obj in _induced_sheaf_iso(pi0_x, pi0_y, components):
+    for obj in _induced_sheaf_iso(pi0_x, pi0_y, components, once):
         witnesses.append({"sheaf": "pi0", "object": obj})
 
+    # one pointed invariant per degree for the whole call, so that ``once``
+    # meets each degree as one key
+    degrees = [(label, ops.degree(n)) for label, n in ops.degrees(n_max)]
     for u in site.objects:
         for basepoint in x.values[u].objects:
             fx = nat.components[u].obj_map[basepoint]
-            for label, n in ops.degrees(n_max):
-                degree = ops.degree(n)
-                px, _ = _homotopy_presheaf(x, u, basepoint, degree)
-                py, classifiers = _homotopy_presheaf(y, u, fx, degree)
+            for label, degree in degrees:
+                px, _ = once(_homotopy_presheaf, x, u, basepoint, degree, once=once)
+                py, classifiers = once(_homotopy_presheaf, y, u, fx, degree, once=once)
                 image = degree[1]
                 components = {
                     phi: {
@@ -666,7 +703,7 @@ def is_weak_equivalence(nat, kind, n_max=2):
                     }
                     for phi in px.site.objects
                 }
-                for obj in _induced_sheaf_iso(px, py, components):
+                for obj in _induced_sheaf_iso(px, py, components, once):
                     witnesses.append(
                         {
                             "sheaf": label,

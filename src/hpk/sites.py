@@ -55,9 +55,11 @@ class FiniteSite:
         )
 
     def is_sieve(self, u, arrow_set):
+        """Whether ``arrow_set`` is a sieve on u: arrows into u, closed under
+        precomposition.  A set holding a non-arrow is not one."""
         arrow_set = frozenset(arrow_set)
         for f in arrow_set:
-            if self.tgt(f) != u:
+            if f not in self.arrows or self.tgt(f) != u:
                 return False
             for g in self.arrows:
                 if self.src(f) == self.tgt(g) and self.comp[(f, g)] not in arrow_set:
@@ -106,7 +108,10 @@ class FiniteSite:
                 problems.append(f"object {u} has no covering sieves")
                 continue
             for s in sieves:
-                if not self.is_sieve(u, s):
+                unknown = sorted(f for f in s if f not in self.arrows)
+                if unknown:
+                    problems.append(f"cover of {u} holds {unknown[0]!r}, which is not an arrow")
+                elif not self.is_sieve(u, s):
                     problems.append(f"cover of {u} contains a non-sieve")
             if self.maximal_sieve(u) not in set(sieves):
                 problems.append(f"maximal sieve of {u} does not cover")

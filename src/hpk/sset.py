@@ -159,16 +159,13 @@ class TruncatedSimplicialSet:
     # -- serialization ------------------------------------------------------
 
     def to_json(self):
+        # copies in table order: ``jsonio.dumps`` writes every object sorted
         return {
             "depth": self.depth,
             "levels": [list(level) for level in self.levels],
-            "faces": {
-                f"{n},{i}": dict(sorted(table.items()))
-                for (n, i), table in sorted(self.faces.items())
-            },
+            "faces": {f"{n},{i}": dict(table) for (n, i), table in self.faces.items()},
             "degeneracies": {
-                f"{n},{i}": dict(sorted(table.items()))
-                for (n, i), table in sorted(self.degeneracies.items())
+                f"{n},{i}": dict(table) for (n, i), table in self.degeneracies.items()
             },
         }
 

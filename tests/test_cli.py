@@ -678,6 +678,17 @@ def _bad_site():
     return data
 
 
+def _site_with_cover_u(sieve):
+    """The two-object site document with ``sieve`` as one more cover of U."""
+
+    def build():
+        data = FiniteSite.two_object_site().to_json()
+        data["covers"]["U"].append(sieve)
+        return data
+
+    return build
+
+
 def _bad_group():
     data = GroupTable.cyclic(3).to_json()
     data["mult"]["g1|g1"] = "g0"
@@ -1035,6 +1046,10 @@ INVALID_DOCUMENTS = {
     # site, group and 2-functor documents are shape-checked like the others
     "site_null_arrows": (_with(lambda: FiniteSite.two_object_site().to_json(), "arrows", None),
                          ["comma", "--object", "U"], 2, "site arrows must be an array, got null"),
+    # a cover naming a non-arrow is a violation of the site, not a lookup error
+    "site_unknown_cover_arrow": (_site_with_cover_u(["zz"]), ["site-validate"], 1, None),
+    "site_unknown_cover_arrow_comma": (_site_with_cover_u(["zz"]), ["comma", "--object", "U"], 2,
+                                       "invalid site: cover of U holds 'zz', which is not an arrow"),
     "site_list_in_sieve": (_with(lambda: FiniteSite.two_object_site().to_json(), "covers",
                                  {"U": [["f", ["x"]]], "V": [["idV"]]}),
                            ["comma", "--object", "U"], 2,
@@ -1152,6 +1167,13 @@ INVALID_DOCUMENTS = {
         _renamed(_identity_nat(lambda: ("set", ("a", "b"))), "components", "V", "zz"),
         ["weq", "--kind", "sgpd"], 2,
         "natural transformation components key 'zz' is not an object of the site"),
+    # a section equal under == to one read before, but with a depth of another
+    # JSON type, is read (and rejected) on its own: == equates 2, 2.0 and true
+    "presheaf_value_float_depth": (_at(_sgpd_presheaf, ("values", "V", "depth"), 2.0),
+                                   ["sheafify"], 2,
+                                   "simplicial groupoid depth must be an integer, got a number"),
+    "presheaf_value_true_depth": (_at(_sset_presheaf, ("values", "V", "depth"), True),
+                                  ["sheafify"], 2, "depth must be a non-negative integer, got True"),
     # a groupoid with a free field is free, and the field must be true
     "free_groupoid_free_false": (_at(lambda: _free_sgpd()[1].levels[1].to_json(), ("free",), False),
                                  ["bounds"], 2, "groupoid free must be true, got false"),

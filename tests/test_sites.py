@@ -45,6 +45,16 @@ def test_removing_small_cover_still_valid():
     assert still.validate() == []
 
 
+def test_a_cover_naming_a_non_arrow_is_a_named_violation():
+    site = FiniteSite.two_object_site()
+    covers = {u: list(s) for u, s in site.covers.items()}
+    covers["U"].append(frozenset({"zz"}))
+    broken = FiniteSite(site.objects, site.arrows, site.comp, site.identities, covers)
+    assert broken.validate() == ["cover of U holds 'zz', which is not an arrow"]
+    assert not broken.is_sieve("U", {"zz"})
+    assert not broken.is_sieve("U", {"f", "zz"})
+
+
 def test_local_character_catches_missing_sieve():
     # if the empty sieve covers V, then the empty sieve on U is locally
     # covering for the <f> cover and must be listed; flag its absence
