@@ -5,8 +5,9 @@ isomorphism search, lifting) charges work units against a budget.  Running
 out is a distinguished outcome, never a wrong answer: the search raises
 :class:`BudgetExceeded` and callers surface it loudly.
 
-The default budgets can be overridden globally with the ``HPK_BUDGET``
-environment variable (a single integer applied to all searches).
+A search runs with the budget its caller passes; without one, with the
+``HPK_BUDGET`` environment variable (a single integer applied to all
+searches) if it is set, else with its default.
 """
 
 import os
@@ -28,8 +29,11 @@ class BudgetExceeded(Exception):
         self.budget = budget
 
 
-def env_budget(default):
-    """Return the budget to use, honouring the HPK_BUDGET override."""
+def resolve_budget(default, budget=None):
+    """The budget a search runs with: ``budget`` if one is given, else
+    ``HPK_BUDGET`` if it is set, else ``default``."""
+    if budget is not None:
+        return budget
     raw = os.environ.get("HPK_BUDGET")
     if raw is None:
         return default

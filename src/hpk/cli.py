@@ -4,7 +4,7 @@ One command per invocation; JSON in, JSON out (deterministic byte-identical
 output for identical inputs), with a lossy ``--format text`` summary.  Exit
 codes: 0 success, 1 property violation found, 2 input error, 3 enumeration
 budget exceeded.  The environment variable ``HPK_BUDGET`` overrides every
-default search budget.
+default search budget, and an explicit ``--budget`` overrides it.
 """
 
 import argparse
@@ -19,7 +19,7 @@ from .budgets import (
     DEFAULT_ISO_SEARCH_BUDGET,
     DEFAULT_LIFT_BUDGET,
     DEFAULT_REWRITE_BUDGET,
-    env_budget,
+    resolve_budget,
 )
 from .groupoids import dold_kan, moore_pi_n
 from .kan import KanConditionFailed, pi_n_kan
@@ -46,10 +46,10 @@ def _meta():
     return {
         "conventions": dict(CONVENTIONS),
         "budgets": {
-            "filler": env_budget(DEFAULT_FILLER_BUDGET),
-            "rewrite": env_budget(DEFAULT_REWRITE_BUDGET),
-            "iso_search": env_budget(DEFAULT_ISO_SEARCH_BUDGET),
-            "lift": env_budget(DEFAULT_LIFT_BUDGET),
+            "filler": resolve_budget(DEFAULT_FILLER_BUDGET),
+            "rewrite": resolve_budget(DEFAULT_REWRITE_BUDGET),
+            "iso_search": resolve_budget(DEFAULT_ISO_SEARCH_BUDGET),
+            "lift": resolve_budget(DEFAULT_LIFT_BUDGET),
         },
     }
 

@@ -14,7 +14,7 @@ from itertools import combinations_with_replacement, product
 from math import prod
 from typing import NamedTuple
 
-from .groups import GroupTable
+from .groups import GroupTable, free_reduce, invert_word
 from .laws import (
     category_problems,
     commutation_problems,
@@ -148,16 +148,6 @@ class NonComposableWord(ValueError):
     """Letters of a word do not chain source-to-target."""
 
 
-def _reduce_letters(letters):
-    out = []
-    for letter in letters:
-        if out and out[-1][0] == letter[0] and out[-1][1] == -letter[1]:
-            out.pop()
-        else:
-            out.append(letter)
-    return tuple(out)
-
-
 class _Lookup:
     """A table whose entries a function computes, read as ``t[key]`` or ``t.get(key)``."""
 
@@ -205,7 +195,7 @@ class FreeGroupoid:
                     f"letter {letter} starts at {s}, previous letter ended at {cur_tgt}"
                 )
             cur_tgt = t
-        reduced = _reduce_letters(letters)
+        reduced = free_reduce(letters)
         return FreeArrow(cur_src, cur_tgt, reduced)
 
     def gen(self, g):
@@ -221,10 +211,10 @@ class FreeGroupoid:
         """f o g: apply g first."""
         if g.tgt != f.src:
             raise NonComposableWord(f"cannot compose {f} o {g}")
-        return FreeArrow(g.src, f.tgt, _reduce_letters(g.letters + f.letters))
+        return FreeArrow(g.src, f.tgt, free_reduce(g.letters + f.letters))
 
     def inv(self, f):
-        return FreeArrow(f.tgt, f.src, tuple((g, -e) for g, e in reversed(f.letters)))
+        return FreeArrow(f.tgt, f.src, invert_word(f.letters))
 
     def src(self, f):
         return f.src

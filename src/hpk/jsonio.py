@@ -772,6 +772,15 @@ def nat_to_json(nat):
     }
 
 
+def _same_site(a, b):
+    """Whether two sites have the same objects, arrows, composites, identities
+    and covering sieves."""
+    return a is b or (
+        (a.objects, a.arrows, a.comp, a.identities) == (b.objects, b.arrows, b.comp, b.identities)
+        and {u: set(s) for u, s in a.covers.items()} == {u: set(s) for u, s in b.covers.items()}
+    )
+
+
 def nat_from_json(data, reading=None):
     """The checked transformation of a natural transformation document, read
     as part of ``reading`` if one is given, else as a document of its own."""
@@ -784,6 +793,8 @@ def nat_from_json(data, reading=None):
                 f"natural transformation domain {data['domain']!r} does not match "
                 f"the domain {presheaf.domain!r} of its {side}"
             )
+    if not _same_site(source.site, target.site):
+        raise ValueError("natural transformation source and target are not on the same site")
     io = DOMAIN_IO[source.domain]
 
     def build():

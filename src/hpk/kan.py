@@ -18,7 +18,7 @@ homotopy scans of ``pi_n_kan`` charge one unit per (n+1)-simplex per scan,
 one whole level at a time.
 """
 
-from .budgets import DEFAULT_FILLER_BUDGET, Meter, env_budget
+from .budgets import DEFAULT_FILLER_BUDGET, Meter, resolve_budget
 from .groups import GroupTable
 from .sset import InsufficientDepth, _UnionFind, compatible_tuples
 
@@ -57,8 +57,7 @@ def kan_report(sset, max_level, budget=None):
         raise InsufficientDepth(
             f"Kan check to level {max_level} needs depth {max_level}, have {sset.depth}"
         )
-    budget = env_budget(DEFAULT_FILLER_BUDGET if budget is None else budget)
-    meter = Meter("horn enumeration", budget)
+    meter = Meter("horn enumeration", resolve_budget(DEFAULT_FILLER_BUDGET, budget))
     failures = []
     for m in range(1, max_level + 1):
         level = sset.levels[m]
@@ -88,7 +87,7 @@ def pi_n_kan(sset, base, n, budget=None):
         raise InsufficientDepth(f"pi_{n} needs depth {n + 1}, have {sset.depth}")
     if base not in sset.levels[0]:
         raise ValueError(f"basepoint {base!r} is not a vertex")
-    budget = env_budget(DEFAULT_FILLER_BUDGET if budget is None else budget)
+    budget = resolve_budget(DEFAULT_FILLER_BUDGET, budget)
     failures = kan_report(sset, n + 1, budget=budget)
     if failures:
         m, k, horn = failures[0]

@@ -13,13 +13,13 @@ Single complexes are handled by wrapping them as presheaves on the one-object
 site with its trivial topology.
 """
 
-from itertools import combinations, product
+from itertools import combinations
 
-from .budgets import DEFAULT_LIFT_BUDGET, Meter, env_budget
+from .budgets import DEFAULT_LIFT_BUDGET, Meter, resolve_budget
 from .homsearch import level_search, section_maps, simplicial_rule
-from .presheaves import NaturalTransformation, Presheaf, y_u
+from .presheaves import NaturalTransformation, Presheaf, copy_id, y_u
 from .sites import FiniteSite
-from .sset import SimplicialMap, TruncatedSimplicialSet, standard_complex
+from .sset import SimplicialMap, standard_complex, subcomplex
 
 
 def as_point_presheaf(sset):
@@ -119,8 +119,7 @@ def solve_lifting(problem, budget=None):
     outcome "lift": a verified diagonal; "no-lift": the search exhausted every
     assignment; budget exhaustion raises BudgetExceeded.
     """
-    budget = env_budget(DEFAULT_LIFT_BUDGET if budget is None else budget)
-    meter = Meter("lifting search", budget)
+    meter = Meter("lifting search", resolve_budget(DEFAULT_LIFT_BUDGET, budget))
     site = problem.i.source.site
     a, b = problem.i.source, problem.i.target
     pins = {}
@@ -176,116 +175,77 @@ def _subcomplex_choices(n):
     return sorted(choices, key=lambda c: (len(c), sorted(map(sorted, c))))
 
 
-def _restrict_delta(delta, chosen):
-    """The subcomplex of a standard simplex with the chosen vertex-set faces."""
-    position = {v: k for k, v in enumerate(delta.levels[0])}
-
-    def vertex_set(n, s):
-        return frozenset(position[delta.vertex(n, s, j)] for j in range(n + 1))
-
-    keep = [
-        [s for s in level if vertex_set(n, s) in chosen]
-        for n, level in enumerate(delta.levels)
-    ]
-    kept = [set(level) for level in keep]
-    faces = {
-        key: {s: img for s, img in table.items() if s in kept[key[0]]}
-        for key, table in delta.faces.items()
-    }
-    degeneracies = {
-        key: {s: img for s, img in table.items() if s in kept[key[0]]}
-        for key, table in delta.degeneracies.items()
-    }
-    return TruncatedSimplicialSet(delta.depth, keep, faces, degeneracies)
-
-
-def generating_inclusions(site, n_max, budget=None, depth=None):
+def generating_inclusions(site, n_max, budget=None):
     """All inclusions of subpresheaves of Delta^n_U for n <= n_max.
 
-    Returns a list of (U, n, inclusion natural transformation) triples; the
-    budget bounds the number of candidate assignments examined.
+    Delta^n_U = y_u(Delta^n) has one copy of Delta^n over each (V, phi: V -> U),
+    and restriction along h: W -> V sends copy phi into copy phi o h, so a
+    subpresheaf picks one subcomplex S_(V, phi) per copy with S_(V, phi) inside
+    S_(W, phi o h).  ``level_search`` assigns one copy per level, in canonical
+    order, and checks each such pair at the later of its two copies.  Returns
+    a list of (U, n, inclusion natural transformation) triples; the budget
+    bounds the work units of the search.
     """
-    budget = env_budget(DEFAULT_LIFT_BUDGET if budget is None else budget)
-    meter = Meter("subpresheaf enumeration", budget)
+    meter = Meter("subpresheaf enumeration", resolve_budget(DEFAULT_LIFT_BUDGET, budget))
     out = []
     for u in site.objects:
+        copies = [(v, phi) for v in site.objects for phi in site.arrows_between(v, u)]
+        index = {copy: k for k, copy in enumerate(copies)}
+        pairs = [[] for _ in copies]
+        for h, (w, v) in site.arrows.items():
+            for phi in site.arrows_between(v, u):
+                inner, outer = index[(v, phi)], index[(w, site.comp[(phi, h)])]
+                pairs[max(inner, outer)].append((inner, outer))
         for n in range(n_max + 1):
-            d = depth if depth is not None else max(n, 1)
-            delta = standard_complex("Delta", n, depth=d)
-            ambient = y_u(delta, u, site)
             choices = _subcomplex_choices(n)
-            arrows_in = {v: site.arrows_between(v, u) for v in site.objects}
-            all_copies = [
-                (v, phi) for v in site.objects for phi in arrows_in[v]
-            ]
-            index = {copy: k for k, copy in enumerate(all_copies)}
 
-            def monotone(assignment):
-                # restriction along h sends copy phi to phi o h; the chosen
-                # subcomplex must not shrink along any restriction
-                for h, (w, v) in site.arrows.items():
-                    for phi in arrows_in[v]:
-                        target_copy = site.comp[(phi, h)]
-                        s_phi = assignment[index[(v, phi)]]
-                        s_tgt = assignment[index[(w, target_copy)]]
-                        if not s_phi <= s_tgt:
-                            return False
-                return True
+            def rule(k, assigned):
+                def pick(j, candidate):
+                    return candidate if j == k else assigned[j][j]
 
-            for assignment in product(range(len(choices)), repeat=len(all_copies)):
-                meter.tick()
-                chosen = [choices[k] for k in assignment]
-                if not monotone(chosen):
-                    continue
-                out.append(
-                    _build_inclusion(site, u, n, delta, ambient, all_copies, chosen)
-                )
+                candidates = [
+                    c for c in choices if all(pick(i, c) <= pick(j, c) for i, j in pairs[k])
+                ]
+                return ({}, [(k, candidates)], None) if candidates else None
+
+            delta = standard_complex("Delta", n, depth=max(n, 1))
+            ambient = y_u(delta, u, site)
+            for assigned in level_search(len(copies) - 1, rule, meter):
+                chosen = {copy: assigned[k][k] for k, copy in enumerate(copies)}
+                out.append((u, n, _inclusion(ambient, delta, chosen)))
     return out
 
 
-def _build_inclusion(site, u, dim, delta, ambient, all_copies, chosen):
-    pieces = {copy: _restrict_delta(delta, chosen[k]) for k, copy in enumerate(all_copies)}
+def _inclusion(ambient, delta, chosen):
+    """The subpresheaf of ``ambient`` = y_u(delta) whose copy (V, phi) holds the
+    simplices of ``delta`` with vertex sets in ``chosen[(V, phi)]``, and its
+    inclusion into ``ambient``."""
+    position = {x: k for k, x in enumerate(delta.levels[0])}
+    vertex_sets = [
+        {s: frozenset(position[delta.vertex(n, s, j)] for j in range(n + 1)) for s in level}
+        for n, level in enumerate(delta.levels)
+    ]
+    site = ambient.site
     values = {}
     for v in site.objects:
-        levels = [[] for _ in range(delta.depth + 1)]
-        faces = {key: {} for key in delta.faces}
-        degeneracies = {key: {} for key in delta.degeneracies}
-        for phi in site.arrows_between(v, u):
-            piece = pieces[(v, phi)]
-            for n_lvl in range(delta.depth + 1):
-                levels[n_lvl].extend(f"{phi}:{s}" for s in piece.levels[n_lvl])
-            for key, table in piece.faces.items():
-                faces[key].update(
-                    {f"{phi}:{s}": f"{phi}:{img}" for s, img in table.items()}
-                )
-            for key, table in piece.degeneracies.items():
-                degeneracies[key].update(
-                    {f"{phi}:{s}": f"{phi}:{img}" for s, img in table.items()}
-                )
-        values[v] = TruncatedSimplicialSet(delta.depth, levels, faces, degeneracies)
-    restrictions = {}
-    for a, (w, v) in site.arrows.items():
-        level_maps = []
-        for n_lvl in range(delta.depth + 1):
-            table = {}
-            for phi in site.arrows_between(v, u):
-                target_copy = site.comp[(phi, a)]
-                piece = pieces[(v, phi)]
-                for s in piece.levels[n_lvl]:
-                    table[f"{phi}:{s}"] = f"{target_copy}:{s}"
-            level_maps.append(table)
-        restrictions[a] = SimplicialMap(values[v], values[w], level_maps)
-    sub = Presheaf(site, "sset", values, restrictions)
+        keep = [
+            {
+                copy_id(phi, s)
+                for (w, phi), kept in chosen.items()
+                if w == v
+                for s, vertices in level.items()
+                if vertices in kept
+            }
+            for level in vertex_sets
+        ]
+        values[v] = subcomplex(ambient.values[v], keep)
+    restrictions = {
+        a: ambient.restrictions[a].restricted(values[v], values[w])
+        for a, (w, v) in site.arrows.items()
+    }
     components = {
-        v: SimplicialMap(
-            values[v],
-            ambient.values[v],
-            [
-                {s: s for s in values[v].levels[n_lvl]}
-                for n_lvl in range(delta.depth + 1)
-            ],
-        )
+        v: SimplicialMap.identity(ambient.values[v]).restricted(values[v], ambient.values[v])
         for v in site.objects
     }
-    inclusion = NaturalTransformation(sub, ambient, components)
-    return (u, dim, inclusion)
+    sub = Presheaf(site, "sset", values, restrictions)
+    return NaturalTransformation(sub, ambient, components)

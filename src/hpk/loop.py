@@ -200,15 +200,11 @@ def wbar(sgpd, depth):
         strings_per_level.append(strings)
 
     ids = [{} for _ in range(depth + 1)]
-    names = [{} for _ in range(depth + 1)]
     for o in objects:
         ids[0][(o,)] = o
-        names[0][o] = (o,)
     for n in range(1, depth + 1):
         for s in strings_per_level[n]:
-            name = _string_id(gpds, s)
-            ids[n][s] = name
-            names[n][name] = s
+            ids[n][s] = _string_id(gpds, s)
 
     def entry_level(n, j):
         # entry e_j of a level-n string lives in groupoid level n - 1 - j

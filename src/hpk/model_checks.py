@@ -10,7 +10,7 @@ verified to be a weak equivalence through the exactly computable invariants
 of free instances (components and the fundamental-group presentation).
 """
 
-from .budgets import DEFAULT_FILLER_BUDGET, Meter, env_budget
+from .budgets import DEFAULT_FILLER_BUDGET, Meter, resolve_budget
 from .groupoids import (
     FiniteGroupoid,
     FreeGroupoid,
@@ -127,7 +127,7 @@ def map_fills_horns(smap, max_level):
         raise InsufficientDepth(
             f"horn filling to level {max_level} needs depth {max_level}, have {source.depth}"
         )
-    meter = Meter("horn enumeration", env_budget(DEFAULT_FILLER_BUDGET))
+    meter = Meter("horn enumeration", resolve_budget(DEFAULT_FILLER_BUDGET))
     failures = []
     for m in range(1, max_level + 1):
         below = smap.level_maps[m - 1]

@@ -18,7 +18,7 @@ when it returns; nothing is kept between calls.
 
 from itertools import product
 
-from .budgets import DEFAULT_ISO_SEARCH_BUDGET, Meter, env_budget
+from .budgets import DEFAULT_ISO_SEARCH_BUDGET, Meter, resolve_budget
 from .groups import GroupTable
 from .groupoids import (
     SimplicialGroupoidMap,
@@ -467,8 +467,7 @@ def presheaves_isomorphic(f, g, budget=None):
 
     if f.site.objects != g.site.objects or f.domain != g.domain:
         return False
-    budget = env_budget(DEFAULT_ISO_SEARCH_BUDGET if budget is None else budget)
-    meter = Meter("natural isomorphism search", budget)
+    meter = Meter("natural isomorphism search", resolve_budget(DEFAULT_ISO_SEARCH_BUDGET, budget))
     ops = f.ops
     objects = list(f.site.objects)
     try:
@@ -514,31 +513,32 @@ def pi0_sheaf(x):
 # -- the sections left adjoint ----------------------------------------------------
 
 
+def copy_id(phi, simplex):
+    """The id in ``y_u`` of ``simplex`` in the copy at the arrow ``phi``."""
+    return f"{phi}:{simplex}"
+
+
 def y_u(sset, u, site):
     """The left adjoint to U-sections: V maps to one copy of Y per arrow V -> U."""
     depth = sset.depth
-
-    def tag(phi, simplex):
-        return f"{phi}:{simplex}"
-
     values = {}
     for v in site.objects:
         copies = site.arrows_between(v, u)
         levels = [
-            [tag(phi, s) for phi in copies for s in sset.levels[n]]
+            [copy_id(phi, s) for phi in copies for s in sset.levels[n]]
             for n in range(depth + 1)
         ]
         faces = {}
         for (n, i), table in sset.faces.items():
             faces[(n, i)] = {
-                tag(phi, s): tag(phi, img)
+                copy_id(phi, s): copy_id(phi, img)
                 for phi in copies
                 for s, img in table.items()
             }
         degeneracies = {}
         for (n, i), table in sset.degeneracies.items():
             degeneracies[(n, i)] = {
-                tag(phi, s): tag(phi, img)
+                copy_id(phi, s): copy_id(phi, img)
                 for phi in copies
                 for s, img in table.items()
             }
@@ -553,7 +553,7 @@ def y_u(sset, u, site):
             for phi in site.arrows_between(w, u):
                 target_copy = site.comp[(phi, a)]
                 for s in sset.levels[n]:
-                    table[tag(phi, s)] = tag(target_copy, s)
+                    table[copy_id(phi, s)] = copy_id(target_copy, s)
             level_maps.append(table)
         restrictions[a] = SimplicialMap(values[w], values[v], level_maps)
     return Presheaf(site, "sset", values, restrictions)

@@ -210,6 +210,13 @@ class SimplicialMap:
     def identity(cls, sset):
         return cls(sset, sset, [{x: x for x in level} for level in sset.levels])
 
+    def restricted(self, source, target):
+        """This map on the simplices of ``source``, a subcomplex of its source,
+        into ``target``, a subcomplex of its target that holds their images."""
+        return SimplicialMap(
+            source, target, [{x: m[x] for x in level} for m, level in zip(self.level_maps, source.levels)]
+        )
+
     def compose(self, other):
         """self after other (function order)."""
         if other.target is not self.source and other.target.levels != self.source.levels:
@@ -229,6 +236,23 @@ class SimplicialMap:
 
     def to_json(self):
         return {"levels": [dict(sorted(m.items())) for m in self.level_maps]}
+
+
+def subcomplex(sset, keep):
+    """The simplices of ``sset`` in ``keep``, one set of ids per level, with
+    their faces and degeneracies; ``keep`` must be closed under both."""
+    def cut(tables):
+        return {
+            key: {x: img for x, img in table.items() if x in keep[key[0]]}
+            for key, table in tables.items()
+        }
+
+    return TruncatedSimplicialSet(
+        sset.depth,
+        [[x for x in level if x in kept] for level, kept in zip(sset.levels, keep)],
+        cut(sset.faces),
+        cut(sset.degeneracies),
+    )
 
 
 def validate_sset(sset):

@@ -123,6 +123,56 @@ def test_hpk_budget_env_override(tmp_path, capsys, monkeypatch):
     assert code == 3
 
 
+def _bz2_pikan_argv(tmp_path):
+    from hpk.loop import wbar
+
+    z2 = SimplicialGroupoid.constant(
+        FiniteGroupoid.from_group(GroupTable.cyclic(2)), 3
+    )
+    wb = wbar(z2, 3)
+    path = write(tmp_path, "bz2.json", wb.sset.to_json())
+    return ["pikan", path, "--base", wb.sset.levels[0][0], "-n", "1"]
+
+
+def _lift_argv(tmp_path):
+    horn = standard_complex("horn", 2, k=1, depth=2)
+    d2 = standard_complex("Delta", 2)
+    include = SimplicialMap(horn, d2, [{x: x for x in lvl} for lvl in horn.levels])
+    ident = SimplicialMap.identity(d2)
+    problem = {"single": True} | {
+        key: jsonio.smap_to_json(leg)
+        for key, leg in (("i", include), ("top", include), ("p", ident), ("bottom", ident))
+    }
+    return ["lift", write(tmp_path, "lift.json", problem)]
+
+
+def _geninc_argv(tmp_path):
+    return ["geninc", write(tmp_path, "site.json", FiniteSite.two_object_site().to_json()),
+            "--nmax", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (_bz2_pikan_argv, "horn enumeration"),
+        (_lift_argv, "lifting search"),
+        (_geninc_argv, "subpresheaf enumeration"),
+    ],
+)
+def test_explicit_budget_beats_hpk_budget(tmp_path, capsys, monkeypatch, argv, what):
+    argv = argv(tmp_path)
+    monkeypatch.delenv("HPK_BUDGET", raising=False)
+    assert main(argv) == 0
+    capsys.readouterr()
+    for env in (None, "100000000"):
+        if env is not None:
+            monkeypatch.setenv("HPK_BUDGET", env)
+        code = main(argv + ["--budget", "1"])
+        assert (code, *capsys.readouterr()) == (
+            3, "", f"budget exceeded: {what}: enumeration budget of 1 exceeded\n"
+        )
+
+
 def test_moore_command(tmp_path, capsys):
     z3 = SimplicialGroupoid.constant(
         FiniteGroupoid.from_group(GroupTable.cyclic(3)), 2
@@ -746,6 +796,21 @@ def _bad_nat():
     }
 
 
+def _nat_across_sites():
+    """The identity of a set presheaf whose target's site renames the arrow f to g."""
+    source = _good_presheaf()
+    target = json.loads(
+        json.dumps(source).replace('"f"', '"g"').replace("f|", "g|").replace("|f", "|g")
+    )
+    return {
+        "nat": True,
+        "domain": "set",
+        "source": source,
+        "target": target,
+        "components": {"U": {"a": "a", "b": "b"}, "V": {"c": "c", "d": "d"}},
+    }
+
+
 def _bad_2functor():
     from hpk.two_groupoids import TwoFunctor, TwoGroupoid
 
@@ -995,6 +1060,8 @@ INVALID_DOCUMENTS = {
              "does not commute with d_1 at level 1 on 0.1"),
     "nat": (_bad_nat, ["weq", "--kind", "sgpd"], 2,
             "invalid natural transformation: naturality fails at f"),
+    "nat_across_sites": (_nat_across_sites, ["weq", "--kind", "sgpd"], 2,
+                         "natural transformation source and target are not on the same site"),
     "nat_sgpd_as_2gpd": (_identity_nat(_z2_sgpd), ["weq", "--kind", "2gpd"], 2,
                          "kind '2gpd' does not match the values of the transformation "
                          "('sgpd' to 'sgpd')"),
