@@ -31,18 +31,20 @@ class BudgetExceeded(Exception):
 
 def resolve_budget(default, budget=None):
     """The budget a search runs with: ``budget`` if one is given, else
-    ``HPK_BUDGET`` if it is set, else ``default``."""
+    ``HPK_BUDGET`` if it is set, else ``default``.  A budget given either way
+    must be positive."""
     if budget is not None:
-        return budget
-    raw = os.environ.get("HPK_BUDGET")
-    if raw is None:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"HPK_BUDGET must be an integer, got {raw!r}")
+        name, value = "budget", budget
+    else:
+        raw = os.environ.get("HPK_BUDGET")
+        if raw is None:
+            return default
+        try:
+            name, value = "HPK_BUDGET", int(raw)
+        except ValueError:
+            raise ValueError(f"HPK_BUDGET must be an integer, got {raw!r}")
     if value <= 0:
-        raise ValueError(f"HPK_BUDGET must be positive, got {value}")
+        raise ValueError(f"{name} must be positive, got {value}")
     return value
 
 

@@ -24,9 +24,9 @@ from .laws import (
 )
 from .sset import (
     InsufficientDepth,
-    TruncatedSimplicialSet,
     _UnionFind,
     check_depth,
+    complex_from_keys,
 )
 
 
@@ -544,20 +544,13 @@ def hom_complex(sgpd, x, y, cap=None):
     if x not in sgpd.objects or y not in sgpd.objects:
         raise ValueError("basepoints must be objects")
     if all(not lvl.is_free for lvl in sgpd.levels):
-        levels = []
-        for n in range(sgpd.depth + 1):
-            levels.append(list(sgpd.levels[n].arrows_between(x, y)))
-        faces = {}
-        degeneracies = {}
-        for n in range(1, sgpd.depth + 1):
-            for i in range(n + 1):
-                hom = sgpd.face(n, i)
-                faces[(n, i)] = {a: hom(a) for a in levels[n]}
-        for n in range(0, sgpd.depth):
-            for i in range(n + 1):
-                hom = sgpd.degeneracy(n, i)
-                degeneracies[(n, i)] = {a: hom(a) for a in levels[n]}
-        return TruncatedSimplicialSet(sgpd.depth, levels, faces, degeneracies)
+        return complex_from_keys(
+            sgpd.depth,
+            [list(level.arrows_between(x, y)) for level in sgpd.levels],
+            lambda n, a: a,
+            lambda n, i, a: sgpd.face(n, i)(a),
+            lambda n, i, a: sgpd.degeneracy(n, i)(a),
+        )[0]
     if cap is None:
         raise ValueError("free levels need a word-length cap")
     view_levels = []

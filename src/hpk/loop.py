@@ -27,8 +27,8 @@ from .homsearch import level_search
 from .sset import (
     InsufficientDepth,
     SimplicialMap,
-    TruncatedSimplicialSet,
     check_depth,
+    complex_from_keys,
     truncate as _truncate_sset,
 )
 
@@ -145,23 +145,13 @@ def _string_id(gpd_levels, arrows):
 
 
 class WbarResult:
-    """The classifying complex plus the string carried by each simplex id."""
+    """The classifying complex, each level's ``{string: id}`` and the string
+    carried by each simplex id (strings leading first)."""
 
-    def __init__(self, sset, strings):
+    def __init__(self, sset, ids):
         self.sset = sset
-        self.strings = strings  # id -> tuple of arrows, leading first
-
-    def id_of(self, arrows):
-        key = tuple(arrows)
-        if key not in self._reverse:
-            raise KeyError(f"no simplex for string {key}")
-        return self._reverse[key]
-
-    @property
-    def _reverse(self):
-        if not hasattr(self, "_rev_cache"):
-            self._rev_cache = {v: k for k, v in self.strings.items()}
-        return self._rev_cache
+        self.ids = ids
+        self.strings = {ident: s for level in ids for s, ident in level.items()}
 
 
 def wbar(sgpd, depth):
@@ -198,13 +188,6 @@ def wbar(sgpd, depth):
                     if gpds[n - 1].src(g) == top_src_obj:
                         strings.append((g,) + lower)
         strings_per_level.append(strings)
-
-    ids = [{} for _ in range(depth + 1)]
-    for o in objects:
-        ids[0][(o,)] = o
-    for n in range(1, depth + 1):
-        for s in strings_per_level[n]:
-            ids[n][s] = _string_id(gpds, s)
 
     def entry_level(n, j):
         # entry e_j of a level-n string lives in groupoid level n - 1 - j
@@ -246,45 +229,27 @@ def wbar(sgpd, depth):
         out.extend(s[i:])
         return tuple(out)
 
-    faces = {}
-    degeneracies = {}
-    for n in range(1, depth + 1):
-        for i in range(n + 1):
-            table = {}
-            for s in strings_per_level[n]:
-                table[ids[n][s]] = ids[n - 1][face_string(n, i, s)]
-            faces[(n, i)] = table
-    for n in range(0, depth):
-        for i in range(n + 1):
-            table = {}
-            for s in strings_per_level[n]:
-                table[ids[n][s]] = ids[n + 1][degeneracy_string(n, i, s)]
-            degeneracies[(n, i)] = table
-
-    levels = [[ids[n][s] for s in strings_per_level[n]] for n in range(depth + 1)]
-    sset = TruncatedSimplicialSet(depth, levels, faces, degeneracies)
-    strings = {}
-    for n in range(depth + 1):
-        for s in strings_per_level[n]:
-            strings[ids[n][s]] = s
-    return WbarResult(sset, strings)
+    sset, ids = complex_from_keys(
+        depth,
+        strings_per_level,
+        lambda n, s: _string_id(gpds, s) if n else s[0],
+        face_string,
+        degeneracy_string,
+    )
+    return WbarResult(sset, ids)
 
 
 def wbar_of_map(sg_map, source_wbar, target_wbar):
     """Wbar applied to a simplicial groupoid map (strings entrywise)."""
-    depth = source_wbar.sset.depth
     level_maps = []
-    for n in range(depth + 1):
+    for n, level in enumerate(source_wbar.ids):
         table = {}
-        for name in source_wbar.sset.levels[n]:
-            s = source_wbar.strings[name]
+        for s, name in level.items():
             if n == 0:
                 image = (sg_map.obj_map[s[0]],)
             else:
-                image = tuple(
-                    sg_map.level(n - 1 - j)(s[j]) for j in range(n)
-                )
-            table[name] = target_wbar.id_of(image)
+                image = tuple(sg_map.level(n - 1 - j)(s[j]) for j in range(n))
+            table[name] = target_wbar.ids[n][image]
         level_maps.append(table)
     return SimplicialMap(source_wbar.sset, target_wbar.sset, level_maps)
 
@@ -316,9 +281,6 @@ def w_total(sgpd, depth):
             [(g,) + lower for g in sorted(gpds[n].arrows) for lower in tuples_per_level[n - 1]]
         )
 
-    def tuple_id(n, t):
-        return "<" + "|".join(t) + ">"
-
     def face_tuple(n, i, t):
         # entries e_j = g_(n-j) in level n - j
         if i == n:
@@ -339,33 +301,17 @@ def w_total(sgpd, depth):
         out.extend(t[i + 1 :])
         return tuple(out)
 
-    faces = {}
-    degeneracies = {}
-    for n in range(1, depth + 1):
-        for i in range(n + 1):
-            faces[(n, i)] = {
-                tuple_id(n, t): tuple_id(n - 1, face_tuple(n, i, t))
-                for t in tuples_per_level[n]
-            }
-    for n in range(0, depth):
-        for i in range(n + 1):
-            degeneracies[(n, i)] = {
-                tuple_id(n, t): tuple_id(n + 1, degeneracy_tuple(n, i, t))
-                for t in tuples_per_level[n]
-            }
-    levels = [[tuple_id(n, t) for t in tuples_per_level[n]] for n in range(depth + 1)]
-    total = TruncatedSimplicialSet(depth, levels, faces, degeneracies)
-
-    q_maps = []
-    for n in range(depth + 1):
-        table = {}
-        for t in tuples_per_level[n]:
-            string = t[1:]
-            if n == 0:
-                table[tuple_id(n, t)] = sgpd.objects[0]
-            else:
-                table[tuple_id(n, t)] = wb.id_of(string)
-        q_maps.append(table)
+    total, ids = complex_from_keys(
+        depth,
+        tuples_per_level,
+        lambda n, t: "<" + "|".join(t) + ">",
+        face_tuple,
+        degeneracy_tuple,
+    )
+    q_maps = [
+        {ident: wb.ids[n][t[1:]] if n else sgpd.objects[0] for t, ident in level.items()}
+        for n, level in enumerate(ids)
+    ]
     q = SimplicialMap(total, wb.sset, q_maps)
     return total, q, wb
 
@@ -394,7 +340,7 @@ def transpose_to_sset(sg_map, sset, loop_sgpd, wbar_result):
                     sg_map.level(n - 1 - j)(_loop_generator(loop_sgpd, sset, n - j, y))
                 )
                 y = sset.face(n - j, 0, y)
-            table[x] = wbar_result.id_of(tuple(entries))
+            table[x] = wbar_result.ids[n][tuple(entries)]
         level_maps.append(table)
     return SimplicialMap(sset, wbar_result.sset, level_maps)
 
@@ -462,7 +408,7 @@ def unit(sset, depth):
                 lvl = finite.levels[n - 1 - j]
                 entries.append(lvl.identity(sset.vertex(n - j, y, 0)))
                 y = sset.face(n - j, 0, y)
-            table[x] = wb.id_of(tuple(entries))
+            table[x] = wb.ids[n][tuple(entries)]
         level_maps.append(table)
     truncated = _truncate_sset(sset, wb.sset.depth)
     return SimplicialMap(truncated, wb.sset, level_maps), gx, wb

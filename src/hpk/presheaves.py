@@ -28,7 +28,7 @@ from .groupoids import (
 )
 from .laws import functor_problems
 from .sites import comma_arrows, comma_site
-from .sset import SimplicialMap, TruncatedSimplicialSet, pi0_sset
+from .sset import SimplicialMap, coproduct, pi0_sset
 from .two_groupoids import TwoFunctor, pi1_with_classes, pi_2gpd
 
 
@@ -520,42 +520,22 @@ def copy_id(phi, simplex):
 
 def y_u(sset, u, site):
     """The left adjoint to U-sections: V maps to one copy of Y per arrow V -> U."""
-    depth = sset.depth
-    values = {}
+    values, ids = {}, {}
     for v in site.objects:
-        copies = site.arrows_between(v, u)
-        levels = [
-            [copy_id(phi, s) for phi in copies for s in sset.levels[n]]
-            for n in range(depth + 1)
-        ]
-        faces = {}
-        for (n, i), table in sset.faces.items():
-            faces[(n, i)] = {
-                copy_id(phi, s): copy_id(phi, img)
-                for phi in copies
-                for s, img in table.items()
-            }
-        degeneracies = {}
-        for (n, i), table in sset.degeneracies.items():
-            degeneracies[(n, i)] = {
-                copy_id(phi, s): copy_id(phi, img)
-                for phi in copies
-                for s, img in table.items()
-            }
-        values[v] = TruncatedSimplicialSet(depth, levels, faces, degeneracies)
-
-    restrictions = {}
-    for a, (v, w) in site.arrows.items():
-        # restriction along a: V -> W sends the copy at phi: W -> U to phi o a
-        level_maps = []
-        for n in range(depth + 1):
-            table = {}
-            for phi in site.arrows_between(w, u):
-                target_copy = site.comp[(phi, a)]
-                for s in sset.levels[n]:
-                    table[copy_id(phi, s)] = copy_id(target_copy, s)
-            level_maps.append(table)
-        restrictions[a] = SimplicialMap(values[w], values[v], level_maps)
+        copies = {phi: sset for phi in site.arrows_between(v, u)}
+        values[v], ids[v] = coproduct(sset.depth, copies, copy_id)
+    # restriction along a: V -> W sends the copy at phi: W -> U to phi o a
+    restrictions = {
+        a: SimplicialMap(
+            values[w],
+            values[v],
+            [
+                {ident: ids[v][n][site.comp[(phi, a)], s] for (phi, s), ident in level.items()}
+                for n, level in enumerate(ids[w])
+            ],
+        )
+        for a, (v, w) in site.arrows.items()
+    }
     return Presheaf(site, "sset", values, restrictions)
 
 

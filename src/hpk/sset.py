@@ -318,35 +318,59 @@ def compatible_tuples(simplices, face_tables, positions, meter=None):
     return layer
 
 
-def _tuple_id(t):
-    return ".".join(str(v) for v in t)
+def complex_from_keys(depth, keys, name, face, degeneracy):
+    """The complex whose level-n simplices are the hashable ``keys[n]``, and
+    each level's ``{key: id}``.
+
+    A key's id is written once, as ``name(n, key)``; ``face(n, i, key)`` and
+    ``degeneracy(n, i, key)`` are the keys of its faces and degeneracies, and
+    each table entry is the id of that key.  Two keys of one level written as
+    the same id are an input error naming the first such id in level order.
+    """
+    ids = []
+    for n, level in enumerate(keys):
+        written = {key: name(n, key) for key in level}
+        if len(set(written.values())) < len(written):
+            seen = set()
+            for ident in written.values():
+                if ident in seen:
+                    raise ValueError(f"two simplices of level {n} have the id {ident!r}")
+                seen.add(ident)
+        ids.append(written)
+    faces = {
+        (n, i): {ident: ids[n - 1][face(n, i, key)] for key, ident in ids[n].items()}
+        for n in range(1, depth + 1)
+        for i in range(n + 1)
+    }
+    degeneracies = {
+        (n, i): {ident: ids[n + 1][degeneracy(n, i, key)] for key, ident in ids[n].items()}
+        for n in range(depth)
+        for i in range(n + 1)
+    }
+    levels = [list(level.values()) for level in ids]
+    return TruncatedSimplicialSet(depth, levels, faces, degeneracies), ids
 
 
-def _simplex_tuples(n, m):
-    """Nondecreasing (m+1)-tuples with values in 0..n: the m-simplices of a standard n-simplex."""
-    return list(combinations_with_replacement(range(n + 1), m + 1))
+# the m-simplices of a standard n-simplex are its nondecreasing vertex
+# (m+1)-tuples, written with dots
+def _tuple_name(m, t):
+    return ".".join(map(str, t))
+
+
+def _tuple_face(m, i, t):
+    return t[:i] + t[i + 1 :]
+
+
+def _tuple_degeneracy(m, i, t):
+    return t[: i + 1] + t[i:]
 
 
 def _tuples_complex(depth, predicate, n):
-    levels = []
-    keep = {}
-    for m in range(depth + 1):
-        chosen = [t for t in _simplex_tuples(n, m) if predicate(t)]
-        keep[m] = chosen
-        levels.append([_tuple_id(t) for t in chosen])
-    faces = {}
-    degeneracies = {}
-    for m in range(1, depth + 1):
-        for i in range(m + 1):
-            faces[(m, i)] = {
-                _tuple_id(t): _tuple_id(t[:i] + t[i + 1 :]) for t in keep[m]
-            }
-    for m in range(0, depth):
-        for i in range(m + 1):
-            degeneracies[(m, i)] = {
-                _tuple_id(t): _tuple_id(t[: i + 1] + t[i:]) for t in keep[m]
-            }
-    return TruncatedSimplicialSet(depth, levels, faces, degeneracies)
+    keys = [
+        [t for t in combinations_with_replacement(range(n + 1), m + 1) if predicate(t)]
+        for m in range(depth + 1)
+    ]
+    return complex_from_keys(depth, keys, _tuple_name, _tuple_face, _tuple_degeneracy)[0]
 
 
 def standard_complex(kind, n=0, k=None, depth=None):
@@ -381,79 +405,72 @@ def standard_complex(kind, n=0, k=None, depth=None):
     raise ValueError(f"unknown standard complex kind {kind!r}")
 
 
+def _constant_complex(depth, points):
+    """``points`` at every level, each its own faces and degeneracies."""
+    def same(m, i, x):
+        return x
+
+    return complex_from_keys(depth, [points] * (depth + 1), lambda m, x: x, same, same)[0]
+
+
 def _point_complex(depth):
-    levels = [["*"] for _ in range(depth + 1)]
-    faces = {(m, i): {"*": "*"} for m in range(1, depth + 1) for i in range(m + 1)}
-    degeneracies = {(m, i): {"*": "*"} for m in range(depth) for i in range(m + 1)}
-    return TruncatedSimplicialSet(depth, levels, faces, degeneracies)
+    return _constant_complex(depth, ["*"])
 
 
 def _empty_complex(depth):
-    levels = [[] for _ in range(depth + 1)]
-    faces = {(m, i): {} for m in range(1, depth + 1) for i in range(m + 1)}
-    degeneracies = {(m, i): {} for m in range(depth) for i in range(m + 1)}
-    return TruncatedSimplicialSet(depth, levels, faces, degeneracies)
+    return _constant_complex(depth, [])
 
 
 def _sphere_complex(n, depth):
-    """The n-sphere as the n-simplex with its whole boundary collapsed."""
+    """The n-sphere as the n-simplex with its whole boundary collapsed onto
+    the empty tuple, written ``*``."""
     if n == 0:
         raise ValueError("use two points for a 0-sphere")
     full = set(range(n + 1))
 
-    def collapse(t):
-        return _tuple_id(t) if set(t) == full else "*"
+    def collapsed(op):
+        def image(m, i, t):
+            t = op(m, i, t)
+            return t if set(t) == full else ()
+        return image
 
-    levels = []
-    keep = {}
-    for m in range(depth + 1):
-        chosen = [t for t in _simplex_tuples(n, m) if set(t) == full]
-        keep[m] = chosen
-        levels.append([_tuple_id(t) for t in chosen] + ["*"])
-    faces = {}
-    degeneracies = {}
-    for m in range(1, depth + 1):
-        for i in range(m + 1):
-            table = {"*": "*"}
-            for t in keep[m]:
-                table[_tuple_id(t)] = collapse(t[:i] + t[i + 1 :])
-            faces[(m, i)] = table
-    for m in range(0, depth):
-        for i in range(m + 1):
-            table = {"*": "*"}
-            for t in keep[m]:
-                table[_tuple_id(t)] = collapse(t[: i + 1] + t[i:])
-            degeneracies[(m, i)] = table
-    return TruncatedSimplicialSet(depth, levels, faces, degeneracies)
+    keys = [
+        [t for t in combinations_with_replacement(range(n + 1), m + 1) if set(t) == full] + [()]
+        for m in range(depth + 1)
+    ]
+    return complex_from_keys(
+        depth,
+        keys,
+        lambda m, t: _tuple_name(m, t) if t else "*",
+        collapsed(_tuple_face),
+        collapsed(_tuple_degeneracy),
+    )[0]
+
+
+def coproduct(depth, parts, name):
+    """The coproduct of the complexes ``parts``, a dict by tag, all of depth
+    ``depth``: the simplex s of the part tagged t has the key (t, s) and the
+    id ``name(t, s)``.  Returns the complex and each level's ``{key: id}``."""
+    return complex_from_keys(
+        depth,
+        [[(t, s) for t, part in parts.items() for s in part.levels[n]] for n in range(depth + 1)],
+        lambda n, key: name(*key),
+        lambda n, i, key: (key[0], parts[key[0]].face(n, i, key[1])),
+        lambda n, i, key: (key[0], parts[key[0]].degeneracy(n, i, key[1])),
+    )
 
 
 def disjoint_union(x, y, tags=("a", "b")):
     """Coproduct of two complexes of equal depth, with tagged ids."""
     if x.depth != y.depth:
         raise ValueError("depth mismatch")
-    ta, tb = tags
-
-    def merge(table_x, table_y):
-        out = {f"{ta}:{k}": f"{ta}:{v}" for k, v in table_x.items()}
-        out.update({f"{tb}:{k}": f"{tb}:{v}" for k, v in table_y.items()})
-        return out
-
-    levels = [
-        [f"{ta}:{s}" for s in lx] + [f"{tb}:{s}" for s in ly]
-        for lx, ly in zip(x.levels, y.levels)
+    parts = {0: x, 1: y}
+    union, ids = coproduct(x.depth, parts, lambda k, s: f"{tags[k]}:{s}")
+    inclusions = [
+        SimplicialMap(part, union, [{s: ids[n][k, s] for s in xs} for n, xs in enumerate(part.levels)])
+        for k, part in parts.items()
     ]
-    faces = {key: merge(x.faces[key], y.faces[key]) for key in x.faces}
-    degeneracies = {
-        key: merge(x.degeneracies[key], y.degeneracies[key]) for key in x.degeneracies
-    }
-    incl_x = [{s: f"{ta}:{s}" for s in lx} for lx in x.levels]
-    incl_y = [{s: f"{tb}:{s}" for s in ly} for ly in y.levels]
-    union = TruncatedSimplicialSet(x.depth, levels, faces, degeneracies)
-    return (
-        union,
-        SimplicialMap(x, union, incl_x),
-        SimplicialMap(y, union, incl_y),
-    )
+    return union, *inclusions
 
 
 class _UnionFind:
@@ -483,74 +500,61 @@ class _UnionFind:
         return {root: tuple(sorted(members)) for root, members in groups.items()}
 
 
+def _check_shared(x, y, message):
+    """Raise ValueError(message) unless x and y are one complex: the same
+    levels, faces and degeneracies."""
+    if x is not y and (x.levels, x.faces, x.degeneracies) != (y.levels, y.faces, y.degeneracies):
+        raise ValueError(message)
+
+
 def pushout(f, g):
     """Pushout of B <-f- A -g-> C, computed levelwise.
 
-    Returns (D, B -> D, C -> D).
+    A simplex of the pushout is a class of simplices of B and C, tagged
+    ``"b"`` and ``"c"``, glued along A.  Returns (D, B -> D, C -> D).
     """
     a, b, c = f.source, f.target, g.target
-    if g.source is not a and g.source.levels != a.levels:
-        raise ValueError("pushout legs must share their source")
-    if not (a.depth == b.depth == c.depth):
-        raise ValueError("depth mismatch")
-    classes_per_level = []
+    _check_shared(a, g.source, "pushout legs must share their source")
+    homes = {"b": b, "c": c}
+    keys, class_of = [], []
     for n in range(a.depth + 1):
         uf = _UnionFind()
-        for x in b.levels[n]:
-            uf.add(("b", x))
-        for x in c.levels[n]:
-            uf.add(("c", x))
+        for tag, home in homes.items():
+            for x in home.levels[n]:
+                uf.add((tag, x))
         for x in a.levels[n]:
             uf.union(("b", f(n, x)), ("c", g(n, x)))
-        classes_per_level.append(uf)
+        classes = uf.classes()
+        keys.append([classes[root] for root in sorted(classes)])
+        class_of.append({member: members for members in keys[n] for member in members})
 
-    names = []
-    member_to_name = []
-    for n in range(a.depth + 1):
-        classes = classes_per_level[n].classes()
-        level_names = {}
-        lookup = {}
-        for root in sorted(classes):
-            name = "+".join(f"{tag}:{x}" for tag, x in classes[root])
-            level_names[root] = name
-            for member in classes[root]:
-                lookup[member] = name
-        names.append(level_names)
-        member_to_name.append(lookup)
+    def induced(kind, step):
+        # every member of a class must give the same class
+        def image(n, i, members):
+            images = {
+                class_of[n + step][tag, getattr(homes[tag], kind)(n, i, x)] for tag, x in members
+            }
+            if len(images) != 1:
+                raise AssertionError(f"pushout {kind} map not well defined")
+            return images.pop()
+        return image
 
-    homes = {"b": b, "c": c}
-    faces = {}
-    degeneracies = {}
-    for n in range(1, a.depth + 1):
-        for i in range(n + 1):
-            out = {}
-            for member, name in member_to_name[n].items():
-                tag, x = member
-                image = homes[tag].faces[(n, i)][x]
-                value = member_to_name[n - 1][(tag, image)]
-                if out.setdefault(name, value) != value:
-                    raise AssertionError("pushout face map not well defined")
-            faces[(n, i)] = out
-    for n in range(0, a.depth):
-        for i in range(n + 1):
-            out = {}
-            for member, name in member_to_name[n].items():
-                tag, x = member
-                image = homes[tag].degeneracies[(n, i)][x]
-                value = member_to_name[n + 1][(tag, image)]
-                if out.setdefault(name, value) != value:
-                    raise AssertionError("pushout degeneracy map not well defined")
-            degeneracies[(n, i)] = out
-
-    levels = [sorted(set(member_to_name[n].values())) for n in range(a.depth + 1)]
-    d = TruncatedSimplicialSet(a.depth, levels, faces, degeneracies)
-    into_b = SimplicialMap(
-        b, d, [{x: member_to_name[n][("b", x)] for x in b.levels[n]} for n in range(b.depth + 1)]
+    d, ids = complex_from_keys(
+        a.depth,
+        keys,
+        lambda n, members: "+".join(f"{tag}:{x}" for tag, x in members),
+        induced("face", -1),
+        induced("degeneracy", 1),
     )
-    into_c = SimplicialMap(
-        c, d, [{x: member_to_name[n][("c", x)] for x in c.levels[n]} for n in range(c.depth + 1)]
-    )
-    return d, into_b, into_c
+    into = [
+        SimplicialMap(
+            home,
+            d,
+            [{x: ids[n][class_of[n][tag, x]] for x in xs} for n, xs in enumerate(home.levels)],
+        )
+        for tag, home in homes.items()
+    ]
+    return d, *into
 
 
 def pair_id(p):
@@ -563,44 +567,23 @@ def pullback(f, g):
 
     Returns (P, P -> B, P -> C).
     """
-    b, c, y = f.source, g.source, f.target
-    if g.target is not y and g.target.levels != y.levels:
-        raise ValueError("pullback legs must share their target")
-    pairs = []
-    for n in range(b.depth + 1):
-        level_pairs = [
-            (xb, xc)
-            for xb in b.levels[n]
-            for xc in c.levels[n]
-            if f(n, xb) == g(n, xc)
-        ]
-        pairs.append(level_pairs)
-
-    levels = [[pair_id(p) for p in level_pairs] for level_pairs in pairs]
-    faces = {}
-    degeneracies = {}
-    for n in range(1, b.depth + 1):
-        for i in range(n + 1):
-            faces[(n, i)] = {
-                pair_id((xb, xc)): pair_id((b.faces[(n, i)][xb], c.faces[(n, i)][xc]))
-                for xb, xc in pairs[n]
-            }
-    for n in range(0, b.depth):
-        for i in range(n + 1):
-            degeneracies[(n, i)] = {
-                pair_id((xb, xc)): pair_id(
-                    (b.degeneracies[(n, i)][xb], c.degeneracies[(n, i)][xc])
-                )
-                for xb, xc in pairs[n]
-            }
-    p = TruncatedSimplicialSet(b.depth, levels, faces, degeneracies)
-    onto_b = SimplicialMap(
-        p, b, [{pair_id(pr): pr[0] for pr in pairs[n]} for n in range(b.depth + 1)]
+    b, c = f.source, g.source
+    _check_shared(f.target, g.target, "pullback legs must share their target")
+    p, ids = complex_from_keys(
+        b.depth,
+        [
+            [(xb, xc) for xb in b.levels[n] for xc in c.levels[n] if f(n, xb) == g(n, xc)]
+            for n in range(b.depth + 1)
+        ],
+        lambda n, pair: pair_id(pair),
+        lambda n, i, pair: (b.face(n, i, pair[0]), c.face(n, i, pair[1])),
+        lambda n, i, pair: (b.degeneracy(n, i, pair[0]), c.degeneracy(n, i, pair[1])),
     )
-    onto_c = SimplicialMap(
-        p, c, [{pair_id(pr): pr[1] for pr in pairs[n]} for n in range(b.depth + 1)]
-    )
-    return p, onto_b, onto_c
+    onto = [
+        SimplicialMap(p, end, [{ident: pair[k] for pair, ident in level.items()} for level in ids])
+        for k, end in enumerate((b, c))
+    ]
+    return p, *onto
 
 
 def truncate(sset, depth):

@@ -9,7 +9,7 @@ from hpk.groupoids import FiniteGroupoid, SimplicialGroupoid
 from hpk import jsonio
 from hpk.loop import loop_groupoid
 from hpk.sites import FiniteSite
-from hpk.sset import SimplicialMap, standard_complex
+from hpk.sset import SimplicialMap, TruncatedSimplicialSet, standard_complex
 
 
 def write(tmp_path, name, payload):
@@ -558,6 +558,60 @@ def test_pushout_pullback_commands(tmp_path, capsys):
     assert code == 0
     pulled = json.loads(out)["pullback"]["levels"]
     assert [len(l) for l in pulled] == d1.level_sizes()
+
+
+def _swapped_edge():
+    """(Delta^1, a copy of it whose edge has its faces swapped, the id-renaming
+    simplicial map between them) at depth 1; the map is its own inverse."""
+    d1 = standard_complex("Delta", 1, depth=1)
+    faces = {key: dict(table) for key, table in d1.faces.items()}
+    faces[(1, 0)]["0.1"], faces[(1, 1)]["0.1"] = "0", "1"
+    swapped = TruncatedSimplicialSet(1, d1.levels, faces, d1.degeneracies)
+    assert swapped.validate() == []
+    flip = [{"0": "1", "1": "0"}, {"0.0": "1.1", "0.1": "0.1", "1.1": "0.0"}]
+    return d1, swapped, flip
+
+
+@pytest.mark.parametrize("command", ["pullback", "pushout"])
+def test_legs_sharing_an_end_share_its_faces(tmp_path, capsys, command):
+    # the shared ends have the same ids level by level but different faces
+    d1, swapped, flip = _swapped_edge()
+    ident = SimplicialMap.identity(d1)
+    ends = (d1, swapped) if command == "pullback" else (swapped, d1)
+    other = SimplicialMap(*ends, flip)
+    assert other.validate() == []
+    path_i = write(tmp_path, "i.json", jsonio.smap_to_json(ident))
+    path_o = write(tmp_path, "o.json", jsonio.smap_to_json(other))
+    end = "target" if command == "pullback" else "source"
+    assert (main([command, path_i, path_o]), *capsys.readouterr()) == (
+        2, "", f"input error: {command} legs must share their {end}\n"
+    )
+
+
+def test_colliding_pullback_ids_are_an_input_error(tmp_path, capsys):
+    # (a&b, c) and (a, b&c) would both be written (a&b&c)
+    def discrete(*names):
+        return TruncatedSimplicialSet(0, [names], {}, {})
+
+    point = standard_complex("point", depth=0)
+    paths = [
+        write(tmp_path, f"{k}.json", jsonio.smap_to_json(
+            SimplicialMap(x, point, [{s: "*" for s in x.levels[0]}])
+        ))
+        for k, x in enumerate((discrete("a&b", "a"), discrete("c", "b&c")))
+    ]
+    assert (main(["pullback", *paths]), *capsys.readouterr()) == (
+        2, "", "input error: two simplices of level 0 have the id '(a&b&c)'\n"
+    )
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_explicit_budget_must_be_positive(tmp_path, capsys, monkeypatch, budget):
+    monkeypatch.delenv("HPK_BUDGET", raising=False)
+    site = write(tmp_path, "site.json", FiniteSite.point_site().to_json())
+    assert (main(["geninc", site, "--nmax", "0", "--budget", budget]), *capsys.readouterr()) == (
+        2, "", f"input error: budget must be positive, got {budget}\n"
+    )
 
 
 def test_transpose_command_round_trip(tmp_path, capsys):

@@ -22,6 +22,8 @@ from hpk.groupoids import (
     GroupoidHom,
     SimplicialGroupoid,
     SimplicialGroupoidMap,
+    dold_kan,
+    hom_complex,
 )
 from hpk.homsearch import enumerate_simplicial_maps
 from hpk.lifting import as_point_presheaf, enumerate_presheaf_sset_maps
@@ -36,7 +38,13 @@ from hpk.presheaves import (
     y_u,
 )
 from hpk.sites import FiniteSite
-from hpk.sset import SimplicialMap, standard_complex, truncate as _truncate
+from hpk.sset import (
+    SimplicialMap,
+    disjoint_union,
+    pushout,
+    standard_complex,
+    truncate as _truncate,
+)
 from hpk.two_groupoids import TwoFunctor, TwoGroupoid, nerve
 from hpk.whitehead import count_presented_functors, counit_functor, whitehead_2gpd
 
@@ -223,6 +231,94 @@ def test_golden_digests(tmp_path, capsys, monkeypatch):
     assert set(outputs) == set(GOLDEN)
     got = {name: _digest(data) for name, data in outputs.items()}
     assert got == GOLDEN
+
+
+
+# `jsonio.dumps` of the constructions no other digest covers, recorded before
+# their face and degeneracy tables were built by `sset.complex_from_keys`:
+# every standard complex for n 0-3 at depths n..n+2, coproducts, hom complexes,
+# pushouts and y_u on the two-object site, each family keyed by case
+GOLDEN_CONSTRUCTIONS = {
+    "standard": "58e07894bb7c1f8a62001a5d9072775f61f60b3f4bf7aa05804ff39ae53b07d9",
+    "disjoint_union": "aedd66cbdad2620f4e77303a99b7748fc4c82b48a702184ad5b6920e37c9b8f8",
+    "hom_complex": "192c5d61106f70cd08255d1908e0df56cd5258d7fe0360faf11fad817d8328a1",
+    "pushout": "4eb5f7987861900127b1f70a7c71099b80428e3978cafa86a5cc49cce14eedaa",
+    "y_u": "844951094a50f47d4718ea949854c01cc9e7823057b3ba51b012045698b58055",
+}
+
+
+def _standard_cases():
+    out = {f"point {depth}": standard_complex("point", depth=depth) for depth in range(6)}
+    for n in range(4):
+        for depth in range(n, n + 3):
+            out[f"Delta {n} {depth}"] = standard_complex("Delta", n, depth=depth)
+            out[f"boundary {n} {depth}"] = standard_complex("boundary", n, depth=depth)
+            for k in range(n + 1):
+                out[f"horn {n} {k} {depth}"] = standard_complex("horn", n, k=k, depth=depth)
+            if n:
+                out[f"sphere {n} {depth}"] = standard_complex("sphere", n, depth=depth)
+    return {name: x.to_json() for name, x in out.items()}
+
+
+def _coproduct_cases():
+    out = {}
+    pairs = {
+        "delta_sphere": (standard_complex("Delta", 1, depth=2), standard_complex("sphere", 1, depth=2)),
+        "empty_point": (standard_complex("boundary", 0, depth=1), standard_complex("point", depth=1)),
+    }
+    for name, (x, y) in pairs.items():
+        for tags in (("a", "b"), ("left", "right")):
+            union, incl_x, incl_y = disjoint_union(x, y, tags)
+            out[f"{name} {tags[0]}"] = [union.to_json(), incl_x.to_json(), incl_y.to_json()]
+    return out
+
+
+def _hom_complex_cases():
+    chaotic = SimplicialGroupoid.constant(
+        FiniteGroupoid.chaotic(["x", "y"], GroupTable.cyclic(2)), 2
+    )
+    chain = jsonio.chain_from_json({"groups": [[2], [4]], "boundaries": [[[1]]]})
+    out = {f"chaotic {x} {y}": hom_complex(chaotic, x, y).to_json() for x, y in ("xy", "yx", "xx")}
+    out["dold_kan"] = hom_complex(dold_kan(chain, 3), "*", "*").to_json()
+    return out
+
+
+def _pushout_cases():
+    out = {}
+    b1 = standard_complex("boundary", 1, depth=2)
+    d1 = standard_complex("Delta", 1, depth=2)
+    point = standard_complex("point", depth=2)
+    include = SimplicialMap(b1, d1, [{x: x for x in level} for level in b1.levels])
+    crush = SimplicialMap(b1, point, [{x: "*" for x in level} for level in b1.levels])
+    for name, (f, g) in {"circle": (include, crush), "two_edges": (include, include)}.items():
+        d, into_b, into_c = pushout(f, g)
+        out[name] = [d.to_json(), into_b.to_json(), into_c.to_json()]
+    return out
+
+
+def _y_u_cases():
+    site = FiniteSite.two_object_site()
+    out = {}
+    for name, x in {"Delta1": standard_complex("Delta", 1, depth=2),
+                    "sphere2": standard_complex("sphere", 2, depth=2)}.items():
+        for u in site.objects:
+            out[f"{name} {u}"] = jsonio.presheaf_to_json(y_u(x, u, site))
+    return out
+
+
+def test_construction_golden_digests():
+    families = {
+        "standard": _standard_cases,
+        "disjoint_union": _coproduct_cases,
+        "hom_complex": _hom_complex_cases,
+        "pushout": _pushout_cases,
+        "y_u": _y_u_cases,
+    }
+    got = {
+        name: hashlib.sha256(jsonio.dumps(cases()).encode()).hexdigest()
+        for name, cases in families.items()
+    }
+    assert got == GOLDEN_CONSTRUCTIONS
 
 
 # -- one document of every kind ----------------------------------------------------

@@ -4,6 +4,7 @@ from hpk.groups import GroupTable
 from hpk.groupoids import (
     FiniteGroupoid,
     SimplicialGroupoid,
+    SimplicialGroupoidMap,
     hom_simplicial_group,
     moore_pi_n,
     pi0_hom_presentation,
@@ -19,9 +20,10 @@ from hpk.loop import (
     unit,
     w_total,
     wbar,
+    wbar_of_map,
 )
 from hpk.homsearch import enumerate_simplicial_maps
-from hpk.sset import pi0_sset, standard_complex, validate_sset
+from hpk.sset import SimplicialMap, pi0_sset, standard_complex, validate_sset
 
 
 def constant(table_or_gpd, depth):
@@ -82,6 +84,19 @@ def test_wbar_level_one_is_arrows_of_level_zero():
         wb = wbar(a, 2)
         assert len(wb.sset.levels[1]) == len(gpd.arrows)
 
+
+
+def test_wbar_object_named_like_an_arrow():
+    # the object g0 and the arrow g0 are both 1-strings, at levels 0 and 1
+    a = constant(FiniteGroupoid.from_group(GroupTable.cyclic(2), obj="g0"), 3)
+    wb = wbar(a, 3)
+    assert wb.strings["g0"] == ("g0",) and wb.strings["(g0)"] == ("g0",)
+    identity = wbar_of_map(SimplicialGroupoidMap.identity(a), wb, wb)
+    assert identity.validate() == []
+    assert identity.equals(SimplicialMap.identity(wb.sset))
+    total, q, wb2 = w_total(a, 2)
+    assert q.validate() == []
+    assert q.level_maps[1] == {"<g0|g0>": "(g0)", "<g0|g1>": "(g1)", "<g1|g0>": "(g0)", "<g1|g1>": "(g1)"}
 
 def test_wbar_rejects_free_levels():
     s1 = standard_complex("sphere", 1, depth=3)

@@ -5,6 +5,7 @@ from hpk.sset import (
     InsufficientDepth,
     SimplicialMap,
     TruncatedSimplicialSet,
+    complex_from_keys,
     disjoint_union,
     pi0_sset,
     pullback,
@@ -221,6 +222,57 @@ def test_universal_property_of_pullback_on_small_fixture():
                 cones += 1
     mediating = len(list(enumerate_simplicial_maps(source, p)))
     assert cones == mediating
+
+
+def _discrete(*names):
+    return TruncatedSimplicialSet(0, [names], {}, {})
+
+
+def test_builder_writes_each_key_once_and_looks_faces_up_by_key():
+    keys = [["v", "w"], [("v", "w"), ("v", "v"), ("w", "w")]]
+    x, ids = complex_from_keys(
+        1,
+        keys,
+        lambda n, key: "-".join(key) if n else key,
+        lambda n, i, edge: edge[1 - i],
+        lambda n, i, v: (v, v),
+    )
+    assert validate_sset(x) == []
+    assert ids == [{"v": "v", "w": "w"}, {("v", "w"): "v-w", ("v", "v"): "v-v", ("w", "w"): "w-w"}]
+    assert x.faces[(1, 0)] == {"v-w": "w", "v-v": "v", "w-w": "w"}
+    assert x.degeneracies[(0, 0)] == {"v": "v-v", "w": "w-w"}
+
+
+def test_builder_names_the_first_colliding_id_in_level_order():
+    # the ids are x, y, x, y: x is the first to repeat, whatever a set's order
+    keys = [["x1", "y1", "x2", "y2"]]
+    with pytest.raises(ValueError, match="^two simplices of level 0 have the id 'x'$"):
+        complex_from_keys(0, keys, lambda n, key: key[0], None, None)
+
+
+def test_colliding_pushout_and_coproduct_ids_are_refused():
+    message = "^two simplices of level 0 have the id {}$"
+    # the class {b:x, c:y} and the simplex x+c:y of B are both b:x+c:y
+    a = _discrete("p")
+    glue_b = SimplicialMap(a, _discrete("x+c:y", "x"), [{"p": "x"}])
+    glue_c = SimplicialMap(a, _discrete("y"), [{"p": "y"}])
+    with pytest.raises(ValueError, match=message.format(r"'b:x\+c:y'")):
+        pushout(glue_b, glue_c)
+    with pytest.raises(ValueError, match=message.format("'t:v'")):
+        disjoint_union(_discrete("v"), _discrete("v"), tags=("t", "t"))
+
+
+def test_colliding_y_u_copy_ids_are_refused():
+    from hpk.presheaves import y_u
+    from hpk.sites import FiniteSite
+
+    # a one-object site with an idempotent a:b beside the identity a: the
+    # simplex b:c in the copy at a and c in the copy at a:b are both a:b:c
+    comp = {(f, g): "a" if f == g == "a" else "a:b" for f in ("a", "a:b") for g in ("a", "a:b")}
+    site = FiniteSite(["U"], {"a": ("U", "U"), "a:b": ("U", "U")}, comp, {"U": "a"}, {"U": []})
+    with pytest.raises(ValueError, match="^two simplices of level 0 have the id 'a:b:c'$"):
+        y_u(_discrete("b:c", "c"), "U", site)
+    assert y_u(_discrete("c"), "U", site).values["U"].levels == (("a:b:c", "a:c"),)
 
 
 def test_json_round_trip():
