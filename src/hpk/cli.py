@@ -247,63 +247,35 @@ def cmd_transpose(args):
         # the level maps first, so a bad one is named as a groupoid map
         for part in (*sg_map.level_homs, sg_map):
             jsonio.check(part, reading.passed)
-        out = transpose_to_sset(sg_map, sset, gx, wb)
-        _emit(
-            {"transpose": [dict(sorted(m.items())) for m in out.level_maps]}, args
-        )
+        _emit({"transpose": transpose_to_sset(sg_map, sset, gx, wb).to_json()["levels"]}, args)
         return 0
     if data["direction"] == "to-sgpd":
         truncated = _truncate_sset(sset, depth + 1)
         read_map = jsonio.DOMAIN_IO["sset"].read_map
         smap = jsonio.check(read_map(data["map"], truncated, wb.sset, reading), reading.passed)
-        out = transpose_to_sgpd(smap, gx, sgpd, wb)
-        _emit(
-            {
-                "obj_map": dict(sorted(out.obj_map.items())),
-                "generator_images": [
-                    {
-                        gen: jsonio.arrow_to_json(sgpd.levels[n], hom.arrow_map[gen])
-                        for gen in sorted(hom.arrow_map)
-                    }
-                    for n, hom in enumerate(out.level_homs)
-                ],
-            },
-            args,
-        )
+        _emit(_generator_images(transpose_to_sgpd(smap, gx, sgpd, wb)), args)
         return 0
     raise ValueError("direction must be 'to-sset' or 'to-sgpd'")
+
+
+def _generator_images(sg_map):
+    """A simplicial groupoid map as its object map and the images of the
+    generators of each level."""
+    written = jsonio.DOMAIN_IO["sgpd"].write_map(sg_map)
+    return {"obj_map": written["obj_map"], "generator_images": written["levels"]}
 
 
 def cmd_unit(args):
     obj = _load(args.file, "sset", "unit")
     eta, gx, wb = unit(obj, args.depth)
-    _emit(
-        {
-            "eta": [dict(sorted(m.items())) for m in eta.level_maps],
-            "wbar": wb.sset.to_json(),
-        },
-        args,
-    )
+    _emit({"eta": eta.to_json()["levels"], "wbar": wb.sset.to_json()}, args)
     return 0
 
 
 def cmd_counit(args):
     obj = _load(args.file, "sgpd", "counit")
     eps, gw, wb = counit(obj, args.depth)
-    _emit(
-        {
-            "obj_map": dict(sorted(eps.obj_map.items())),
-            "generator_images": [
-                {
-                    gen: jsonio.arrow_to_json(obj.levels[n], hom.arrow_map[gen])
-                    for gen in sorted(hom.arrow_map)
-                }
-                for n, hom in enumerate(eps.level_homs)
-            ],
-            "wbar": wb.sset.to_json(),
-        },
-        args,
-    )
+    _emit({**_generator_images(eps), "wbar": wb.sset.to_json()}, args)
     return 0
 
 

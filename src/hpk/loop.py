@@ -14,6 +14,12 @@ output metadata):
   d_0 drops the leading entry, the inner d_i apply face operators to the
   leading entries and merge one composite, d_n drops the trailing entry, and
   s_i inserts an identity with shifted degeneracies.
+
+* adjunction G -| Wbar: one rule (``_loop_arrow``) gives the arrow of G(X)
+  carried by a simplex, and G of a map and the transpose X -> Wbar A both
+  read it.  The counit G(Wbar A) -> A is the transpose of the identity of
+  Wbar A, and the unit X -> Wbar G(X) is the transpose of the identity of
+  G(X), written into its finite copy when G(X) is discrete.
 """
 
 from .groupoids import (
@@ -42,6 +48,23 @@ CONVENTIONS = {
 # -- loop groupoid -----------------------------------------------------------
 
 
+def _loop_arrow(sset, gpds, killed=None):
+    """``arrow(n, x)``: the arrow of ``gpds[n]``, level n of G(X), carried by
+    a simplex x of X_(n+1).  It is the generator of x, or the identity at
+    vertex 0 of x when x is s_0-degenerate.  ``killed[n]``, the set of
+    s_0-images of X_n, is built once per level unless given."""
+    killed = {} if killed is None else killed
+
+    def arrow(n, x):
+        if n not in killed:
+            killed[n] = set(sset.degeneracies[(n, 0)].values())
+        if x in killed[n]:
+            return gpds[n].identity(sset.vertex(n + 1, x, 0))
+        return gpds[n].gen(x)
+
+    return arrow
+
+
 def loop_groupoid(sset, depth):
     """The levelwise-free loop groupoid of a simplicial set.
 
@@ -54,70 +77,60 @@ def loop_groupoid(sset, depth):
             f"loop groupoid at depth {depth} needs complex depth {depth + 1}"
         )
     objects = list(sset.levels[0])
-    levels = []
-    for n in range(depth + 1):
-        killed = set(sset.degeneracies[(n, 0)].values())
-        gens = {x: (sset.vertex(n + 1, x, 1), sset.vertex(n + 1, x, 0))
-                for x in sset.levels[n + 1] if x not in killed}
-        levels.append(FreeGroupoid(objects, gens))
+    killed = {n: set(sset.degeneracies[(n, 0)].values()) for n in range(depth + 1)}
+    levels = [
+        FreeGroupoid(objects, {
+            x: (sset.vertex(n + 1, x, 1), sset.vertex(n + 1, x, 0))
+            for x in sset.levels[n + 1] if x not in killed[n]
+        })
+        for n in range(depth + 1)
+    ]
+    arrow = _loop_arrow(sset, levels, killed)
 
-    def gen_arrow(level_gpd, n_plus_1, x):
-        killed = set(sset.degeneracies[(n_plus_1 - 1, 0)].values())
-        if x in killed:
-            return level_gpd.identity(sset.vertex(n_plus_1, x, 0))
-        return level_gpd.gen(x)
+    def face(n, i, x):
+        if i:
+            return arrow(n - 1, sset.face(n + 1, i + 1, x))
+        tgt = levels[n - 1]
+        a, b = (arrow(n - 1, sset.face(n + 1, j, x)) for j in (1, 0))
+        return tgt.compose(a, tgt.inv(b))
 
     obj_id = {o: o for o in objects}
-    faces = {}
-    degeneracies = {}
-    for n in range(1, depth + 1):
-        src, tgt = levels[n], levels[n - 1]
-        for i in range(n + 1):
-            arrow_map = {}
-            for x in src.generators:
-                if i >= 1:
-                    arrow_map[x] = gen_arrow(tgt, n, sset.face(n + 1, i + 1, x))
-                else:
-                    a = gen_arrow(tgt, n, sset.face(n + 1, 1, x))
-                    b = gen_arrow(tgt, n, sset.face(n + 1, 0, x))
-                    arrow_map[x] = tgt.compose(a, tgt.inv(b))
-            faces[(n, i)] = GroupoidHom(src, tgt, obj_id, arrow_map)
-    for n in range(0, depth):
-        src, tgt = levels[n], levels[n + 1]
-        for i in range(n + 1):
-            arrow_map = {}
-            for x in src.generators:
-                arrow_map[x] = gen_arrow(tgt, n + 2, sset.degeneracy(n + 1, i + 1, x))
-            degeneracies[(n, i)] = GroupoidHom(src, tgt, obj_id, arrow_map)
+    faces = {
+        (n, i): GroupoidHom(
+            levels[n], levels[n - 1], obj_id, {x: face(n, i, x) for x in levels[n].generators}
+        )
+        for n in range(1, depth + 1)
+        for i in range(n + 1)
+    }
+    degeneracies = {
+        (n, i): GroupoidHom(levels[n], levels[n + 1], obj_id, {
+            x: arrow(n + 1, sset.degeneracy(n + 1, i + 1, x)) for x in levels[n].generators
+        })
+        for n in range(depth)
+        for i in range(n + 1)
+    }
     return SimplicialGroupoid(objects, levels, faces, degeneracies)
 
 
 def loop_of_map(smap, source_loop, target_loop):
     """G applied to a simplicial map (generators to generators or identities)."""
     obj_map = {o: smap(0, o) for o in source_loop.objects}
-    level_homs = []
-    tgt_sset = smap.target
-    for n in range(source_loop.depth + 1):
-        src, tgt = source_loop.levels[n], target_loop.levels[n]
-        killed = set(tgt_sset.degeneracies[(n, 0)].values())
-        arrow_map = {}
-        for x in src.generators:
-            y = smap(n + 1, x)
-            if y in killed:
-                arrow_map[x] = tgt.identity(tgt_sset.vertex(n + 1, y, 0))
-            else:
-                arrow_map[x] = tgt.gen(y)
-        level_homs.append(GroupoidHom(src, tgt, obj_map, arrow_map))
+    arrow = _loop_arrow(smap.target, target_loop.levels)
+    level_homs = [
+        GroupoidHom(src, target_loop.levels[n], obj_map,
+                    {x: arrow(n, smap(n + 1, x)) for x in src.generators})
+        for n, src in enumerate(source_loop.levels)
+    ]
     return SimplicialGroupoidMap(source_loop, target_loop, obj_map, level_homs)
 
 
 def finitize_discrete(sgpd):
-    """Convert generator-free free levels to finite identity groupoids."""
+    """The finite copy of a simplicial groupoid whose levels are free on no
+    generators: each level keeps only its identities."""
     levels = []
     for n, gpd in enumerate(sgpd.levels):
         if not gpd.is_free:
-            levels.append(gpd)
-            continue
+            raise ValueError(f"level {n} is not free; cannot finitize")
         if gpd.generators:
             raise ValueError(f"level {n} has free generators; cannot finitize")
         arrows = {f"id@{o}": (o, o) for o in gpd.objects}
@@ -320,72 +333,56 @@ def w_total(sgpd, depth):
 
 
 def transpose_to_sset(sg_map, sset, loop_sgpd, wbar_result):
-    """Transpose GX -> A into X -> WbarA (for X materialised to wbar depth)."""
+    """Transpose GX -> A into X -> WbarA (for X materialised to wbar depth).
+
+    Entry e_j of the string of an n-simplex x is the image of the arrow that
+    d_0^j x carries, an arrow of level n - 1 - j.
+    """
     depth = wbar_result.sset.depth
     if sset.depth < depth:
         raise InsufficientDepth("source complex shallower than the classifying depth")
     sset = _truncate_sset(sset, depth)
-    level_maps = []
-    for n in range(depth + 1):
-        table = {}
-        for x in sset.levels[n]:
-            if n == 0:
-                table[x] = sg_map.obj_map[x]
-                continue
-            entries = []
-            y = x
-            for j in range(n):
-                # entry e_j is the generator image of d_0^j x (a level n-1-j arrow)
-                entries.append(
-                    sg_map.level(n - 1 - j)(_loop_generator(loop_sgpd, sset, n - j, y))
-                )
-                y = sset.face(n - j, 0, y)
-            table[x] = wbar_result.ids[n][tuple(entries)]
-        level_maps.append(table)
+    arrow = _loop_arrow(sset, loop_sgpd.levels)
+
+    def string(n, x):
+        entries = []
+        for m in range(n - 1, -1, -1):
+            entries.append(sg_map.level(m)(arrow(m, x)))
+            x = sset.face(m + 1, 0, x)
+        return tuple(entries)
+
+    level_maps = [{x: sg_map.obj_map[x] for x in sset.levels[0]}] + [
+        {x: wbar_result.ids[n][string(n, x)] for x in sset.levels[n]}
+        for n in range(1, depth + 1)
+    ]
     return SimplicialMap(sset, wbar_result.sset, level_maps)
-
-
-def _loop_generator(loop_sgpd, sset, n_plus_1, x):
-    gpd = loop_sgpd.levels[n_plus_1 - 1]
-    killed = set(sset.degeneracies[(n_plus_1 - 1, 0)].values())
-    if x in killed:
-        return gpd.identity(sset.vertex(n_plus_1, x, 0))
-    return gpd.gen(x)
 
 
 def transpose_to_sgpd(smap, loop_sgpd, target_sgpd, wbar_result):
     """Transpose X -> WbarA into GX -> A (leading entry of the image string)."""
     obj_map = {o: smap(0, o) for o in loop_sgpd.objects}
-    level_homs = []
-    for n in range(loop_sgpd.depth + 1):
-        src, tgt = loop_sgpd.levels[n], target_sgpd.levels[n]
-        arrow_map = {}
-        for x in src.generators:
-            image_string = wbar_result.strings[smap(n + 1, x)]
-            arrow_map[x] = image_string[0]
-        level_homs.append(GroupoidHom(src, tgt, obj_map, arrow_map))
+    level_homs = [
+        GroupoidHom(src, target_sgpd.levels[n], obj_map,
+                    {x: wbar_result.strings[smap(n + 1, x)][0] for x in src.generators})
+        for n, src in enumerate(loop_sgpd.levels)
+    ]
     return SimplicialGroupoidMap(loop_sgpd, target_sgpd, obj_map, level_homs)
 
 
 def counit(sgpd, depth):
-    """The canonical map G(Wbar A) -> A at the given truncation depth.
+    """The canonical map G(Wbar A) -> A at the given truncation depth, the
+    transpose of the identity of Wbar A.
 
     Returns (map, loop groupoid of WbarA, WbarResult at depth + 1).
     """
     wb = wbar(sgpd, depth + 1)
     gw = loop_groupoid(wb.sset, depth)
-    obj_map = {o: o for o in gw.objects}
-    level_homs = []
-    for n in range(depth + 1):
-        src, tgt = gw.levels[n], sgpd.levels[n]
-        arrow_map = {w: wb.strings[w][0] for w in src.generators}
-        level_homs.append(GroupoidHom(src, tgt, obj_map, arrow_map))
-    eps = SimplicialGroupoidMap(gw, sgpd, obj_map, level_homs)
-    return eps, gw, wb
+    return transpose_to_sgpd(SimplicialMap.identity(wb.sset), gw, sgpd, wb), gw, wb
 
 
 def unit(sset, depth):
-    """The canonical map X -> Wbar G(X), materialisable when GX is discrete.
+    """The canonical map X -> Wbar G(X), materialisable when GX is discrete:
+    the transpose of the identity of GX, written into its finite copy.
 
     Raises if the loop groupoid has free generators at the needed levels (the
     classifying complex would have infinite levels).
@@ -393,27 +390,11 @@ def unit(sset, depth):
     gx = loop_groupoid(sset, depth)
     finite = finitize_discrete(gx)
     wb = wbar(finite, depth + 1)
-    level_maps = []
-    for n in range(min(sset.depth, depth + 1) + 1):
-        if n > wb.sset.depth:
-            break
-        table = {}
-        for x in sset.levels[n]:
-            if n == 0:
-                table[x] = x
-                continue
-            entries = []
-            y = x
-            for j in range(n):
-                lvl = finite.levels[n - 1 - j]
-                entries.append(lvl.identity(sset.vertex(n - j, y, 0)))
-                y = sset.face(n - j, 0, y)
-            table[x] = wb.ids[n][tuple(entries)]
-        level_maps.append(table)
-    truncated = _truncate_sset(sset, wb.sset.depth)
-    return SimplicialMap(truncated, wb.sset, level_maps), gx, wb
-
-
+    obj_map = {o: o for o in gx.objects}
+    iota = SimplicialGroupoidMap(
+        gx, finite, obj_map, [GroupoidHom(g, f, obj_map, {}) for g, f in zip(gx.levels, finite.levels)]
+    )
+    return transpose_to_sset(iota, sset, gx, wb), gx, wb
 
 
 # -- hom enumeration for the adjunction --------------------------------------

@@ -21,6 +21,7 @@ from itertools import product
 from .budgets import DEFAULT_ISO_SEARCH_BUDGET, Meter, resolve_budget
 from .groups import GroupTable
 from .groupoids import (
+    GroupoidHom,
     SimplicialGroupoidMap,
     hom_simplicial_group,
     moore_pi_n_with_classes,
@@ -729,43 +730,29 @@ def apply_pointwise(functor, x, depth):
 
 def pointwise_unit(x, depth):
     """The unit X -> wbar G X as a presheaf map (discrete loop sections only)."""
-    from .loop import finitize_discrete, loop_groupoid, loop_of_map, unit, wbar_of_map
+    from .loop import finitize_discrete, loop_of_map, unit, wbar_of_map
 
     site = x.site
-    etas = {}
-    sources = {}
-    targets = {}
+    etas, loops, wbars = {}, {}, {}
     for v in site.objects:
-        eta, _, wb = unit(x.values[v], depth)
-        etas[v] = eta
-        sources[v] = eta.source
-        targets[v] = wb
+        etas[v], loops[v], wbars[v] = unit(x.values[v], depth)
+    finite = {v: finitize_discrete(gx) for v, gx in loops.items()}
     source = Presheaf(
         site,
         "sset",
-        sources,
+        {v: eta.source for v, eta in etas.items()},
         {
-            a: _retruncate_map(x.restrictions[a], sources[u], sources[v])
+            a: _retruncate_map(x.restrictions[a], etas[u].source, etas[v].source)
             for a, (v, u) in site.arrows.items()
         },
     )
     restrictions = {}
     for a, (v, u) in site.arrows.items():
-        free_u = loop_groupoid(x.values[u], depth)
-        free_v = loop_groupoid(x.values[v], depth)
-        fin_u = finitize_discrete(free_u)
-        fin_v = finitize_discrete(free_v)
-        lmap = loop_of_map(x.restrictions[a], free_u, free_v)
-        fin_map = _finitize_map(lmap, fin_u, fin_v)
-        restrictions[a] = wbar_of_map(fin_map, targets[u], targets[v])
-    target = Presheaf(
-        site, "sset", {v: targets[v].sset for v in site.objects}, restrictions
-    )
-    components = {
-        v: SimplicialMap(source.values[v], target.values[v], etas[v].level_maps)
-        for v in site.objects
-    }
-    return NaturalTransformation(source, target, components)
+        lmap = loop_of_map(x.restrictions[a], loops[u], loops[v])
+        fin_map = _finitize_map(lmap, finite[u], finite[v])
+        restrictions[a] = wbar_of_map(fin_map, wbars[u], wbars[v])
+    target = Presheaf(site, "sset", {v: wb.sset for v, wb in wbars.items()}, restrictions)
+    return NaturalTransformation(source, target, etas)
 
 
 def _retruncate_map(smap, new_source, new_target):
@@ -774,16 +761,10 @@ def _retruncate_map(smap, new_source, new_target):
 
 
 def _finitize_map(sg_map, fin_source, fin_target):
-    from .groupoids import GroupoidHom
-
-    level_homs = []
-    for n in range(sg_map.source.depth + 1):
-        src = fin_source.levels[n]
-        tgt = fin_target.levels[n]
-        arrow_map = {
-            a: tgt.identity(sg_map.obj_map[src.arrows[a][0]]) for a in src.arrows
-        }
-        level_homs.append(
-            GroupoidHom(src, tgt, sg_map.obj_map, arrow_map)
-        )
-    return SimplicialGroupoidMap(fin_source, fin_target, sg_map.obj_map, level_homs)
+    """A map of discrete loop groupoids, between their finite copies."""
+    obj_map = sg_map.obj_map
+    level_homs = [
+        GroupoidHom(src, tgt, obj_map, {a: tgt.identity(obj_map[o]) for a, (o, _) in src.arrows.items()})
+        for src, tgt in zip(fin_source.levels, fin_target.levels)
+    ]
+    return SimplicialGroupoidMap(fin_source, fin_target, obj_map, level_homs)

@@ -35,6 +35,7 @@ from hpk.presheaves import (
     Presheaf,
     apply_pointwise,
     constant_presheaf,
+    pointwise_unit,
     y_u,
 )
 from hpk.sites import FiniteSite
@@ -435,6 +436,81 @@ def test_doldkan_golden_digests(tmp_path, capsys, monkeypatch):
         for name, (doc, depth) in DOLDKAN_DOCUMENTS.items()
     }
     assert got == GOLDEN_DOLDKAN
+
+
+# -- the G -| Wbar adjunction ------------------------------------------------------
+
+# Recorded before the unit and counit were written as transposes of
+# identities: `hpk unit`, `hpk counit` and `hpk transpose` stdout (a transpose
+# family holds at most ten maps per pair, in search order), G of Wbar Z/2 and
+# Wbar Z/3 at depth 3, G of the horn inclusion, and the unit of the discrete
+# presheaf of tests/test_presheaves.py
+GOLDEN_ADJUNCTION = {
+    "unit": "b4cea37e29ae883f350a20a2944e0fe5ff34b2a7356e1a734ec1e29133144cac",
+    "counit": "7aedbfff40ee87b3597917ab70b851f48eca44136e7006fb1971d848adbaa2ad",
+    "transpose_to_sgpd": "7e277cab1435b12b59d34c943d1657f44781594ce01d1e52397c1448245b346c",
+    "transpose_to_sset": "2cbe8dc5421f425def4a1bebfbacb227b959998b4681b4e98c6746ca7ebd6fcb",
+    "loop_of_wbar": "3835447e8c751b36aaa0a242d9d2cb9ff36c966e16b813eb116cbfa1c358a410",
+    "loop_of_horn_inclusion": "c9d73ff0b7f0d7c765db3bb096c79f456036a44fd077cf71ef126faa3e67eb80",
+    "pointwise_unit": "e426bdc7ece19bef9d35f451c2038ab37604228b6ca50ef6512d948d87e09d64",
+}
+
+
+def _adjunction_cases(tmp_path, capsys):
+    from test_presheaves import discrete_presheaf
+
+    out = {name: [] for name in GOLDEN_ADJUNCTION}
+    point = standard_complex("point", depth=3)
+    two_points, _, _ = disjoint_union(point, point)
+    for name, x in {"point": point, "two_points": two_points}.items():
+        for depth in range(3):
+            out["unit"].append(_cli(tmp_path, capsys, name, x.to_json(), "unit", "--depth", str(depth)))
+    gpds = {
+        "z2": FiniteGroupoid.from_group(GroupTable.cyclic(2)),
+        "chaotic": FiniteGroupoid.chaotic(["x", "y"], GroupTable.cyclic(2)),
+        "interval": FiniteGroupoid.interval(),
+    }
+    for name, gpd in gpds.items():
+        a = SimplicialGroupoid.constant(gpd, 2)
+        for depth in range(3):
+            out["counit"].append(_cli(tmp_path, capsys, name, a.to_json(), "counit", "--depth", str(depth)))
+    delta1 = standard_complex("Delta", 1, depth=3)
+    for x, name in [
+        (delta1, "interval"),
+        (delta1, "chaotic"),
+        (standard_complex("sphere", 1, depth=3), "z2"),
+        (standard_complex("horn", 2, k=1, depth=3), "z2"),
+    ]:
+        a = SimplicialGroupoid.constant(gpds[name], 2)
+        common = {"complex": x.to_json(), "groupoid": a.to_json(), "depth": 2}
+        psis = enumerate_simplicial_maps(_truncate(x, 3), wbar(a, 3).sset)
+        for psi in list(psis)[:10]:
+            doc = {**common, "direction": "to-sgpd", "map": psi.to_json()}
+            out["transpose_to_sgpd"].append(_cli(tmp_path, capsys, name, doc, "transpose"))
+        for phi in enumerate_sgpd_maps(loop_groupoid(x, 2), x, a)[:10]:
+            doc = {**common, "direction": "to-sset", "map": jsonio.DOMAIN_IO["sgpd"].write_map(phi)}
+            out["transpose_to_sset"].append(_cli(tmp_path, capsys, name, doc, "transpose"))
+    for order in (2, 3):
+        wb = wbar(SimplicialGroupoid.constant(FiniteGroupoid.from_group(GroupTable.cyclic(order)), 3), 4)
+        out["loop_of_wbar"].append(loop_groupoid(wb.sset, 3).to_json())
+    horn = standard_complex("horn", 2, k=1, depth=3)
+    simplex = standard_complex("Delta", 2, depth=3)
+    include = SimplicialMap(horn, simplex, [{s: s for s in level} for level in horn.levels])
+    g_include = loop_of_map(include, loop_groupoid(horn, 2), loop_groupoid(simplex, 2))
+    out["loop_of_horn_inclusion"].append(jsonio.sgpd_map_to_json(g_include))
+    out["pointwise_unit"].append(jsonio.nat_to_json(pointwise_unit(discrete_presheaf(), 2)))
+    return out
+
+
+def test_adjunction_golden_digests(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("HPK_BUDGET", raising=False)
+    got = {
+        name: hashlib.sha256(jsonio.dumps([
+            case.decode() if isinstance(case, bytes) else case for case in cases
+        ]).encode()).hexdigest()
+        for name, cases in _adjunction_cases(tmp_path, capsys).items()
+    }
+    assert got == GOLDEN_ADJUNCTION
 
 
 # -- hom-set searches --------------------------------------------------------------

@@ -254,3 +254,17 @@ def test_counit_is_transpose_of_identity_on_wbar():
     ident = SimplicialMap.identity(wb.sset)
     via_transpose = transpose_to_sgpd(ident, gw, a, wb)
     assert via_transpose.equals(eps)
+
+
+def test_finitize_discrete_refuses_a_level_that_is_not_free():
+    # a finite level would keep its arrows while every face and degeneracy
+    # sent them to identities, which is not a simplicial groupoid
+    from hpk.loop import finitize_discrete
+
+    with pytest.raises(ValueError, match="level 0 is not free; cannot finitize"):
+        finitize_discrete(constant(GroupTable.cyclic(2), 2))
+    with pytest.raises(ValueError, match="level 0 has free generators; cannot finitize"):
+        finitize_discrete(loop_groupoid(standard_complex("sphere", 1, depth=3), 2))
+    point = finitize_discrete(loop_groupoid(standard_complex("point", depth=3), 2))
+    assert point.validate() == []
+    assert [list(level.arrows) for level in point.levels] == [["id@*"]] * 3

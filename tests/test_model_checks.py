@@ -2,13 +2,13 @@ from collections import Counter
 
 import pytest
 
+from hpk import jsonio
 from hpk.groups import GroupTable
 from hpk.groupoids import (
     FiniteGroupoid,
     GroupoidHom,
     SimplicialGroupoid,
     SimplicialGroupoidMap,
-    pi0_sgpd,
 )
 from hpk.homsearch import enumerate_simplicial_maps
 from hpk.kan import kan_report
@@ -268,7 +268,7 @@ def horn_collapse_fixture(n, k):
     return include, collapse, gi, gr
 
 
-@pytest.mark.parametrize("n,k", [(2, 1), (1, 0)])
+@pytest.mark.parametrize("n,k", [(2, 1), (1, 0), (2, 0), (3, 1)])
 def test_pushout_stability_on_free_instances(n, k):
     include, collapse, gi, gr = horn_collapse_fixture(n, k)
     total, from_b, from_c = pushout_free_sgpd(gi, gr)
@@ -276,14 +276,16 @@ def test_pushout_stability_on_free_instances(n, k):
     # the pushed-out map (from the point side) is a weak equivalence
     ok, details = free_instance_weak_equivalence(from_c)
     assert ok is True, details
-    # G is a left adjoint: the free pushout matches G of the sset pushout
-    d, _, _ = sset_pushout(include, collapse)
+    # G is a left adjoint: the free pushout is G of the sset pushout, byte for
+    # byte, and so are its legs
+    d, into_b, into_c = sset_pushout(include, collapse)
     g_of_pushout = loop_groupoid(d, 2)
-    for level in range(3):
-        assert len(total.levels[level].generators) == len(
-            g_of_pushout.levels[level].generators
-        )
-    assert len(pi0_sgpd(total)) == len(pi0_sgpd(g_of_pushout))
+    legs = [
+        loop_of_map(leg, loop_groupoid(leg.source, 2), g_of_pushout) for leg in (into_b, into_c)
+    ]
+    assert jsonio.dumps([total.to_json(), *map(jsonio.sgpd_map_to_json, (from_b, from_c))]) == (
+        jsonio.dumps([g_of_pushout.to_json(), *map(jsonio.sgpd_map_to_json, legs)])
+    )
 
 
 def test_iterated_free_pushout():

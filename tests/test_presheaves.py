@@ -19,7 +19,7 @@ from hpk.presheaves import (
     y_u,
 )
 from hpk.sites import FiniteSite
-from hpk.sset import standard_complex
+from hpk.sset import SimplicialMap, disjoint_union, standard_complex
 from hpk.two_groupoids import TwoFunctor, TwoGroupoid
 
 
@@ -302,26 +302,22 @@ def test_apply_pointwise_loop_groupoid():
     assert len(g.values["U"].levels[0].generators) == 1
 
 
-def test_pointwise_unit_on_discrete_fixture():
-    # two disjoint points over U collapsing to one point over V
+def discrete_presheaf():
+    """Two disjoint points over U collapsing to one point over V."""
     site = FiniteSite.two_object_site()
-    from hpk.sset import disjoint_union, standard_complex as sc
-
-    two, _, _ = disjoint_union(sc("point", depth=3), sc("point", depth=3))
-    one = sc("point", depth=3)
-    collapse = __import__("hpk.sset", fromlist=["SimplicialMap"]).SimplicialMap(
-        two, one, [{s: "*" for s in level} for level in two.levels]
-    )
-    x = Presheaf(
+    two, _, _ = disjoint_union(standard_complex("point", depth=3), standard_complex("point", depth=3))
+    one = standard_complex("point", depth=3)
+    collapse = SimplicialMap(two, one, [{s: "*" for s in level} for level in two.levels])
+    return Presheaf(
         site,
         "sset",
         {"U": two, "V": one},
-        {
-            "idU": __import__("hpk.sset", fromlist=["SimplicialMap"]).SimplicialMap.identity(two),
-            "idV": __import__("hpk.sset", fromlist=["SimplicialMap"]).SimplicialMap.identity(one),
-            "f": collapse,
-        },
+        {"idU": SimplicialMap.identity(two), "idV": SimplicialMap.identity(one), "f": collapse},
     )
+
+
+def test_pointwise_unit_on_discrete_fixture():
+    x = discrete_presheaf()
     eta = pointwise_unit(x, 2)
     assert eta.validate() == []
     ok, witnesses = _sset_unit_is_weq(eta)
