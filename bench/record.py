@@ -10,6 +10,7 @@
     python3 bench/record.py --out BENCH_29.json --parent ../hpk-parent --section cli
     python3 bench/record.py --out BENCH_33.json --parent ../hpk-parent \
         --section weq --section cli --section reads
+    python3 bench/record.py --out BENCH_39.json --parent ../hpk-parent --section constructions
     python3 bench/record.py --check BENCH_20.json
 
 A record holds one or more sections, each a list of cases:
@@ -85,6 +86,15 @@ A record holds one or more sections, each a list of cases:
     number of law checks per class of what it read.  These counts are
     recorded per side, since a change may check fewer parts for the same
     answer; the step's time is a second call with nothing counted.
+``constructions``
+    The constructions of the benchmark's ``build_validate`` mix: ``nerve`` at
+    depth 3 of its ten 2-groupoids, ``wbar`` of its eight constant chaotic
+    groupoids and unions of two, its eight Dold-Kan simplicial groupoids
+    (chains drawn from fixed seeds) through ``dold_kan`` and then ``wbar``,
+    and ``w_total`` of its six constant groups.  A step records the level
+    sizes (arrows per level for ``dold_kan``) and the length and sha256 of
+    ``jsonio.dumps`` of what it built.  Its time covers the construction
+    alone, not the dump.
 
 Every step also records its best wall time on the parent checkout and on
 this one.  Each side runs in its own process, importing hpk from that
@@ -499,12 +509,21 @@ def build_validate_mix():
         else:
             k = H.two_groupoids.TwoGroupoid.one_object_with_pi2(H.groups.GroupTable.cyclic(arg))
         two_groupoids[f"2-groupoid {kind} {arg}"] = k
-    dold_kan = {}
-    for i, (c0, c1, depth) in enumerate(workloads.DOLD_KAN_CLASSES):
-        rng = workloads._rng("laws", 0, i)
-        chain = workloads._random_chain(H, rng, [c0, c1])
-        dold_kan[f"dold_kan {c0} <- {c1}, depth {depth}"] = H.groupoids.dold_kan(chain, depth)
+    dold_kan = {
+        name: H.groupoids.dold_kan(chain, depth)
+        for name, (chain, depth) in dold_kan_chains(H, workloads).items()
+    }
     return H, workloads, two_groupoids, dold_kan
+
+
+def dold_kan_chains(H, workloads):
+    """{name: (chain, depth)} of the ``build_validate`` Dold-Kan classes, each
+    chain drawn from a fixed seed."""
+    chains = {}
+    for i, (c0, c1, depth) in enumerate(workloads.DOLD_KAN_CLASSES):
+        chain = workloads._random_chain(H, workloads._rng("laws", 0, i), [c0, c1])
+        chains[f"dold_kan {c0} <- {c1}, depth {depth}"] = chain, depth
+    return chains
 
 
 def problem_step(validate, cells):
@@ -557,6 +576,54 @@ def functor_cases():
                 lambda homs=homs: [p for hom in homs for p in hom.validate()],
                 sum(len(hom.arrow_map) for hom in homs),
             )
+        }
+    return cases
+
+
+def built(construct, sizes):
+    """Level sizes, length and sha256 of the dump of ``construct()``, and the
+    time of the construction alone."""
+    from hpk import jsonio
+
+    start = perf_counter()
+    x = construct()
+    ms = (perf_counter() - start) * 1e3
+    data = jsonio.dumps(x.to_json()).encode()
+    return {
+        "level_sizes": sizes(x),
+        "bytes": len(data),
+        "sha256": hashlib.sha256(data).hexdigest(),
+        "ms": ms,
+    }
+
+
+def construction_cases():
+    """{construction: {step: build}} over the ``build_validate`` mix."""
+    H, workloads, two_groupoids, _ = build_validate_mix()
+    constant = H.groupoids.SimplicialGroupoid.constant
+    complex_sizes = H.sset.TruncatedSimplicialSet.level_sizes
+
+    def wbar_step(sgpd, depth):
+        return lambda: built(lambda: H.loop.wbar(sgpd, depth).sset, complex_sizes)
+
+    cases = {
+        name: {"nerve": lambda k=k: built(lambda: H.two_groupoids.nerve(k, 3), complex_sizes)}
+        for name, k in two_groupoids.items()
+    }
+    for pieces, depth in workloads.WBAR_CLASSES:
+        sgpd = constant(workloads._groupoid(H, pieces), depth)
+        cases[f"wbar {pieces}, depth {depth}"] = {"wbar": wbar_step(sgpd, depth)}
+    for name, (chain, depth) in dold_kan_chains(H, workloads).items():
+        cases[name] = {
+            "dold_kan": lambda c=chain, d=depth: built(
+                lambda: H.groupoids.dold_kan(c, d), lambda x: [len(l.arrows) for l in x.levels]
+            ),
+            "wbar": wbar_step(H.groupoids.dold_kan(chain, depth), depth),
+        }
+    for key, depth in workloads.W_TOTAL_CLASSES:
+        sgpd = constant(H.groupoids.FiniteGroupoid.from_group(workloads._group(H, key)), depth)
+        cases[f"w_total {key}, depth {depth}"] = {
+            "w_total": lambda s=sgpd, d=depth: built(lambda: H.loop.w_total(s, d)[0], complex_sizes)
         }
     return cases
 
@@ -634,6 +701,11 @@ SECTIONS = {
         "fixture",
         "functor checks of the build_validate constructions, and the problem counts of mutants",
         functor_cases,
+    ),
+    "constructions": (
+        "construction",
+        "level sizes and dump digests of the build_validate constructions",
+        construction_cases,
     ),
 }
 

@@ -239,23 +239,23 @@ def cmd_transpose(args):
     reading = jsonio.Reading()
     sset = jsonio.checked(reading.read("sset", data["complex"]), reading.passed)
     sgpd = jsonio.checked(reading.read("sgpd", data["groupoid"]), reading.passed)
-    depth = data["depth"]
+    depth, direction = data["depth"], data["direction"]
+    if direction not in ("to-sset", "to-sgpd"):
+        raise ValueError("direction must be 'to-sset' or 'to-sgpd'")
     gx = loop_groupoid(sset, depth)
     wb = wbar(sgpd, depth + 1)
-    if data["direction"] == "to-sset":
+    if direction == "to-sset":
         sg_map = jsonio.DOMAIN_IO["sgpd"].read_map(data["map"], gx, sgpd, reading)
         # the level maps first, so a bad one is named as a groupoid map
         for part in (*sg_map.level_homs, sg_map):
             jsonio.check(part, reading.passed)
         _emit({"transpose": transpose_to_sset(sg_map, sset, gx, wb).to_json()["levels"]}, args)
         return 0
-    if data["direction"] == "to-sgpd":
-        truncated = _truncate_sset(sset, depth + 1)
-        read_map = jsonio.DOMAIN_IO["sset"].read_map
-        smap = jsonio.check(read_map(data["map"], truncated, wb.sset, reading), reading.passed)
-        _emit(_generator_images(transpose_to_sgpd(smap, gx, sgpd, wb)), args)
-        return 0
-    raise ValueError("direction must be 'to-sset' or 'to-sgpd'")
+    truncated = _truncate_sset(sset, depth + 1)
+    read_map = jsonio.DOMAIN_IO["sset"].read_map
+    smap = jsonio.check(read_map(data["map"], truncated, wb.sset, reading), reading.passed)
+    _emit(_generator_images(transpose_to_sgpd(smap, gx, sgpd, wb)), args)
+    return 0
 
 
 def _generator_images(sg_map):

@@ -298,6 +298,11 @@ def _probe_arrows(gpd):
     return list(gpd.arrow_ids())
 
 
+def _lookup(hom):
+    """``hom`` as a callable on arrows: its arrow map when its source is finite."""
+    return hom if hom.source.is_free else hom.arrow_map.__getitem__
+
+
 class GroupoidHom:
     """A functor between groupoids, given on arrows (finite) or generators (free)."""
 
@@ -391,8 +396,8 @@ class SimplicialGroupoid:
         return simplicial_identity_problems(
             self.depth,
             [_probe_arrows(gpd) for gpd in self.levels],
-            self.face,
-            self.degeneracy,
+            lambda n, i: _lookup(self.faces[(n, i)]),
+            lambda n, i: _lookup(self.degeneracies[(n, i)]),
             lambda n, a: self.levels[n].arrow_id(a),
         )
 
@@ -548,8 +553,8 @@ def hom_complex(sgpd, x, y, cap=None):
             sgpd.depth,
             [list(level.arrows_between(x, y)) for level in sgpd.levels],
             lambda n, a: a,
-            lambda n, i, a: sgpd.face(n, i)(a),
-            lambda n, i, a: sgpd.degeneracy(n, i)(a),
+            lambda n, i, arrows: list(map(sgpd.face(n, i), arrows)),
+            lambda n, i, arrows: list(map(sgpd.degeneracy(n, i), arrows)),
         )[0]
     if cap is None:
         raise ValueError("free levels need a word-length cap")

@@ -152,9 +152,9 @@ def finitize_discrete(sgpd):
 # -- classifying complex ------------------------------------------------------
 
 
-def _string_id(gpd_levels, arrows):
-    parts = [gpd_levels[j].arrow_id(a) for j, a in enumerate(reversed(arrows))]
-    return "(" + "|".join(reversed(parts)) + ")"
+def _mapped(tables, operators, entries):
+    """Column j of ``entries`` through the arrow map of ``tables[operators[j]]``."""
+    return [map(tables[key].arrow_map.__getitem__, col) for key, col in zip(operators, entries)]
 
 
 class WbarResult:
@@ -190,64 +190,60 @@ def wbar(sgpd, depth):
     # enumerate composable strings per level
     strings_per_level = [[(o,) for o in objects]]  # level 0: anchor objects
     for n in range(1, depth + 1):
-        strings = []
         if n == 1:
-            for g0 in sorted(gpds[0].arrows):
-                strings.append((g0,))
+            strings = [(g0,) for g0 in sorted(gpds[0].arrows)]
         else:
-            for lower in strings_per_level[n - 1]:
-                top_src_obj = gpds[n - 2].tgt(lower[0])
-                for g in sorted(gpds[n - 1].arrows):
-                    if gpds[n - 1].src(g) == top_src_obj:
-                        strings.append((g,) + lower)
+            # the arrows of level n - 1 by source, each list sorted
+            leaving = {}
+            for g in sorted(gpds[n - 1].arrows):
+                leaving.setdefault(gpds[n - 1].src(g), []).append(g)
+            below = gpds[n - 2].arrows
+            strings = [
+                (g,) + lower
+                for lower in strings_per_level[n - 1]
+                for g in leaving.get(below[lower[0]][1], ())
+            ]
         strings_per_level.append(strings)
 
-    def entry_level(n, j):
-        # entry e_j of a level-n string lives in groupoid level n - 1 - j
-        return n - 1 - j
-
-    def face_string(n, i, s):
+    # entry j of a level-n string is an arrow of groupoid level n - 1 - j, and
+    # each column is computed entry by entry over the whole level
+    def face(n, i, strings):
         if n == 1:
             # simplex vertex j of a string is path vertex n - j, so the
             # initial simplex vertex of a 1-string is the arrow's target
-            g0 = s[0]
-            return (gpds[0].src(g0),) if i == 0 else (gpds[0].tgt(g0),)
+            arrows = gpds[0].arrows
+            return [(arrows[g][i],) for g, in strings]
         if i == 0:
-            return s[1:]
-        if i == n:
-            return tuple(
-                sgpd.face(entry_level(n, j), n - 1 - j)(s[j]) for j in range(n - 1)
-            )
-        out = []
-        for j in range(i - 1):
-            out.append(sgpd.face(entry_level(n, j), i - 1 - j)(s[j]))
-        merged_top = sgpd.face(entry_level(n, i - 1), 0)(s[i - 1])
-        lower_gpd = gpds[entry_level(n, i)]
-        out.append(lower_gpd.compose(merged_top, s[i]))
-        out.extend(s[i + 1 :])
-        return tuple(out)
-
-    def degeneracy_string(n, i, s):
-        if n == 0:
-            obj = s[0]
-            return (gpds[0].identity(obj),)
-        out = []
-        for j in range(i):
-            out.append(sgpd.degeneracy(entry_level(n, j), i - 1 - j)(s[j]))
+            return [s[1:] for s in strings]
+        entries = list(zip(*strings))
+        out = _mapped(sgpd.faces, [(n - 1 - j, i - 1 - j) for j in range(i - 1)], entries)
         if i < n:
-            anchor = gpds[entry_level(n, i)].tgt(s[i])
-        else:
-            anchor = gpds[0].src(s[n - 1])
-        out.append(gpds[n - i].identity(anchor))
-        out.extend(s[i:])
-        return tuple(out)
+            top = map(sgpd.faces[(n - i, 0)].arrow_map.__getitem__, entries[i - 1])
+            out.append(map(gpds[n - 1 - i].comp.__getitem__, zip(top, entries[i])))
+            out += entries[i + 1 :]
+        return list(zip(*out))
 
+    def degeneracy(n, i, strings):
+        units = gpds[n - i].identities
+        if n == 0:
+            return [(units[o],) for o, in strings]
+        entries = list(zip(*strings))
+        out = _mapped(sgpd.degeneracies, [(n - 1 - j, i - 1 - j) for j in range(i)], entries)
+        if i < n:
+            arrows, end, anchors = gpds[n - 1 - i].arrows, 1, entries[i]
+        else:
+            arrows, end, anchors = gpds[0].arrows, 0, entries[n - 1]
+        out.append([units[arrows[a][end]] for a in anchors])
+        out += entries[i:]
+        return list(zip(*out))
+
+    # with finite levels every arrow is its own id
     sset, ids = complex_from_keys(
         depth,
         strings_per_level,
-        lambda n, s: _string_id(gpds, s) if n else s[0],
-        face_string,
-        degeneracy_string,
+        lambda n, s: "(" + "|".join(s) + ")" if n else s[0],
+        face,
+        degeneracy,
     )
     return WbarResult(sset, ids)
 
@@ -294,32 +290,29 @@ def w_total(sgpd, depth):
             [(g,) + lower for g in sorted(gpds[n].arrows) for lower in tuples_per_level[n - 1]]
         )
 
-    def face_tuple(n, i, t):
-        # entries e_j = g_(n-j) in level n - j
-        if i == n:
-            return tuple(sgpd.face(n - j, n - j)(t[j]) for j in range(n))
-        out = []
-        for j in range(i):
-            out.append(sgpd.face(n - j, i - j)(t[j]))
-        merged = gpds[n - i - 1].compose(sgpd.face(n - i, 0)(t[i]), t[i + 1])
-        out.append(merged)
-        out.extend(t[i + 2 :])
-        return tuple(out)
+    # entry j of a level-n tuple is an arrow of groupoid level n - j
+    def face(n, i, tuples):
+        entries = list(zip(*tuples))
+        out = _mapped(sgpd.faces, [(n - j, i - j) for j in range(i)], entries)
+        if i < n:
+            top = map(sgpd.faces[(n - i, 0)].arrow_map.__getitem__, entries[i])
+            out.append(map(gpds[n - i - 1].comp.__getitem__, zip(top, entries[i + 1])))
+            out += entries[i + 2 :]
+        return list(zip(*out))
 
-    def degeneracy_tuple(n, i, t):
-        out = []
-        for j in range(i + 1):
-            out.append(sgpd.degeneracy(n - j, i - j)(t[j]))
-        out.append(gpds[n - i].identity(sgpd.objects[0]))
-        out.extend(t[i + 1 :])
-        return tuple(out)
+    def degeneracy(n, i, tuples):
+        entries = list(zip(*tuples))
+        out = _mapped(sgpd.degeneracies, [(n - j, i - j) for j in range(i + 1)], entries)
+        out.append([gpds[n - i].identities[sgpd.objects[0]]] * len(tuples))
+        out += entries[i + 1 :]
+        return list(zip(*out))
 
     total, ids = complex_from_keys(
         depth,
         tuples_per_level,
         lambda n, t: "<" + "|".join(t) + ">",
-        face_tuple,
-        degeneracy_tuple,
+        face,
+        degeneracy,
     )
     q_maps = [
         {ident: wb.ids[n][t[1:]] if n else sgpd.objects[0] for t, ident in level.items()}

@@ -306,10 +306,12 @@ def compatible_tuples(simplices, face_tables, positions, meter=None):
         if t == 1 and tick:
             for bucket in index.values():
                 tick(len(bucket))
+        # the key of each partial tuple, computed entry by entry over the layer
         below = face_tables[positions[t] - 1].__getitem__
+        wanted = zip(*(map(below, entries) for entries in zip(*layer)))
         extended = []
-        for chosen in layer:
-            children = index.get(tuple(map(below, chosen)))
+        for chosen, key in zip(layer, wanted):
+            children = index.get(key)
             if children:
                 if tick:
                     tick(len(children))
@@ -322,10 +324,12 @@ def complex_from_keys(depth, keys, name, face, degeneracy):
     """The complex whose level-n simplices are the hashable ``keys[n]``, and
     each level's ``{key: id}``.
 
-    A key's id is written once, as ``name(n, key)``; ``face(n, i, key)`` and
-    ``degeneracy(n, i, key)`` are the keys of its faces and degeneracies, and
-    each table entry is the id of that key.  Two keys of one level written as
-    the same id are an input error naming the first such id in level order.
+    A key's id is written once, as ``name(n, key)``.  The tables are built a
+    whole column at a time: ``face(n, i, level)`` and ``degeneracy(n, i,
+    level)`` take the list of keys of a nonempty level n and return the keys
+    of their d_i and s_i faces in the same order, one call per table, and
+    each entry is the id of its key.  Two keys of one level written as the
+    same id are an input error naming the first such id in level order.
     """
     ids = []
     for n, level in enumerate(keys):
@@ -337,17 +341,19 @@ def complex_from_keys(depth, keys, name, face, degeneracy):
                     raise ValueError(f"two simplices of level {n} have the id {ident!r}")
                 seen.add(ident)
         ids.append(written)
-    faces = {
-        (n, i): {ident: ids[n - 1][face(n, i, key)] for key, ident in ids[n].items()}
-        for n in range(1, depth + 1)
-        for i in range(n + 1)
-    }
-    degeneracies = {
-        (n, i): {ident: ids[n + 1][degeneracy(n, i, key)] for key, ident in ids[n].items()}
-        for n in range(depth)
-        for i in range(n + 1)
-    }
+
     levels = [list(level.values()) for level in ids]
+
+    def tables(op, step, ns):
+        out = {}
+        for n in ns:
+            keys, other = list(ids[n]), ids[n + step].__getitem__
+            for i in range(n + 1):
+                out[(n, i)] = dict(zip(levels[n], map(other, op(n, i, keys)))) if keys else {}
+        return out
+
+    faces = tables(face, -1, range(1, depth + 1))
+    degeneracies = tables(degeneracy, 1, range(depth))
     return TruncatedSimplicialSet(depth, levels, faces, degeneracies), ids
 
 
@@ -357,12 +363,12 @@ def _tuple_name(m, t):
     return ".".join(map(str, t))
 
 
-def _tuple_face(m, i, t):
-    return t[:i] + t[i + 1 :]
+def _tuple_face(m, i, ts):
+    return [t[:i] + t[i + 1 :] for t in ts]
 
 
-def _tuple_degeneracy(m, i, t):
-    return t[: i + 1] + t[i:]
+def _tuple_degeneracy(m, i, ts):
+    return [t[: i + 1] + t[i:] for t in ts]
 
 
 def _tuples_complex(depth, predicate, n):
@@ -407,8 +413,8 @@ def standard_complex(kind, n=0, k=None, depth=None):
 
 def _constant_complex(depth, points):
     """``points`` at every level, each its own faces and degeneracies."""
-    def same(m, i, x):
-        return x
+    def same(m, i, xs):
+        return xs
 
     return complex_from_keys(depth, [points] * (depth + 1), lambda m, x: x, same, same)[0]
 
@@ -429,9 +435,8 @@ def _sphere_complex(n, depth):
     full = set(range(n + 1))
 
     def collapsed(op):
-        def image(m, i, t):
-            t = op(m, i, t)
-            return t if set(t) == full else ()
+        def image(m, i, ts):
+            return [t if set(t) == full else () for t in op(m, i, ts)]
         return image
 
     keys = [
@@ -455,8 +460,8 @@ def coproduct(depth, parts, name):
         depth,
         [[(t, s) for t, part in parts.items() for s in part.levels[n]] for n in range(depth + 1)],
         lambda n, key: name(*key),
-        lambda n, i, key: (key[0], parts[key[0]].face(n, i, key[1])),
-        lambda n, i, key: (key[0], parts[key[0]].degeneracy(n, i, key[1])),
+        lambda n, i, keys: [(t, parts[t].faces[(n, i)][s]) for t, s in keys],
+        lambda n, i, keys: [(t, parts[t].degeneracies[(n, i)][s]) for t, s in keys],
     )
 
 
@@ -528,23 +533,22 @@ def pushout(f, g):
         keys.append([classes[root] for root in sorted(classes)])
         class_of.append({member: members for members in keys[n] for member in members})
 
-    def induced(kind, step):
+    def induced(kind, attr, step):
         # every member of a class must give the same class
-        def image(n, i, members):
-            images = {
-                class_of[n + step][tag, getattr(homes[tag], kind)(n, i, x)] for tag, x in members
-            }
-            if len(images) != 1:
+        def image(n, i, classes):
+            tables = {tag: getattr(home, attr)[(n, i)] for tag, home in homes.items()}
+            images = [{class_of[n + step][tag, tables[tag][x]] for tag, x in c} for c in classes]
+            if any(len(found) != 1 for found in images):
                 raise AssertionError(f"pushout {kind} map not well defined")
-            return images.pop()
+            return [found.pop() for found in images]
         return image
 
     d, ids = complex_from_keys(
         a.depth,
         keys,
         lambda n, members: "+".join(f"{tag}:{x}" for tag, x in members),
-        induced("face", -1),
-        induced("degeneracy", 1),
+        induced("face", "faces", -1),
+        induced("degeneracy", "degeneracies", 1),
     )
     into = [
         SimplicialMap(
@@ -562,6 +566,10 @@ def pair_id(p):
     return f"({p[0]}&{p[1]})"
 
 
+def _pairwise(left, right, pairs):
+    return [(left[x], right[y]) for x, y in pairs]
+
+
 def pullback(f, g):
     """Pullback of B -f-> Y <-g- C, computed levelwise.
 
@@ -576,8 +584,8 @@ def pullback(f, g):
             for n in range(b.depth + 1)
         ],
         lambda n, pair: pair_id(pair),
-        lambda n, i, pair: (b.face(n, i, pair[0]), c.face(n, i, pair[1])),
-        lambda n, i, pair: (b.degeneracy(n, i, pair[0]), c.degeneracy(n, i, pair[1])),
+        lambda n, i, pairs: _pairwise(b.faces[(n, i)], c.faces[(n, i)], pairs),
+        lambda n, i, pairs: _pairwise(b.degeneracies[(n, i)], c.degeneracies[(n, i)], pairs),
     )
     onto = [
         SimplicialMap(p, end, [{ident: pair[k] for pair, ident in level.items()} for level in ids])

@@ -51,14 +51,6 @@ class TwoGroupoid:
             sorted(a for a, (s, t) in self.cells2.items() if s == f and t == g)
         )
 
-    def whisker_right(self, a, f):
-        """a * id_f : attach a 1-cell f before the frame of a."""
-        return self.hcomp[(a, self.id2[f])]
-
-    def whisker_left(self, f, a):
-        """id_f * a : attach a 1-cell f after the frame of a."""
-        return self.hcomp[(self.id2[f], a)]
-
     # -- the three categories, as the tables ``hpk.laws`` reads -------------------
 
     def one_cells(self):
@@ -274,9 +266,9 @@ def triangle_name(f, g, h, a):
     return f"T({f}|{g}|{h}|{a})"
 
 
-def tuple_name(parts):
-    """The id of a nerve simplex of level >= 3 with the given faces."""
-    return "[" + "|".join(parts) + "]"
+def tuple_names(rows):
+    """The ids of nerve simplices of level >= 3, one per row of faces."""
+    return map("[{}]".format, map("|".join, rows))
 
 
 def _triangles(k):
@@ -292,11 +284,13 @@ def _triangles(k):
 def nerve(k, depth):
     """The Moerdijk-Svensson nerve, 3-coskeletal, to the given depth.
 
-    Level 2 simplices are quadruples (f, g, h, alpha: g o f => h); level 3
-    simplices are boundary-compatible quadruples of 2-simplices satisfying
-    the tetrahedron cocycle; higher levels are compatible face tuples.
-    Levels 3 and up take their face-compatible tuples from the matching-tuple
-    search shared with horn enumeration (``hpk.sset.compatible_tuples``).
+    Level 2 simplices are quadruples (f, g, h, alpha: g o f => h).  Level 3
+    holds the unique filler of each horn Lambda^3_1, a face-compatible triple
+    at d_0, d_2, d_3 with the d_1 triangle whose 2-cell the tetrahedron
+    cocycle forces, a023 = a013 . (a123 * f01) . (f23 * a012)^-1; higher
+    levels are compatible face tuples.  Both searches are the matching-tuple
+    search shared with horn enumeration (``hpk.sset.compatible_tuples``), and
+    levels 3 and up are named and tabled a whole column at a time.
     """
     levels = []
     faces = {}
@@ -326,39 +320,37 @@ def nerve(k, depth):
             f: triangle_name(f, k.id1[k.tgt1(f)], f, k.id2[f]) for f in level1
         }
 
-    def cocycle_holds(t0, t1, t2, t3):
-        f01, a012 = triangles[t3][0], triangles[t3][3]
-        f23, a123 = triangles[t0][1], triangles[t0][3]
-        a013, a023 = triangles[t2][3], triangles[t1][3]
-        left = k.vcomp[(a013, k.whisker_right(a123, f01))]
-        right = k.vcomp[(a023, k.whisker_left(f23, a012))]
-        return left == right
-
     for n in range(3, depth + 1):
         prev = levels[n - 1]
-        compatible = compatible_tuples(
-            prev, [faces[(n - 1, i)] for i in range(n)], range(n + 1)
-        )
+        below = [faces[(n - 1, i)] for i in range(n)]
         if n == 3:
-            compatible = [tup for tup in compatible if cocycle_holds(*tup)]
-        names = {tuple_name(tup): tup for tup in compatible}
+            # the d_1 face of each compatible triple at 0, 2, 3
+            vcomp, hcomp, vinv, id2 = k.vcomp, k.hcomp, k.vinv, k.id2
+            compatible = []
+            for t0, t2, t3 in compatible_tuples(prev, below, (0, 2, 3)):
+                f01, _, f02, a012 = triangles[t3]
+                _, f23, _, a123 = triangles[t0]
+                _, _, f03, a013 = triangles[t2]
+                left = vcomp[(a013, hcomp[(a123, id2[f01])])]
+                a023 = vcomp[(left, vinv[hcomp[(id2[f23], a012)]])]
+                compatible.append((t0, triangle_name(f02, f23, f03, a023), t2, t3))
+        else:
+            compatible = compatible_tuples(prev, below, range(n + 1))
+        names = dict(zip(tuple_names(compatible), compatible))
         level_n = sorted(names)
         levels.append(level_n)
-        for i in range(n + 1):
-            faces[(n, i)] = {t: names[t][i] for t in level_n}
+        columns = list(zip(*map(names.__getitem__, level_n))) or [()] * (n + 1)
+        for i, column in enumerate(columns):
+            faces[(n, i)] = dict(zip(level_n, column))
+        # s_i x has the faces s_(i-1) d_j x below i, x twice, s_i d_(j-1) x above
         for i in range(n):
-            table = {}
-            for t in prev:
-                face_tuple = []
-                for j in range(n + 1):
-                    if j < i:
-                        face_tuple.append(degeneracies[(n - 2, i - 1)][faces[(n - 1, j)][t]])
-                    elif j in (i, i + 1):
-                        face_tuple.append(t)
-                    else:
-                        face_tuple.append(degeneracies[(n - 2, i)][faces[(n - 1, j - 1)][t]])
-                table[t] = tuple_name(face_tuple)
-            degeneracies[(n - 1, i)] = table
+            columns = [
+                map(degeneracies[(n - 2, i - (j < i))].__getitem__, map(d.__getitem__, prev))
+                for j, d in enumerate(below)
+                if j != i
+            ]
+            columns[i:i] = [prev, prev]
+            degeneracies[(n - 1, i)] = dict(zip(prev, tuple_names(zip(*columns))))
 
     return TruncatedSimplicialSet(depth, levels, faces, degeneracies)
 
@@ -381,10 +373,9 @@ def nerve_of_functor(func, source_nerve, target_nerve):
         }
         level_maps[2] = {t: images[t] for t in source_nerve.levels[2]}
     for n in range(3, depth + 1):
-        for t in source_nerve.levels[n]:
-            level_maps[n][t] = tuple_name(
-                level_maps[n - 1][source_nerve.face(n, i, t)] for i in range(n + 1)
-            )
+        level, image = source_nerve.levels[n], level_maps[n - 1].__getitem__
+        faces = [map(image, map(source_nerve.faces[(n, i)].__getitem__, level)) for i in range(n + 1)]
+        level_maps[n] = dict(zip(level, tuple_names(zip(*faces))))
     return level_maps
 
 

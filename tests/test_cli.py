@@ -648,6 +648,19 @@ def test_transpose_command_round_trip(tmp_path, capsys):
     assert back == [dict(sorted(m.items())) for m in psi.level_maps]
 
 
+def test_transpose_reads_the_direction_before_building(tmp_path, capsys, monkeypatch):
+    import hpk.cli
+
+    def unreachable(*args):
+        raise AssertionError("loop_groupoid called")
+
+    monkeypatch.setattr(hpk.cli, "loop_groupoid", unreachable)
+    path = write(tmp_path, "sideways.json", {**_bad_transpose(), "direction": "sideways"})
+    assert (main(["transpose", path]), *capsys.readouterr()) == (
+        2, "", "input error: direction must be 'to-sset' or 'to-sgpd'\n"
+    )
+
+
 def test_unit_command_on_point_and_error_on_circle(tmp_path, capsys):
     pt = standard_complex("point", depth=3)
     path = write(tmp_path, "pt.json", pt.to_json())

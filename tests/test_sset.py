@@ -234,8 +234,8 @@ def test_builder_writes_each_key_once_and_looks_faces_up_by_key():
         1,
         keys,
         lambda n, key: "-".join(key) if n else key,
-        lambda n, i, edge: edge[1 - i],
-        lambda n, i, v: (v, v),
+        lambda n, i, edges: [edge[1 - i] for edge in edges],
+        lambda n, i, vs: [(v, v) for v in vs],
     )
     assert validate_sset(x) == []
     assert ids == [{"v": "v", "w": "w"}, {("v", "w"): "v-w", ("v", "v"): "v-v", ("w", "w"): "w-w"}]
